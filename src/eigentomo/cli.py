@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -63,25 +64,36 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("EIGENTOMO_THREADS")
-    return max(1, int(env)) if env else 1
+def _recorded_argv(args) -> list[str]:
+    """The subcommand's declared options with their resolved values.
+
+    Replaying this argv reproduces the run: every option that holds a value
+    is listed, in declaration order, and a flag appears when it is set.
+    """
+    argv = [args.command]
+    for action in args.parser._actions:
+        if not action.option_strings or action.dest not in vars(args):
+            continue
+        value = getattr(args, action.dest)
+        if action.nargs == 0:
+            if value:
+                argv.append(action.option_strings[0])
+        elif value is not None:
+            argv += [action.option_strings[0], str(value)]
+    return argv
 
 
-def _write_manifest(args, command, argv, inputs, outputs, started) -> None:
+def _write_manifest(args, inputs, outputs, started) -> None:
     flags = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("func", "threads")
+        if key not in ("func", "parser")
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "argv": argv,
+        "argv": _recorded_argv(args),
         "flags": flags,
-        "threads": _resolve_threads(args),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "duration_s": time.monotonic() - started,
@@ -99,7 +111,6 @@ def cmd_synth(args) -> int:
     if args.preset == "bell-mixture":
         rho = measurement.bell_mixture(BELL_SPECTRUM)
         target = measurement.bell_states()[0]
-        argv = ["synth", "--preset", "bell-mixture"]
     else:
         if args.spectrum is None:
             raise ValueError("--spectrum is required with --w")
@@ -108,25 +119,6 @@ def cmd_synth(args) -> int:
             args.w, spectrum, seed=args.seed, perturbation=args.perturbation
         )
         target = measurement.w_state(args.w)
-        argv = [
-            "synth",
-            "--w",
-            str(args.w),
-            "--spectrum",
-            args.spectrum,
-            "--perturbation",
-            str(args.perturbation),
-        ]
-    argv += [
-        "--bases",
-        args.bases,
-        "--shots",
-        str(args.shots),
-        "--seed",
-        str(args.seed),
-        "--out-dir",
-        args.out_dir,
-    ]
 
     bases = measurement.generate_basis_set(rho.n_qubits, args.bases, args.seed)
     if args.shots > 0:
@@ -140,9 +132,7 @@ def cmd_synth(args) -> int:
     save_density_matrix(state_path, rho)
     save_state_vector(target_path, target)
     dataset.save_jsonl(dataset_path)
-    _write_manifest(
-        args, "synth", argv, [], [state_path, target_path, dataset_path], started
-    )
+    _write_manifest(args, [], [state_path, target_path, dataset_path], started)
     print(
         f"synth: {rho.n_qubits} qubits, {len(bases)} bases, "
         f"{dataset.n_records} records -> {args.out_dir}"
@@ -188,7 +178,6 @@ def cmd_reconstruct(args) -> int:
         cost=CostSpec(kind=args.cost),
         learning_rate=args.lr,
         max_epochs=args.epochs,
-        batch_bases=args.batch_bases,
         seed=args.seed,
         restarts=args.restarts,
     )
@@ -198,7 +187,6 @@ def cmd_reconstruct(args) -> int:
         config,
         floor=args.floor,
         true_rho=truth,
-        n_threads=_resolve_threads(args),
     )
 
     result_path = _out_path(args, "result.json")
@@ -229,37 +217,8 @@ def cmd_reconstruct(args) -> int:
         writer.writerow(REPORT_COLUMNS)
         writer.writerow([_fmt(row[key]) for key in REPORT_COLUMNS])
 
-    argv = [
-        "reconstruct",
-        "--dataset",
-        args.dataset,
-        "--max-rank",
-        str(args.max_rank),
-        "--floor",
-        str(args.floor),
-        "--cost",
-        args.cost,
-        "--lr",
-        str(args.lr),
-        "--epochs",
-        str(args.epochs),
-        "--restarts",
-        str(args.restarts),
-        "--seed",
-        str(args.seed),
-        "--out-dir",
-        args.out_dir,
-    ]
-    if args.truth:
-        argv += ["--truth", args.truth]
-    if args.target:
-        argv += ["--target", args.target]
-    if args.batch_bases:
-        argv += ["--batch-bases", str(args.batch_bases)]
     inputs = [args.dataset] + [p for p in (args.truth, args.target) if p]
-    _write_manifest(
-        args, "reconstruct", argv, inputs, [result_path, report_path], started
-    )
+    _write_manifest(args, inputs, [result_path, report_path], started)
     summary = ", ".join(
         f"p{s.step}={s.weight:.4f}" for s in report.steps if s.accepted
     )
@@ -302,20 +261,7 @@ def cmd_verify(args) -> int:
         }
     jsonio.dump(doc, report_path)
 
-    argv = [
-        "verify",
-        "--dims",
-        args.dims,
-        "--trials",
-        str(args.trials),
-        "--states-per-dim",
-        str(args.states_per_dim),
-        "--seed",
-        str(args.seed),
-        "--out-dir",
-        args.out_dir,
-    ]
-    _write_manifest(args, "verify", argv, [], [report_path], started)
+    _write_manifest(args, [], [report_path], started)
     status = "pass" if result.passed else "FAIL"
     print(
         f"verify: {len(corpus)} states, max violation "
@@ -398,29 +344,30 @@ def cmd_figdata(args) -> int:
             f"figdata fig4: entropy reduced in {reduced}/{len(entropy_rows)} bases"
         )
 
-    argv = [
-        "figdata",
-        "--mode",
-        args.mode,
-        "--state",
-        args.state,
-        "--bases",
-        args.bases,
-        "--perturbations",
-        str(args.perturbations),
-        "--strength-min",
-        str(args.strength_min),
-        "--strength-max",
-        str(args.strength_max),
-        "--floor",
-        str(args.floor),
-        "--seed",
-        str(args.seed),
-        "--out-dir",
-        args.out_dir,
-    ]
-    _write_manifest(args, "figdata", argv, [args.state], outputs, started)
+    _write_manifest(args, [args.state], outputs, started)
     return 0
+
+
+def _bounded(convert, strict: bool):
+    """Argument type: a finite number, positive if ``strict``, else nonnegative.
+
+    argparse reports a rejected value as a usage error (exit code 2).
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not math.isfinite(value) or value < 0 or (strict and value == 0):
+            bound = "positive" if strict else "nonnegative"
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {bound} number")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+POSITIVE_INT = _bounded(int, strict=True)
+NONNEGATIVE_INT = _bounded(int, strict=False)
+POSITIVE_FLOAT = _bounded(float, strict=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument(
         "--out-dir", default=".", help="directory for output files and the manifest"
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: EIGENTOMO_THREADS or 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -466,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_synth.add_argument(
         "--shots",
-        type=int,
+        type=NONNEGATIVE_INT,
         default=0,
         help="shots per basis for sampled statistics (0 = exact probabilities)",
     )
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
 
     p_rec = sub.add_parser(
         "reconstruct", parents=[common], help="run the iterative reconstruction"
@@ -478,32 +419,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--dataset", required=True, help="dataset file (JSON lines)")
     p_rec.add_argument("--truth", help="ground-truth density-matrix file (optional)")
     p_rec.add_argument("--target", help="target pure-state file (optional)")
-    p_rec.add_argument("--max-rank", type=int, default=2)
+    p_rec.add_argument("--max-rank", type=POSITIVE_INT, default=2)
     p_rec.add_argument(
         "--floor",
-        type=float,
+        type=POSITIVE_FLOAT,
         default=reconstruction.DEFAULT_FLOOR,
         help="denominator floor for the eigenvalue estimate",
     )
     p_rec.add_argument("--cost", choices=["l1", "l15", "kl1", "kl2"], default="l15")
-    p_rec.add_argument("--lr", type=float, default=0.05)
-    p_rec.add_argument("--epochs", type=int, default=20000)
-    p_rec.add_argument("--restarts", type=int, default=3)
-    p_rec.add_argument("--batch-bases", type=int, default=None)
-    p_rec.set_defaults(func=cmd_reconstruct)
+    p_rec.add_argument("--lr", type=POSITIVE_FLOAT, default=0.05)
+    p_rec.add_argument("--epochs", type=POSITIVE_INT, default=20000)
+    p_rec.add_argument("--restarts", type=POSITIVE_INT, default=3)
+    p_rec.set_defaults(func=cmd_reconstruct, parser=p_rec)
 
     p_ver = sub.add_parser(
         "verify", parents=[common], help="verify the optimality bounds"
     )
     p_ver.add_argument("--dims", default="2,4,8,16", help="comma-separated dimensions")
-    p_ver.add_argument("--trials", type=int, default=500)
-    p_ver.add_argument("--states-per-dim", type=int, default=25)
+    p_ver.add_argument("--trials", type=POSITIVE_INT, default=500)
+    p_ver.add_argument("--states-per-dim", type=POSITIVE_INT, default=25)
     p_ver.add_argument(
         "--inject-faulty-fidelity",
         action="store_true",
         help=argparse.SUPPRESS,
     )
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=cmd_verify, parser=p_ver)
 
     p_fig = sub.add_parser(
         "figdata", parents=[common], help="emit report grids as CSV"
@@ -515,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--strength-min", type=float, default=0.01)
     p_fig.add_argument("--strength-max", type=float, default=0.5)
     p_fig.add_argument(
-        "--floor", type=float, default=reconstruction.DEFAULT_FLOOR
+        "--floor", type=POSITIVE_FLOAT, default=reconstruction.DEFAULT_FLOOR
     )
-    p_fig.set_defaults(func=cmd_figdata)
+    p_fig.set_defaults(func=cmd_figdata, parser=p_fig)
     return parser
 
 

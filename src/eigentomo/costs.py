@@ -108,16 +108,11 @@ class CostGradient:
 
     @classmethod
     def from_flat(cls, theta: np.ndarray, n_qubits: int) -> "CostGradient":
-        n = n_qubits
-        nets = []
-        offset = 0
-        for _ in range(2):
-            a = theta[offset : offset + n]
-            b = theta[offset + n : offset + 2 * n]
-            w = theta[offset + 2 * n : offset + 2 * n + n * n].reshape(n, n)
-            nets.append(NetworkGradient(w.copy(), a.copy(), b.copy()))
-            offset += 2 * n + n * n
-        return cls(nets[0], nets[1])
+        amplitude, phase = (
+            NetworkGradient(w.copy(), a.copy(), b.copy())
+            for a, b, w in rbm.split_parameters(theta, n_qubits)
+        )
+        return cls(amplitude, phase)
 
     def flat(self) -> np.ndarray:
         parts = []
@@ -144,84 +139,36 @@ class CostEngine:
         self.spec = spec
         self.n_qubits = n
         self.dim = data.dim
-        self.n_bases = len(data.bases)
         self.data_probs = data.probabilities
         self.spins = measurement.spin_table(n).astype(float)
-        rot = np.empty((self.n_bases, n, 2, 2), dtype=np.complex128)
-        for b, basis in enumerate(data.bases):
-            for k, axis in enumerate(basis):
-                rot[b, k] = measurement.local_rotation(axis)
-        self.rotations = rot
+        self.rotations = measurement.basis_rotations(data.bases, n)
         # Plain transpose: record sensitivities are pulled back through U^T.
-        self.rotations_t = rot.transpose(0, 1, 3, 2).copy()
+        self.rotations_t = self.rotations.transpose(0, 1, 3, 2).copy()
         if spec.orth_states:
             self.orth = np.stack([s.amplitudes for s in spec.orth_states])
         else:
             self.orth = None
 
-    def _rotate(self, mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        out = vecs
-        n_batch = vecs.shape[0]
-        for k in range(self.n_qubits):
-            left = 1 << k
-            right = self.dim >> (k + 1)
-            out = np.einsum(
-                "buv,bavc->bauc", mats[:, k], out.reshape(n_batch, left, 2, right)
-            ).reshape(n_batch, self.dim)
-        return out
+    def value(self, theta: np.ndarray) -> float:
+        return self.value_and_grad(theta)[0]
 
-    def _tables(self, theta: np.ndarray):
-        n = self.n_qubits
-        span = 2 * n + n * n
-        if theta.shape != (2 * span,):
-            raise ValueError(f"expected {2 * span} parameters, got {theta.shape}")
-        s = self.spins
-        a, b = theta[:n], theta[n : 2 * n]
-        w = theta[2 * n : span].reshape(n, n)
-        theta_a = s @ w + b
-        log_p = s @ a + rbm.log_two_cosh(theta_a).sum(axis=1)
-        log_z = rbm.log_sum_exp(log_p)
-        pa, pb = theta[span : span + n], theta[span + n : span + 2 * n]
-        pw = theta[span + 2 * n :].reshape(n, n)
-        theta_p = s @ pw + pb
-        phase = s @ pa + rbm.log_two_cosh(theta_p).sum(axis=1)
-        psi = np.exp(0.5 * (log_p - log_z) + 0.5j * phase)
-        return psi, np.tanh(theta_a), np.tanh(theta_p)
-
-    def _select(self, basis_indices):
-        if basis_indices is None:
-            return self.rotations, self.rotations_t, self.data_probs
-        idx = np.asarray(basis_indices, dtype=int)
-        return self.rotations[idx], self.rotations_t[idx], self.data_probs[idx]
-
-    def value(self, theta: np.ndarray, basis_indices=None) -> float:
-        psi, _, _ = self._tables(theta)
-        rot, _, probs = self._select(basis_indices)
-        total = 0.0
-        if probs.size:
-            rotated = self._rotate(rot, np.broadcast_to(psi, probs.shape))
-            q = np.abs(rotated) ** 2
-            total += float(
-                cost_terms(self.spec.kind, probs, q, self.spec.denom_floor).sum()
-            )
-        if self.orth is not None and self.spec.orth_weight > 0:
-            overlaps = self.orth.conj() @ psi
-            total += self.spec.orth_weight * float((np.abs(overlaps) ** 2).sum())
-        return total
-
-    def value_and_grad(self, theta, basis_indices=None) -> tuple[float, np.ndarray]:
-        psi, tanh_a, tanh_p = self._tables(theta)
-        rot, rot_t, probs = self._select(basis_indices)
+    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+        psi, tanh_a, tanh_p = rbm.wavefunction(theta, self.spins)
+        probs = self.data_probs
         floor = self.spec.denom_floor
         total = 0.0
         pulled = np.zeros(self.dim, dtype=np.complex128)
         beta = 0.0
         if probs.size:
-            rotated = self._rotate(rot, np.broadcast_to(psi, probs.shape))
+            rotated = measurement.rotate_states(
+                self.rotations, np.broadcast_to(psi, probs.shape)
+            )
             q = np.abs(rotated) ** 2
             total += float(cost_terms(self.spec.kind, probs, q, floor).sum())
             g = cost_term_grads(self.spec.kind, probs, q, floor)
-            pulled += self._rotate(rot_t, g * rotated.conj()).sum(axis=0)
+            pulled += measurement.rotate_states(
+                self.rotations_t, g * rotated.conj()
+            ).sum(axis=0)
             beta += float((g * q).sum())
         if self.orth is not None and self.spec.orth_weight > 0:
             overlaps = self.orth.conj() @ psi

@@ -93,12 +93,7 @@ def cost_comparison_grid(
             psi = _perturbed_state(dominant, float(strength), rng)
         fid = float(abs(dominant_state.overlap(psi)) ** 2)
         estimate, _ = reconstruction.estimate_dominant_eigenvalue(data, psi, floor)
-        q = np.stack(
-            [
-                measurement.probabilities_vector(psi.amplitudes, basis)
-                for basis in data.bases
-            ]
-        )
+        q = measurement.basis_probabilities(psi.amplitudes, data.bases)
         costs = {
             kind: _grid_cost(kind, data.probabilities, q, denom_floor)
             for kind in GRID_COSTS

@@ -27,6 +27,7 @@ _ROTATIONS = {
 }
 for _mat in _ROTATIONS.values():
     _mat.setflags(write=False)
+_ROTATION_STACK = np.stack([_ROTATIONS[axis] for axis in "xyz"])
 
 #: Record probabilities may undershoot zero by at most this much before clamping.
 PROBABILITY_FLOOR = -1e-12
@@ -87,25 +88,30 @@ def parse_outcome(text: str) -> tuple[int, ...]:
     return tuple(1 if c == "+" else -1 for c in text)
 
 
-def rotate_vector(amplitudes, basis: str, adjoint: bool = False) -> np.ndarray:
-    """Apply the product of local basis rotations to a state vector.
+def basis_rotations(bases, n_qubits: int) -> np.ndarray:
+    """(n_bases, n_qubits, 2, 2) stack of the local rotations of each basis."""
+    for basis in bases:
+        validate_basis(basis, n_qubits)
+    axes = [["xyz".index(axis) for axis in basis] for basis in bases]
+    return _ROTATION_STACK[np.array(axes, dtype=np.intp).reshape(len(bases), n_qubits)]
 
-    One two-branch pass per qubit; the full 2^n x 2^n unitary is never formed.
+
+def rotate_states(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Apply per-basis products of local 2x2 factors to a batch of vectors.
+
+    ``rotations[b, k]`` acts on qubit k of ``vectors[b]`` (see
+    ``basis_rotations``).  One two-branch pass per qubit; the full
+    2^n x 2^n unitary is never formed.
     """
-    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    n = len(basis)
-    if vec.size != 2**n:
-        raise ValueError(f"vector length {vec.size} does not match basis {basis!r}")
-    for k, axis in enumerate(basis):
-        if axis == "z":
-            continue
-        u = _ROTATIONS[axis]
-        if adjoint:
-            u = u.conj().T
+    n_batch, dim = vectors.shape
+    out = vectors
+    for k in range(rotations.shape[1]):
         left = 1 << k
-        right = vec.size >> (k + 1)
-        vec = np.einsum("uv,avc->auc", u, vec.reshape(left, 2, right)).reshape(-1)
-    return vec
+        right = dim >> (k + 1)
+        out = np.einsum(
+            "buv,bavc->bauc", rotations[:, k], out.reshape(n_batch, left, 2, right)
+        ).reshape(n_batch, dim)
+    return out
 
 
 def rotate_matrix(entries, basis: str) -> np.ndarray:
@@ -124,10 +130,17 @@ def rotate_matrix(entries, basis: str) -> np.ndarray:
     return t.reshape(mat.shape)
 
 
+def basis_probabilities(amplitudes, bases) -> np.ndarray:
+    """(n_bases, 2^n) outcome probabilities of a pure state in each basis."""
+    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    rotations = basis_rotations(bases, qubit_count(vec.size))
+    rotated = rotate_states(rotations, np.broadcast_to(vec, (len(bases), vec.size)))
+    return np.abs(rotated) ** 2
+
+
 def probabilities_vector(amplitudes, basis: str) -> np.ndarray:
     """Outcome probabilities of a pure state measured in ``basis``."""
-    rotated = rotate_vector(amplitudes, basis)
-    return np.abs(rotated) ** 2
+    return basis_probabilities(amplitudes, [basis])[0]
 
 
 def probabilities_matrix(entries, basis: str) -> np.ndarray:
@@ -208,6 +221,8 @@ class MeasurementDataset:
                 f"probabilities shape {probs.shape} does not match "
                 f"({len(bases)}, {dim})"
             )
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("record probabilities must be finite")
         if probs.size and probs.min() < PROBABILITY_FLOOR:
             raise ValueError("a record probability is below the negativity floor")
         probs = np.clip(probs, 0.0, None)
@@ -342,7 +357,11 @@ def exact_dataset(rho, bases) -> MeasurementDataset:
     mat = matrix_of(rho)
     n = qubit_count(mat.shape[0])
     basis_list = _sorted_unique_bases(bases, n)
-    probs = np.stack([probabilities_matrix(mat, basis) for basis in basis_list])
+    # Each row is copied out at once: a diagonal view would keep its basis's
+    # whole rotated matrix alive until every basis is done.
+    probs = np.empty((len(basis_list), mat.shape[0]))
+    for b, basis in enumerate(basis_list):
+        probs[b] = probabilities_matrix(mat, basis)
     return MeasurementDataset(n, tuple(basis_list), probs, None, "exact", None)
 
 

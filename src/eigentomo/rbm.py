@@ -163,6 +163,26 @@ class NqsState:
         return replace(self, cached_log_partition=log_partition(self.amplitude_net))
 
 
+def wavefunction(theta: np.ndarray, spins: np.ndarray):
+    """Amplitudes and hidden-unit tanh tables of flat parameters ``theta``.
+
+    ``spins`` is the float (2^n, n) spin table.  Returns the normalized
+    amplitude vector in computational-index order together with
+    tanh(W^T s + b) of the amplitude and of the phase network for every row
+    of ``spins``; the tanh tables are the log-derivative factors of the
+    analytic cost gradients.  Works on raw arrays, because the trainer calls
+    it on every cost evaluation.
+    """
+    (a, b, w), (pa, pb, pw) = split_parameters(theta, spins.shape[1])
+    theta_a = spins @ w + b
+    log_p = spins @ a + log_two_cosh(theta_a).sum(axis=1)
+    log_z = log_sum_exp(log_p)
+    theta_p = spins @ pw + pb
+    phase = spins @ pa + log_two_cosh(theta_p).sum(axis=1)
+    psi = np.exp(0.5 * (log_p - log_z) + 0.5j * phase)
+    return psi, np.tanh(theta_a), np.tanh(theta_p)
+
+
 def state_amplitudes(state: NqsState) -> np.ndarray:
     """Full amplitude vector in computational-index order (exact mode)."""
     n = state.n_qubits
@@ -171,12 +191,7 @@ def state_amplitudes(state: NqsState) -> np.ndarray:
             f"materializing amplitudes is capped at {EXACT_MODE_MAX_QUBITS} qubits"
         )
     spins = measurement.spin_table(n).astype(float)
-    log_p = log_marginal_table(state.amplitude_net, spins)
-    log_z = state.cached_log_partition
-    if log_z is None:
-        log_z = log_sum_exp(log_p)
-    phase = log_marginal_table(state.phase_net, spins)
-    return np.exp(0.5 * (log_p - log_z) + 0.5j * phase)
+    return wavefunction(pack_parameters(state), spins)[0]
 
 
 def amplitude(state: NqsState, sigma) -> complex:
@@ -196,9 +211,8 @@ def to_state_vector(state: NqsState) -> StateVector:
 
 def rotated_probability(state: NqsState, basis: str, outcome) -> float:
     """Probability of one outcome after rotating the ansatz into ``basis``."""
-    measurement.validate_basis(basis, state.n_qubits)
-    rotated = measurement.rotate_vector(state_amplitudes(state), basis)
-    return float(np.abs(rotated[measurement.outcome_index(outcome)]) ** 2)
+    probs = measurement.probabilities_vector(state_amplitudes(state), basis)
+    return float(probs[measurement.outcome_index(outcome)])
 
 
 def gibbs_conditional_hidden(params: RbmParams, sigma) -> np.ndarray:
@@ -268,22 +282,31 @@ def n_parameters(n_qubits: int) -> int:
     return 2 * (n_qubits * n_qubits + 2 * n_qubits)
 
 
-def unpack_parameters(theta: np.ndarray, n_qubits: int) -> NqsState:
+def split_parameters(theta: np.ndarray, n_qubits: int):
+    """Views ((a, b, W) amplitude, (a, b, W) phase) into a flat vector.
+
+    The layout is the one ``pack_parameters`` writes.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n_parameters(n_qubits),):
-        raise ValueError(
-            f"expected {n_parameters(n_qubits)} parameters, got {theta.shape}"
-        )
     n = n_qubits
-    nets = []
-    offset = 0
-    for _ in range(2):
-        a = theta[offset : offset + n]
-        b = theta[offset + n : offset + 2 * n]
-        w = theta[offset + 2 * n : offset + 2 * n + n * n].reshape(n, n)
-        nets.append(RbmParams(w, a, b))
-        offset += 2 * n + n * n
-    return NqsState(nets[0], nets[1])
+    if theta.shape != (n_parameters(n),):
+        raise ValueError(f"expected {n_parameters(n)} parameters, got {theta.shape}")
+    span = 2 * n + n * n
+    return tuple(
+        (
+            theta[offset : offset + n],
+            theta[offset + n : offset + 2 * n],
+            theta[offset + 2 * n : offset + span].reshape(n, n),
+        )
+        for offset in (0, span)
+    )
+
+
+def unpack_parameters(theta: np.ndarray, n_qubits: int) -> NqsState:
+    amplitude_net, phase_net = (
+        RbmParams(w, a, b) for a, b, w in split_parameters(theta, n_qubits)
+    )
+    return NqsState(amplitude_net, phase_net)
 
 
 def save_checkpoint(path, state: NqsState, seed: int | None = None) -> None:

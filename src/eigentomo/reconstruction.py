@@ -145,10 +145,7 @@ class IterationReport:
 def _predicted_probabilities(data: MeasurementDataset, psi: StateVector) -> np.ndarray:
     if data.n_qubits != psi.n_qubits:
         raise ValueError("dataset and state disagree in qubit count")
-    rows = [
-        measurement.probabilities_vector(psi.amplitudes, basis) for basis in data.bases
-    ]
-    return np.stack(rows) if rows else np.zeros((0, data.dim))
+    return measurement.basis_probabilities(psi.amplitudes, data.bases)
 
 
 def estimate_dominant_eigenvalue(
@@ -265,7 +262,6 @@ def reconstruct(
     train_config: TrainConfig,
     floor: float = DEFAULT_FLOOR,
     true_rho: DensityMatrix | None = None,
-    n_threads: int = 1,
 ) -> tuple[SpectralApprox, IterationReport]:
     """Extract up to ``max_rank`` eigenpairs from measurement statistics.
 
@@ -289,7 +285,7 @@ def reconstruct(
             train_config, seed=train_config.seed + (step - 1) * STEP_SEED_STRIDE
         )
         previous = [pair.state for pair in pairs]
-        state, tlog = train_next_eigenstate(current, previous, config, n_threads)
+        state, tlog = train_next_eigenstate(current, previous, config)
         psi = rbm.to_state_vector(state)
 
         if tlog.orthogonality_ok is False:

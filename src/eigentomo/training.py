@@ -1,15 +1,17 @@
 """Seeded gradient-descent fitting of the RBM ansatz to measurement data.
 
-Plain gradient descent with an adaptive step-halving rule: whenever a step
-would increase the cost, the step is reverted, the learning rate halved and
-the step retried, up to a fixed number of halvings.  Restart k draws its
-initial parameters from seed ``base_seed + k``; the best restart by final
-cost wins, ties broken by restart index.
+Full-batch gradient descent with an adaptive step-halving rule: whenever a
+step would increase the cost, the step is reverted, the learning rate halved
+and the step retried, up to a fixed number of halvings.  A restart ends when
+no halving gives a step that does not increase the cost, after ``patience``
+epochs without a relative improvement above ``tol_rel``, once the cost
+reaches 1e-15, or at ``max_epochs``.  Restart k draws its initial parameters
+from seed ``base_seed + k``; restarts run one after another, and the best by
+final cost wins, ties broken by restart index.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +42,6 @@ class TrainConfig:
     cost: CostSpec
     learning_rate: float = 0.05
     max_epochs: int = 20000
-    batch_bases: int | None = None
     seed: int = 0
     patience: int = 200
     tol_rel: float = 1e-6
@@ -53,8 +54,6 @@ class TrainConfig:
             raise ValueError("max_epochs, patience and restarts must be positive")
         if not 0 < self.tol_rel < 1:
             raise ValueError("tol_rel must lie in (0, 1)")
-        if self.batch_bases is not None and self.batch_bases < 1:
-            raise ValueError("batch_bases must be positive when set")
 
 
 @dataclass
@@ -104,7 +103,6 @@ def _run_restart(
         ]
     )
     rows: list[tuple[int, float, float, float, int]] = []
-    stochastic = config.batch_bases is not None and config.batch_bases < engine.n_bases
 
     cost, grad = engine.value_and_grad(theta)
     if not np.isfinite(cost) or not np.all(np.isfinite(grad)):
@@ -115,44 +113,27 @@ def _run_restart(
     best_theta = theta.copy()
     stall = 0
     for epoch in range(1, config.max_epochs + 1):
-        if stochastic:
-            indices = np.sort(
-                rng.choice(engine.n_bases, size=config.batch_bases, replace=False)
-            )
-            _, grad = engine.value_and_grad(theta, indices)
-            if not np.all(np.isfinite(grad)):
-                return _RestartResult(
-                    restart, None, np.inf, rows, f"non-finite gradient at epoch {epoch}"
-                )
-            theta = theta - lr * grad
-            cost = engine.value(theta)
-            if not np.isfinite(cost):
-                return _RestartResult(
-                    restart, None, np.inf, rows, f"non-finite cost at epoch {epoch}"
-                )
-            gnorm = float(np.linalg.norm(grad))
-        else:
-            # The gradient at the accepted point doubles as the next step's
-            # direction, so the common path costs one evaluation per epoch.
-            accepted = False
-            for _ in range(MAX_HALVINGS + 1):
-                candidate = theta - lr * grad
-                new_cost, new_grad = engine.value_and_grad(candidate)
-                if (
-                    np.isfinite(new_cost)
-                    and np.all(np.isfinite(new_grad))
-                    and new_cost <= cost
-                ):
-                    theta = candidate
-                    cost = new_cost
-                    grad = new_grad
-                    accepted = True
-                    break
-                lr *= 0.5
-            gnorm = float(np.linalg.norm(grad))
-            if not accepted:
-                rows.append((epoch, cost, gnorm, lr, restart))
+        # The gradient at the accepted point doubles as the next step's
+        # direction, so the common path costs one evaluation per epoch.
+        accepted = False
+        for _ in range(MAX_HALVINGS + 1):
+            candidate = theta - lr * grad
+            new_cost, new_grad = engine.value_and_grad(candidate)
+            if (
+                np.isfinite(new_cost)
+                and np.all(np.isfinite(new_grad))
+                and new_cost <= cost
+            ):
+                theta = candidate
+                cost = new_cost
+                grad = new_grad
+                accepted = True
                 break
+            lr *= 0.5
+        gnorm = float(np.linalg.norm(grad))
+        if not accepted:
+            rows.append((epoch, cost, gnorm, lr, restart))
+            break
 
         rows.append((epoch, cost, gnorm, lr, restart))
         if cost < best_cost:
@@ -169,7 +150,7 @@ def _run_restart(
 
 
 def train_pure_state(
-    data: MeasurementDataset, config: TrainConfig, n_threads: int = 1
+    data: MeasurementDataset, config: TrainConfig
 ) -> tuple[NqsState, TrainingLog]:
     """Fit a pure ansatz state to measurement statistics.
 
@@ -179,16 +160,7 @@ def train_pure_state(
     if data.n_records == 0 and not config.cost.orth_states:
         raise ValueError("dataset is empty and no orthogonality penalty is active")
     engine = CostEngine(config.cost, data)
-
-    if n_threads > 1 and config.restarts > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(
-                    lambda k: _run_restart(engine, config, k), range(config.restarts)
-                )
-            )
-    else:
-        results = [_run_restart(engine, config, k) for k in range(config.restarts)]
+    results = [_run_restart(engine, config, k) for k in range(config.restarts)]
 
     diagnostics = [
         f"restart {r.restart} aborted: {r.error}" for r in results if r.error
@@ -213,7 +185,6 @@ def train_next_eigenstate(
     data: MeasurementDataset,
     previous: list[StateVector] | tuple[StateVector, ...],
     config: TrainConfig,
-    n_threads: int = 1,
 ) -> tuple[NqsState, TrainingLog]:
     """Fit a state constrained to be orthogonal to previously extracted ones.
 
@@ -222,7 +193,7 @@ def train_next_eigenstate(
     flagged in the log and the state is still returned.
     """
     spec = replace(config.cost, orth_states=tuple(previous))
-    state, log = train_pure_state(data, replace(config, cost=spec), n_threads)
+    state, log = train_pure_state(data, replace(config, cost=spec))
     if previous:
         psi = rbm.to_state_vector(state)
         total = float(

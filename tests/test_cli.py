@@ -71,6 +71,15 @@ class TestSynth:
         proc = run_cli("synth", "--out-dir", tmp_path, check=False)
         assert proc.returncode == 2
 
+    def test_negative_shots_usage_error(self, tmp_path):
+        proc = run_cli(
+            "synth", "--preset", "bell-mixture", "--shots", -5,
+            "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 2
+        assert "--shots" in proc.stderr
+        assert not (tmp_path / "dataset.jsonl").exists()
+
     def test_invalid_spectrum_is_runtime_error(self, tmp_path):
         proc = run_cli(
             "synth", "--w", 2, "--spectrum", "0.5,0.9", "--out-dir", tmp_path,
@@ -138,6 +147,38 @@ class TestReconstructCommand:
         assert proc.returncode == 2
         assert "--dataset" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--epochs", 0),
+            ("--restarts", 0),
+            ("--max-rank", -1),
+            ("--lr", 0),
+            ("--lr", "nan"),
+            ("--floor", -1e-2),
+        ],
+    )
+    def test_out_of_range_numbers_usage_error(self, tmp_path, flag, value):
+        proc = run_cli(
+            "reconstruct", "--dataset", tmp_path / "missing.jsonl", flag, value,
+            "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 2
+        assert flag in proc.stderr
+
+    def test_non_finite_probability_runtime_error(self, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"n_qubits": 1, "mode": "exact", "seed": null}\n'
+            '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+            '{"basis": "z", "outcome": "-", "p": NaN, "shots": null}\n'
+        )
+        proc = run_cli(
+            "reconstruct", "--dataset", path, "--out-dir", tmp_path, check=False
+        )
+        assert proc.returncode == 1
+        assert "error" in proc.stderr.lower() and "finite" in proc.stderr
+
     def test_nonexistent_dataset_runtime_error(self, tmp_path):
         proc = run_cli(
             "reconstruct", "--dataset", tmp_path / "missing.jsonl",
@@ -159,6 +200,14 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "verify_report.json").read_text())
         assert doc["passed"] is True
         assert set(doc["checks"]) == {"prop1", "prop2", "prop3", "prop4", "weyl"}
+
+    @pytest.mark.parametrize("flag", ["--trials", "--states-per-dim"])
+    def test_non_positive_counts_usage_error(self, tmp_path, flag):
+        proc = run_cli(
+            "verify", "--dims", "2", flag, 0, "--out-dir", tmp_path, check=False
+        )
+        assert proc.returncode == 2
+        assert flag in proc.stderr
 
     def test_fault_injection_exits_three(self, tmp_path):
         proc = run_cli(
@@ -194,6 +243,14 @@ class TestFigdataCommand:
         assert float(first["eps_fidelity"]) == pytest.approx(0.0, abs=1e-9)
         assert float(first["fidelity"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_positive_floor_usage_error(self, tmp_path, w4_state_file):
+        proc = run_cli(
+            "figdata", "--mode", "fig3", "--state", w4_state_file,
+            "--floor", 0, "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 2
+        assert "--floor" in proc.stderr
+
     def test_fig3_summary_spearman(self, tmp_path, w4_state_file):
         run_cli(
             "figdata", "--mode", "fig3", "--state", w4_state_file,
@@ -217,18 +274,33 @@ class TestManifests:
         for name in ("state.json", "target.json", "dataset.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_threads_env_fallback(self, tmp_path):
-        import os
-
-        env = dict(os.environ, EIGENTOMO_THREADS="2")
-        proc = subprocess.run(
-            [sys.executable, "-m", "eigentomo.cli", "synth", "--preset",
-             "bell-mixture", "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env,
+    def test_reconstruct_reruns_bit_identically(self, tmp_path):
+        synth = tmp_path / "synth"
+        run_cli("synth", "--preset", "bell-mixture", "--out-dir", synth)
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_cli(
+            "reconstruct", "--dataset", synth / "dataset.jsonl",
+            "--truth", synth / "state.json", "--target", synth / "target.json",
+            "--floor", 1e-2, "--lr", 0.5, "--epochs", 200, "--restarts", 2,
+            "--seed", 3, "--out-dir", a,
         )
-        assert proc.returncode == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["threads"] == 2
+        argv = json.loads((a / "manifest.json").read_text())["argv"]
+        argv[argv.index("--out-dir") + 1] = str(b)
+        run_cli(*argv)
+        for name in ("result.json", "report.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_verify_reruns_bit_identically(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_cli(
+            "verify", "--dims", "2,4", "--trials", 10, "--states-per-dim", 2,
+            "--seed", 4, "--out-dir", a,
+        )
+        argv = json.loads((a / "manifest.json").read_text())["argv"]
+        argv[argv.index("--out-dir") + 1] = str(b)
+        run_cli(*argv)
+        name = "verify_report.json"
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_manifest_records_resolved_flags(self, tmp_path):
         run_cli(
@@ -238,5 +310,4 @@ class TestManifests:
         assert manifest["command"] == "synth"
         assert manifest["flags"]["bases"] == "full"
         assert manifest["flags"]["seed"] == 0
-        assert manifest["threads"] >= 1
         assert manifest["duration_s"] >= 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,22 @@ class TestProjectorProbabilities:
             expected = np.real(np.diag(dense @ rho @ dense.conj().T))
             assert np.allclose(ms.probabilities_matrix(rho, basis), expected)
 
+    def test_batched_vector_probabilities_match_dense_unitaries(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 5):
+            bases = ms.generate_basis_set(n, "full")
+            for _ in range(3):
+                psi = random_pure(2**n, rng)
+                expected = []
+                for basis in bases:
+                    dense = np.array([[1]])
+                    for axis in basis:
+                        dense = np.kron(dense, ms.local_rotation(axis))
+                    expected.append(np.abs(dense @ psi) ** 2)
+                probs = ms.basis_probabilities(psi, bases)
+                assert probs.shape == (3**n, 2**n)
+                assert np.allclose(probs, expected, rtol=0, atol=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(hst.integers(0, 2**32 - 1), hst.integers(1, 4))
     def test_product_states_factorize(self, seed, n_qubits):
@@ -161,6 +179,20 @@ class TestExactDataset:
         data = ms.exact_dataset(w4_rho, ms.generate_basis_set(4, "compressed", 7))
         assert data.n_records == 61 * 16
 
+    def test_peak_memory_independent_of_rotated_matrices(self):
+        # Keeping every basis's rotated 64 x 64 complex matrix alive until the
+        # end would take 729 * 64 KiB, about 47 MB.
+        rho = random_density_matrix(64, np.random.default_rng(31))
+        bases = ms.generate_basis_set(6, "full")
+        tracemalloc.start()
+        try:
+            data = ms.exact_dataset(rho, bases)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.probabilities.shape == (729, 64)
+        assert peak < 8e6
+
 
 class TestSampleDataset:
     def test_deterministic(self, bell_rho):
@@ -210,6 +242,12 @@ class TestDatasetContainer:
         probs = np.array([[1.0 + 1e-6, -1e-6]])
         with pytest.raises(ValueError):
             ms.MeasurementDataset(1, ("z",), probs, None, "exact")
+
+    def test_rejects_non_finite_probability(self):
+        for bad in (np.nan, np.inf):
+            probs = np.array([[0.5, bad]])
+            with pytest.raises(ValueError, match="finite"):
+                ms.MeasurementDataset(1, ("z",), probs, None, "exact")
 
     def test_clamps_tiny_negative(self):
         probs = np.array([[1.0, -1e-13]])

@@ -83,26 +83,13 @@ class TestTrainPureState:
         best = np.minimum.accumulate(costs_logged)
         assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
 
-    def test_threaded_matches_serial(self, bell_dataset):
-        config = quick_config(seed=6, max_epochs=200, restarts=3)
-        _, serial = training.train_pure_state(bell_dataset, config, n_threads=1)
-        _, threaded = training.train_pure_state(bell_dataset, config, n_threads=3)
-        assert serial.rows == threaded.rows
-
     def test_all_restarts_failing_raises(self, bell_dataset, monkeypatch):
-        def broken(self, theta, basis_indices=None):
+        def broken(self, theta):
             return np.nan, np.full(theta.shape, np.nan)
 
         monkeypatch.setattr(costs.CostEngine, "value_and_grad", broken)
         with pytest.raises(RuntimeError, match="all restarts failed"):
             training.train_pure_state(bell_dataset, quick_config(seed=7))
-
-    def test_stochastic_mode_deterministic(self, bell_dataset):
-        config = quick_config(seed=8, max_epochs=300, restarts=1, batch_bases=4)
-        _, log_a = training.train_pure_state(bell_dataset, config)
-        _, log_b = training.train_pure_state(bell_dataset, config)
-        assert log_a.rows == log_b.rows
-        assert log_a.best_cost < 1.0
 
 
 class TestTrainNextEigenstate:
