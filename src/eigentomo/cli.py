@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__, figures, jsonio, measurement, propositions, reconstruction
-from .costs import CostSpec
+from .costs import COST_KINDS, CostSpec
 from .states import (
     eigendecompose,
     fidelity,
@@ -368,6 +368,17 @@ def _bounded(convert, strict: bool):
 POSITIVE_INT = _bounded(int, strict=True)
 NONNEGATIVE_INT = _bounded(int, strict=False)
 POSITIVE_FLOAT = _bounded(float, strict=True)
+NONNEGATIVE_FLOAT = _bounded(float, strict=False)
+
+
+def _dims(text: str) -> str:
+    """Argument type: comma-separated positive integers, kept as given.
+
+    The manifest records the text, so a replay passes the same string.
+    """
+    for part in text.split(","):
+        POSITIVE_INT(part)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,13 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--preset", choices=["bell-mixture"], help="named reference mixture"
     )
-    group.add_argument("--w", type=int, help="qubit count of a synthetic W mixture")
+    group.add_argument(
+        "--w", type=POSITIVE_INT, help="qubit count of a synthetic W mixture"
+    )
     p_synth.add_argument(
         "--spectrum", help="comma-separated leading eigenvalues for --w"
     )
     p_synth.add_argument(
         "--perturbation",
-        type=float,
+        type=NONNEGATIVE_FLOAT,
         default=0.25,
         help="rotation angle bound applied to the W eigenbasis",
     )
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=reconstruction.DEFAULT_FLOOR,
         help="denominator floor for the eigenvalue estimate",
     )
-    p_rec.add_argument("--cost", choices=["l1", "l15", "kl1", "kl2"], default="l15")
+    p_rec.add_argument("--cost", choices=COST_KINDS, default="l15")
     p_rec.add_argument("--lr", type=POSITIVE_FLOAT, default=0.05)
     p_rec.add_argument("--epochs", type=POSITIVE_INT, default=20000)
     p_rec.add_argument("--restarts", type=POSITIVE_INT, default=3)
@@ -435,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser(
         "verify", parents=[common], help="verify the optimality bounds"
     )
-    p_ver.add_argument("--dims", default="2,4,8,16", help="comma-separated dimensions")
+    p_ver.add_argument(
+        "--dims", type=_dims, default="2,4,8,16", help="comma-separated dimensions"
+    )
     p_ver.add_argument("--trials", type=POSITIVE_INT, default=500)
     p_ver.add_argument("--states-per-dim", type=POSITIVE_INT, default=25)
     p_ver.add_argument(
@@ -451,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--mode", choices=["fig3", "fig4"], required=True)
     p_fig.add_argument("--state", required=True, help="density-matrix file")
     p_fig.add_argument("--bases", choices=["full", "compressed"], default="full")
-    p_fig.add_argument("--perturbations", type=int, default=50)
-    p_fig.add_argument("--strength-min", type=float, default=0.01)
-    p_fig.add_argument("--strength-max", type=float, default=0.5)
+    p_fig.add_argument("--perturbations", type=POSITIVE_INT, default=50)
+    p_fig.add_argument("--strength-min", type=NONNEGATIVE_FLOAT, default=0.01)
+    p_fig.add_argument("--strength-max", type=NONNEGATIVE_FLOAT, default=0.5)
     p_fig.add_argument(
         "--floor", type=POSITIVE_FLOAT, default=reconstruction.DEFAULT_FLOOR
     )

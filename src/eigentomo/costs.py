@@ -23,23 +23,24 @@ COST_KINDS = ("l1", "l15", "kl1", "kl2")
 #: Squared-overlap tolerance for the orthonormality of penalty states.
 ORTH_STATES_ATOL = 1e-8
 
+#: Floor on the probability inside a divergence's logarithm (kl1, kl2).
+DENOM_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Choice of per-record distance plus the orthogonality penalty weight."""
+    """Choice of per-record distance plus the states the penalty keeps away.
+
+    The penalty is the total squared overlap with ``orth_states``, at unit
+    weight.
+    """
 
     kind: str
-    orth_weight: float = 1.0
     orth_states: tuple[StateVector, ...] = ()
-    denom_floor: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}; expected {COST_KINDS}")
-        if self.orth_weight < 0:
-            raise ValueError("orth_weight must be nonnegative")
-        if self.denom_floor <= 0:
-            raise ValueError("denom_floor must be positive")
         states = tuple(self.orth_states)
         if states:
             basis = np.column_stack([s.amplitudes for s in states])
@@ -90,37 +91,6 @@ def cost_term_grads(kind: str, p, q, floor: float) -> np.ndarray:
     raise ValueError(f"unknown cost kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class NetworkGradient:
-    """Partial derivatives arranged like one RBM's parameters."""
-
-    weights: np.ndarray
-    visible_bias: np.ndarray
-    hidden_bias: np.ndarray
-
-
-@dataclass(frozen=True)
-class CostGradient:
-    """Cost gradient arranged like the (amplitude, phase) parameter pair."""
-
-    amplitude: NetworkGradient
-    phase: NetworkGradient
-
-    @classmethod
-    def from_flat(cls, theta: np.ndarray, n_qubits: int) -> "CostGradient":
-        amplitude, phase = (
-            NetworkGradient(w.copy(), a.copy(), b.copy())
-            for a, b, w in rbm.split_parameters(theta, n_qubits)
-        )
-        return cls(amplitude, phase)
-
-    def flat(self) -> np.ndarray:
-        parts = []
-        for net in (self.amplitude, self.phase):
-            parts.extend([net.visible_bias, net.hidden_bias, net.weights.ravel()])
-        return np.concatenate(parts)
-
-
 class CostEngine:
     """Precompiled evaluation of one cost spec against one dataset.
 
@@ -132,15 +102,11 @@ class CostEngine:
         n = data.n_qubits
         if spec.orth_states and any(s.n_qubits != n for s in spec.orth_states):
             raise ValueError("orth_states do not match the dataset qubit count")
-        if n > rbm.EXACT_MODE_MAX_QUBITS:
-            raise ValueError(
-                f"exact-mode training is capped at {rbm.EXACT_MODE_MAX_QUBITS} qubits"
-            )
+        self.spins = rbm.exact_spin_table(n)
         self.spec = spec
         self.n_qubits = n
         self.dim = data.dim
         self.data_probs = data.probabilities
-        self.spins = measurement.spin_table(n).astype(float)
         self.rotations = measurement.basis_rotations(data.bases, n)
         # Plain transpose: record sensitivities are pulled back through U^T.
         self.rotations_t = self.rotations.transpose(0, 1, 3, 2).copy()
@@ -155,7 +121,7 @@ class CostEngine:
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
         psi, tanh_a, tanh_p = rbm.wavefunction(theta, self.spins)
         probs = self.data_probs
-        floor = self.spec.denom_floor
+        floor = DENOM_FLOOR
         total = 0.0
         pulled = np.zeros(self.dim, dtype=np.complex128)
         beta = 0.0
@@ -170,12 +136,12 @@ class CostEngine:
                 self.rotations_t, g * rotated.conj()
             ).sum(axis=0)
             beta += float((g * q).sum())
-        if self.orth is not None and self.spec.orth_weight > 0:
+        if self.orth is not None:
             overlaps = self.orth.conj() @ psi
             sq = float((np.abs(overlaps) ** 2).sum())
-            total += self.spec.orth_weight * sq
-            pulled += self.spec.orth_weight * np.conj(self.orth.T @ overlaps)
-            beta += self.spec.orth_weight * sq
+            total += sq
+            pulled += np.conj(self.orth.T @ overlaps)
+            beta += sq
 
         u = pulled * psi
         weights = np.abs(psi) ** 2
@@ -188,8 +154,7 @@ class CostEngine:
         pa = -np.imag(u @ s)
         pb = -np.imag(u @ tanh_p)
         pw = -np.imag(s.T @ (u[:, None] * tanh_p))
-        grad = np.concatenate([ga, gb, gw.ravel(), pa, pb, pw.ravel()])
-        return total, grad
+        return total, rbm.join_parameters((ga, gb, gw), (pa, pb, pw))
 
 
 def cost_value(spec: CostSpec, state: rbm.NqsState, data: MeasurementDataset) -> float:
@@ -201,10 +166,11 @@ def cost_value(spec: CostSpec, state: rbm.NqsState, data: MeasurementDataset) ->
 
 def cost_gradient(
     spec: CostSpec, state: rbm.NqsState, data: MeasurementDataset
-) -> CostGradient:
-    """Exact analytic gradient of ``cost_value`` in every network parameter."""
+) -> np.ndarray:
+    """Exact analytic gradient of ``cost_value`` in every network parameter.
+
+    The flat vector is laid out like ``rbm.pack_parameters``.
+    """
     if data.n_qubits != state.n_qubits:
         raise ValueError("dataset and state disagree in qubit count")
-    engine = CostEngine(spec, data)
-    _, grad = engine.value_and_grad(rbm.pack_parameters(state))
-    return CostGradient.from_flat(grad, state.n_qubits)
+    return CostEngine(spec, data).value_and_grad(rbm.pack_parameters(state))[1]

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from . import measurement, reconstruction
+from .costs import DENOM_FLOOR, cost_terms
 from .states import DensityMatrix, StateVector, eigendecompose
 
 GRID_COSTS = ("l1", "l15", "l2", "kl1", "kl2")
@@ -36,12 +37,10 @@ class CostGridRow:
     costs: dict[str, float]
 
 
-def _grid_cost(kind: str, p: np.ndarray, q: np.ndarray, floor: float) -> float:
+def _grid_cost(kind: str, p: np.ndarray, q: np.ndarray) -> float:
     if kind == "l2":
         return float(((p - q) ** 2).sum())
-    from .costs import cost_terms
-
-    return float(cost_terms(kind, p, q, floor).sum())
+    return float(cost_terms(kind, p, q, DENOM_FLOOR).sum())
 
 
 def _perturbed_state(
@@ -64,7 +63,6 @@ def cost_comparison_grid(
     strength_min: float = 0.01,
     strength_max: float = 0.5,
     floor: float = reconstruction.DEFAULT_FLOOR,
-    denom_floor: float = 1e-12,
 ) -> tuple[list[CostGridRow], dict[str, float]]:
     """Cost values on a family of perturbed dominant eigenstates.
 
@@ -95,7 +93,7 @@ def cost_comparison_grid(
         estimate, _ = reconstruction.estimate_dominant_eigenvalue(data, psi, floor)
         q = measurement.basis_probabilities(psi.amplitudes, data.bases)
         costs = {
-            kind: _grid_cost(kind, data.probabilities, q, denom_floor)
+            kind: _grid_cost(kind, data.probabilities, q)
             for kind in GRID_COSTS
         }
         rows.append(

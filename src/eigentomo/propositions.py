@@ -93,7 +93,7 @@ def check_prop1(
     """Haar-random pure states never exceed fidelity p_1 with rho."""
     mat = matrix_of(rho)
     pure_fid = fidelity_fn or _default_pure_fidelity
-    vals, _ = _sorted_spectrum(mat)
+    vals, vecs = _sorted_spectrum(mat)
     if vals.size > 1 and vals[0] - vals[1] <= 1e-8:
         return PropositionReport(
             1, 0, 0.0, True, note="degenerate dominant eigenvalue; check skipped"
@@ -102,8 +102,7 @@ def check_prop1(
     challengers = haar_states(mat.shape[0], n_challengers, rng)
     fids = np.array([pure_fid(mat, c) for c in challengers])
     violation = float(max(0.0, fids.max() - vals[0]))
-    vals_full, vecs = _sorted_spectrum(mat)
-    attain_err = float(abs(pure_fid(mat, vecs[:, 0]) - vals_full[0]))
+    attain_err = float(abs(pure_fid(mat, vecs[:, 0]) - vals[0]))
     worst = challengers[int(np.argmax(fids))]
     return PropositionReport(
         1,

@@ -9,7 +9,7 @@ block Gibbs sampling is available for the amplitude marginal beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -94,10 +94,27 @@ def _spins(sigma, n: int) -> np.ndarray:
     return s
 
 
+def exact_spin_table(n_qubits: int) -> np.ndarray:
+    """Float (2^n, n) spin table for exhaustive sums, within the exact-mode cap."""
+    if n_qubits > EXACT_MODE_MAX_QUBITS:
+        raise ValueError(
+            f"exact mode is capped at {EXACT_MODE_MAX_QUBITS} qubits "
+            f"(got {n_qubits}); use gibbs_sample for larger registers"
+        )
+    return measurement.spin_table(n_qubits).astype(float)
+
+
+def _log_marginal(spins: np.ndarray, a, b, w) -> tuple[np.ndarray, np.ndarray]:
+    """(a.s + sum_j log 2cosh(W^T s + b)_j, W^T s + b) for every row of ``spins``."""
+    theta = spins @ w + b
+    return spins @ a + log_two_cosh(theta).sum(axis=-1), theta
+
+
 def log_marginal_table(params: RbmParams, spins: np.ndarray) -> np.ndarray:
     """Log marginal of the visible layer for every row of ``spins``."""
-    theta = spins @ params.weights + params.hidden_bias
-    return spins @ params.visible_bias + log_two_cosh(theta).sum(axis=-1)
+    return _log_marginal(
+        spins, params.visible_bias, params.hidden_bias, params.weights
+    )[0]
 
 
 def rbm_log_marginal(params: RbmParams, sigma) -> float:
@@ -112,13 +129,7 @@ def log_partition(params: RbmParams) -> float:
     Only available up to EXACT_MODE_MAX_QUBITS visible nodes; beyond that,
     draw from the marginal with ``gibbs_sample`` instead.
     """
-    n = params.n_visible
-    if n > EXACT_MODE_MAX_QUBITS:
-        raise ValueError(
-            f"exact normalization is capped at {EXACT_MODE_MAX_QUBITS} visible "
-            f"nodes (got {n}); use gibbs_sample for larger registers"
-        )
-    spins = measurement.spin_table(n).astype(float)
+    spins = exact_spin_table(params.n_visible)
     return log_sum_exp(log_marginal_table(params, spins))
 
 
@@ -128,7 +139,6 @@ class NqsState:
 
     amplitude_net: RbmParams
     phase_net: RbmParams
-    cached_log_partition: float | None = None
 
     def __post_init__(self):
         if self.amplitude_net.n_visible != self.phase_net.n_visible:
@@ -159,9 +169,6 @@ class NqsState:
             ),
         )
 
-    def with_log_partition(self) -> "NqsState":
-        return replace(self, cached_log_partition=log_partition(self.amplitude_net))
-
 
 def wavefunction(theta: np.ndarray, spins: np.ndarray):
     """Amplitudes and hidden-unit tanh tables of flat parameters ``theta``.
@@ -173,58 +180,38 @@ def wavefunction(theta: np.ndarray, spins: np.ndarray):
     analytic cost gradients.  Works on raw arrays, because the trainer calls
     it on every cost evaluation.
     """
-    (a, b, w), (pa, pb, pw) = split_parameters(theta, spins.shape[1])
-    theta_a = spins @ w + b
-    log_p = spins @ a + log_two_cosh(theta_a).sum(axis=1)
+    amplitude_net, phase_net = split_parameters(theta, spins.shape[1])
+    log_p, theta_a = _log_marginal(spins, *amplitude_net)
     log_z = log_sum_exp(log_p)
-    theta_p = spins @ pw + pb
-    phase = spins @ pa + log_two_cosh(theta_p).sum(axis=1)
+    phase, theta_p = _log_marginal(spins, *phase_net)
     psi = np.exp(0.5 * (log_p - log_z) + 0.5j * phase)
     return psi, np.tanh(theta_a), np.tanh(theta_p)
 
 
-def state_amplitudes(state: NqsState) -> np.ndarray:
-    """Full amplitude vector in computational-index order (exact mode)."""
-    n = state.n_qubits
-    if n > EXACT_MODE_MAX_QUBITS:
-        raise ValueError(
-            f"materializing amplitudes is capped at {EXACT_MODE_MAX_QUBITS} qubits"
-        )
-    spins = measurement.spin_table(n).astype(float)
-    return wavefunction(pack_parameters(state), spins)[0]
-
-
-def amplitude(state: NqsState, sigma) -> complex:
-    """Wavefunction coefficient sqrt(p(s)/Z) exp(i phase(s)/2) of one outcome."""
-    s = _spins(sigma, state.n_qubits)
-    log_z = state.cached_log_partition
-    if log_z is None:
-        log_z = log_partition(state.amplitude_net)
-    log_p = rbm_log_marginal(state.amplitude_net, s)
-    phase = rbm_log_marginal(state.phase_net, s)
-    return complex(np.exp(0.5 * (log_p - log_z) + 0.5j * phase))
-
-
 def to_state_vector(state: NqsState) -> StateVector:
-    return StateVector.normalized(state_amplitudes(state))
+    """Full amplitude vector in computational-index order (exact mode)."""
+    spins = exact_spin_table(state.n_qubits)
+    return StateVector.normalized(wavefunction(pack_parameters(state), spins)[0])
 
 
-def rotated_probability(state: NqsState, basis: str, outcome) -> float:
-    """Probability of one outcome after rotating the ansatz into ``basis``."""
-    probs = measurement.probabilities_vector(state_amplitudes(state), basis)
-    return float(probs[measurement.outcome_index(outcome)])
+def _hidden_on(s: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return expit(2.0 * (s @ w + b))
+
+
+def _visible_on(h: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return expit(2.0 * (w @ h + a))
 
 
 def gibbs_conditional_hidden(params: RbmParams, sigma) -> np.ndarray:
     """P(h_j = +1 | visible spins): elementwise logistic of 2(W^T s + b)."""
     s = _spins(sigma, params.n_visible)
-    return expit(2.0 * (s @ params.weights + params.hidden_bias))
+    return _hidden_on(s, params.weights, params.hidden_bias)
 
 
 def gibbs_conditional_visible(params: RbmParams, hidden) -> np.ndarray:
     """P(s_i = +1 | hidden spins): elementwise logistic of 2(W h + a)."""
     h = _spins(hidden, params.n_hidden)
-    return expit(2.0 * (params.weights @ h + params.visible_bias))
+    return _visible_on(h, params.weights, params.visible_bias)
 
 
 def gibbs_sample(
@@ -262,20 +249,30 @@ def gibbs_sample(
             ptr = 0
         u = uniforms[ptr]
         ptr += 1
-        h = np.where(u[:m] < expit(2.0 * (s @ w + b)), 1.0, -1.0)
-        s = np.where(u[m:] < expit(2.0 * (w @ h + a)), 1.0, -1.0)
+        h = np.where(u[:m] < _hidden_on(s, w, b), 1.0, -1.0)
+        s = np.where(u[m:] < _visible_on(h, w, a), 1.0, -1.0)
         if t >= burn_in and (t - burn_in + 1) % thin == 0:
             out[emitted] = s
             emitted += 1
     return out
 
 
+def join_parameters(amplitude, phase) -> np.ndarray:
+    """Flat vector [a, b, W] of the amplitude then the phase (a, b, W) triple.
+
+    The inverse of ``split_parameters``.
+    """
+    (a, b, w), (pa, pb, pw) = amplitude, phase
+    return np.concatenate([a, b, w.ravel(), pa, pb, pw.ravel()])
+
+
 def pack_parameters(state: NqsState) -> np.ndarray:
     """Flatten both networks as [a, b, W] for amplitude then phase."""
-    parts = []
-    for net in (state.amplitude_net, state.phase_net):
-        parts.extend([net.visible_bias, net.hidden_bias, net.weights.ravel()])
-    return np.concatenate(parts)
+    amp, phase = state.amplitude_net, state.phase_net
+    return join_parameters(
+        (amp.visible_bias, amp.hidden_bias, amp.weights),
+        (phase.visible_bias, phase.hidden_bias, phase.weights),
+    )
 
 
 def n_parameters(n_qubits: int) -> int:
@@ -285,7 +282,7 @@ def n_parameters(n_qubits: int) -> int:
 def split_parameters(theta: np.ndarray, n_qubits: int):
     """Views ((a, b, W) amplitude, (a, b, W) phase) into a flat vector.
 
-    The layout is the one ``pack_parameters`` writes.
+    The layout is the one ``join_parameters`` writes.
     """
     theta = np.asarray(theta, dtype=float)
     n = n_qubits

@@ -10,7 +10,7 @@ assembled approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -122,22 +122,7 @@ class IterationReport:
 
     def as_dict(self) -> dict:
         return {
-            "steps": [
-                {
-                    "step": s.step,
-                    "weight_raw": s.weight_raw,
-                    "weight": s.weight,
-                    "argmin_record": s.argmin_record,
-                    "records_discarded": s.records_discarded,
-                    "likelihood_before": s.likelihood_before,
-                    "likelihood_after": s.likelihood_after,
-                    "accepted": s.accepted,
-                    "orthogonality_ok": s.orthogonality_ok,
-                    "eigenstate_fidelity": s.eigenstate_fidelity,
-                    "accuracy_gap": s.accuracy_gap,
-                }
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
             "notes": list(self.notes),
         }
 

@@ -177,8 +177,7 @@ def train_pure_state(
         best_cost=winner.cost,
         diagnostics=diagnostics,
     )
-    state = rbm.unpack_parameters(winner.theta, engine.n_qubits)
-    return state.with_log_partition(), log
+    return rbm.unpack_parameters(winner.theta, engine.n_qubits), log
 
 
 def train_next_eigenstate(

@@ -80,6 +80,20 @@ class TestSynth:
         assert "--shots" in proc.stderr
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--w", 0, "--spectrum", "1.0"),
+            ("--w", 2, "--spectrum", "0.9", "--perturbation", "nan"),
+            ("--w", 2, "--spectrum", "0.9", "--perturbation", -0.1),
+        ],
+    )
+    def test_out_of_range_numbers_usage_error(self, tmp_path, flags):
+        proc = run_cli("synth", *flags, "--out-dir", tmp_path, check=False)
+        assert proc.returncode == 2
+        assert flags[-2] in proc.stderr
+        assert not (tmp_path / "dataset.jsonl").exists()
+
     def test_invalid_spectrum_is_runtime_error(self, tmp_path):
         proc = run_cli(
             "synth", "--w", 2, "--spectrum", "0.5,0.9", "--out-dir", tmp_path,
@@ -209,6 +223,13 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert flag in proc.stderr
 
+    @pytest.mark.parametrize("dims", ["0", "2,0", "x", "2,-4", ""])
+    def test_bad_dims_usage_error(self, tmp_path, dims):
+        proc = run_cli("verify", "--dims", dims, "--out-dir", tmp_path, check=False)
+        assert proc.returncode == 2
+        assert "--dims" in proc.stderr
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_fault_injection_exits_three(self, tmp_path):
         proc = run_cli(
             "verify", "--dims", "2", "--trials", 10, "--states-per-dim", 2,
@@ -250,6 +271,23 @@ class TestFigdataCommand:
         )
         assert proc.returncode == 2
         assert "--floor" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--perturbations", 0),
+            ("--strength-min", "nan"),
+            ("--strength-min", -0.01),
+            ("--strength-max", "inf"),
+        ],
+    )
+    def test_out_of_range_numbers_usage_error(self, tmp_path, flag, value):
+        proc = run_cli(
+            "figdata", "--mode", "fig3", "--state", tmp_path / "missing.json",
+            flag, value, "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 2
+        assert flag in proc.stderr
 
     def test_fig3_summary_spearman(self, tmp_path, w4_state_file):
         run_cli(

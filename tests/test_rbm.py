@@ -39,6 +39,10 @@ def random_params(n: int, rng: np.random.Generator, scale=0.6) -> rbm.RbmParams:
     )
 
 
+def amplitudes(state: rbm.NqsState) -> np.ndarray:
+    return rbm.to_state_vector(state).amplitudes
+
+
 def sample_histogram(samples: np.ndarray) -> np.ndarray:
     n = samples.shape[1]
     bits = (samples < 0).astype(np.int64)
@@ -121,14 +125,17 @@ class TestLogPartition:
 class TestAmplitudes:
     def test_zero_params_uniform(self):
         state = rbm.NqsState(rbm.RbmParams.zeros(2), rbm.RbmParams.zeros(2))
-        value = rbm.amplitude(state, [1, -1])
+        value = amplitudes(state)[ms.outcome_index([1, -1])]
         assert abs(value) == pytest.approx(0.5, abs=1e-12)
         assert np.angle(value) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_normalization(self):
+        # The raw evaluator, since to_state_vector renormalizes its output.
         for seed, n in ((0, 2), (1, 4), (2, 4), (3, 7), (4, 10)):
             state = rbm.NqsState.uniform_init(n, seed=seed, scale=0.4, phase_scale=0.8)
-            amps = rbm.state_amplitudes(state)
+            amps, _, _ = rbm.wavefunction(
+                rbm.pack_parameters(state), rbm.exact_spin_table(n)
+            )
             assert (np.abs(amps) ** 2).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_independently_assembled_values(self):
@@ -137,13 +144,15 @@ class TestAmplitudes:
         phase_net = random_params(4, rng)
         state = rbm.NqsState(amp_net, phase_net)
         partition = brute_force_partition(amp_net)
+        vec = amplitudes(state)
         for sigma in ([1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, -1, -1]):
             expected = np.sqrt(
                 brute_force_marginal(amp_net, np.asarray(sigma, float)) / partition
             ) * np.exp(
                 0.5j * np.log(brute_force_marginal(phase_net, np.asarray(sigma, float)))
             )
-            assert rbm.amplitude(state, sigma) == pytest.approx(expected, rel=1e-9)
+            value = vec[ms.outcome_index(sigma)]
+            assert value == pytest.approx(expected, rel=1e-9)
 
     def test_to_state_vector(self):
         state = rbm.NqsState(rbm.RbmParams.zeros(1), rbm.RbmParams.zeros(1))
@@ -151,12 +160,6 @@ class TestAmplitudes:
         ratio = vec.amplitudes / (np.ones(2) / np.sqrt(2))
         assert np.allclose(ratio, ratio[0])
         assert abs(abs(ratio[0]) - 1) <= 1e-12
-
-    def test_cached_partition_matches_fresh(self):
-        state = rbm.NqsState.uniform_init(3, seed=9, scale=0.5).with_log_partition()
-        assert state.cached_log_partition == pytest.approx(
-            rbm.log_partition(state.amplitude_net), abs=1e-9
-        )
 
     def test_global_phase_invariance_of_functionals(self):
         state = rbm.NqsState.uniform_init(2, seed=3, scale=0.3, phase_scale=1.0)
@@ -175,16 +178,16 @@ class TestAmplitudes:
 class TestRotatedProbability:
     def test_all_z_equals_squared_amplitude(self):
         state = rbm.NqsState.uniform_init(3, seed=5, scale=0.4, phase_scale=0.9)
+        vec = amplitudes(state)
+        probs = ms.probabilities_vector(vec, "zzz")
         for sigma in ([1, 1, 1], [1, -1, 1]):
-            assert rbm.rotated_probability(state, "zzz", sigma) == pytest.approx(
-                abs(rbm.amplitude(state, sigma)) ** 2, abs=1e-12
-            )
+            index = ms.outcome_index(sigma)
+            assert probs[index] == pytest.approx(abs(vec[index]) ** 2, abs=1e-12)
 
     def test_uniform_state_is_plus_state(self):
         state = rbm.NqsState(rbm.RbmParams.zeros(1), rbm.RbmParams.zeros(1))
-        assert rbm.rotated_probability(state, "x", (1,)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        probs = ms.probabilities_vector(amplitudes(state), "x")
+        assert probs[ms.outcome_index((1,))] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_unitary(self):
         rng = np.random.default_rng(81)
@@ -192,20 +195,18 @@ class TestRotatedProbability:
             state = rbm.NqsState.uniform_init(n, seed=int(rng.integers(1 << 30)),
                                               scale=0.4, phase_scale=0.8)
             basis = "".join(rng.choice(list("xyz")) for _ in range(n))
-            vec = rbm.state_amplitudes(state)
+            vec = amplitudes(state)
             dense = np.array([[1]])
             for axis in basis:
                 dense = np.kron(dense, ms.local_rotation(axis))
             expected = np.abs(dense @ vec) ** 2
+            probs = ms.probabilities_vector(vec, basis)
             for index in range(2**n):
-                outcome = ms.index_outcome(index, n)
-                assert rbm.rotated_probability(state, basis, outcome) == pytest.approx(
-                    float(expected[index]), abs=1e-9
-                )
+                assert probs[index] == pytest.approx(float(expected[index]), abs=1e-9)
 
     def test_sums_to_one_per_basis(self):
         state = rbm.NqsState.uniform_init(4, seed=6, scale=0.5, phase_scale=1.0)
-        vec = rbm.state_amplitudes(state)
+        vec = amplitudes(state)
         for basis in ("xyzx", "yyyy", "zxzy"):
             assert ms.probabilities_vector(vec, basis).sum() == pytest.approx(
                 1.0, abs=1e-9
@@ -313,9 +314,7 @@ class TestCheckpoint:
         rbm.save_checkpoint(path, state, seed=4)
         loaded, seed = rbm.load_checkpoint(path)
         assert seed == 4
-        assert np.array_equal(
-            rbm.state_amplitudes(loaded), rbm.state_amplitudes(state)
-        )
+        assert np.array_equal(amplitudes(loaded), amplitudes(state))
 
     def test_schema_keys(self, tmp_path):
         from eigentomo import jsonio
