@@ -50,45 +50,46 @@ class CostSpec:
         object.__setattr__(self, "orth_states", states)
 
 
+def cost_terms_and_grads(
+    kind: str, p: np.ndarray, q: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record cost terms for dataset probabilities p and ansatz q, and
+    the derivative of each term with respect to q.
+
+    ``p`` and ``q`` are float arrays of one shape.  Both outputs come from
+    one pass over q - p (l1, l15) or over the shared log ratio (kl1, kl2).
+    The l1 kink at p == q uses the zero subgradient.
+    """
+    if kind in ("l1", "l15"):
+        diff = q - p
+        size = np.abs(diff)
+        sign = np.sign(diff)
+        if kind == "l1":
+            return size, sign
+        return size**1.5, 1.5 * np.sqrt(size) * sign
+    terms = np.zeros(p.shape)
+    grads = np.zeros(p.shape)
+    if kind == "kl1":
+        mask = p > 0
+        pm, qm = p[mask], q[mask]
+        terms[mask] = pm * (np.log(pm) - np.log(np.maximum(qm, floor)))
+        safe = mask & (q >= floor)
+        grads[safe] = -p[safe] / q[safe]
+        return terms, grads
+    if kind == "kl2":
+        mask = q > 0
+        qm = q[mask]
+        log_ratio = np.log(qm) - np.log(np.maximum(p[mask], floor))
+        terms[mask] = qm * log_ratio
+        grads[mask] = log_ratio + 1.0
+        return terms, grads
+    raise ValueError(f"unknown cost kind {kind!r}")
+
+
 def cost_terms(kind: str, p, q, floor: float) -> np.ndarray:
     """Per-record cost terms for dataset probabilities p and ansatz q."""
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    if kind == "l1":
-        return np.abs(p - q)
-    if kind == "l15":
-        return np.abs(p - q) ** 1.5
-    out = np.zeros(p.shape)
-    if kind == "kl1":
-        mask = p > 0
-        out[mask] = p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], floor)))
-        return out
-    if kind == "kl2":
-        mask = q > 0
-        out[mask] = q[mask] * (np.log(q[mask]) - np.log(np.maximum(p[mask], floor)))
-        return out
-    raise ValueError(f"unknown cost kind {kind!r}")
-
-
-def cost_term_grads(kind: str, p, q, floor: float) -> np.ndarray:
-    """Derivative of each per-record term with respect to q.
-
-    The l1 kink at p == q uses the zero subgradient.
-    """
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    if kind == "l1":
-        return np.sign(q - p)
-    if kind == "l15":
-        return 1.5 * np.sqrt(np.abs(q - p)) * np.sign(q - p)
-    out = np.zeros(p.shape)
-    if kind == "kl1":
-        mask = (p > 0) & (q >= floor)
-        out[mask] = -p[mask] / q[mask]
-        return out
-    if kind == "kl2":
-        mask = q > 0
-        out[mask] = np.log(q[mask]) - np.log(np.maximum(p[mask], floor)) + 1.0
-        return out
-    raise ValueError(f"unknown cost kind {kind!r}")
+    return cost_terms_and_grads(kind, p, q, floor)[0]
 
 
 class CostEngine:
@@ -126,12 +127,10 @@ class CostEngine:
         pulled = np.zeros(self.dim, dtype=np.complex128)
         beta = 0.0
         if probs.size:
-            rotated = measurement.rotate_states(
-                self.rotations, np.broadcast_to(psi, probs.shape)
-            )
+            rotated = measurement.rotate_states(self.rotations, psi[None])
             q = np.abs(rotated) ** 2
-            total += float(cost_terms(self.spec.kind, probs, q, floor).sum())
-            g = cost_term_grads(self.spec.kind, probs, q, floor)
+            terms, g = cost_terms_and_grads(self.spec.kind, probs, q, floor)
+            total += float(terms.sum())
             pulled += measurement.rotate_states(
                 self.rotations_t, g * rotated.conj()
             ).sum(axis=0)

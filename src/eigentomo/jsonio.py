@@ -8,6 +8,7 @@ Reading uses the standard library parser.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -15,7 +16,7 @@ import numpy as np
 def format_float(value) -> str:
     """Render one float with 17 significant digits, always as a JSON float."""
     x = float(value)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {value!r} cannot be serialized")
     text = format(x, ".17g")
     if "." not in text and "e" not in text and "E" not in text:

@@ -47,7 +47,11 @@ def local_rotation(axis: str) -> np.ndarray:
 
 
 def validate_basis(basis: str, n_qubits: int) -> None:
-    if len(basis) != n_qubits or any(c not in "xyz" for c in basis):
+    if (
+        not isinstance(basis, str)
+        or len(basis) != n_qubits
+        or any(c not in "xyz" for c in basis)
+    ):
         raise ValueError(
             f"basis {basis!r} is not a length-{n_qubits} string over x, y, z"
         )
@@ -82,10 +86,10 @@ def outcome_string(outcome) -> str:
     return "".join("+" if s == 1 else "-" for s in outcome)
 
 
-def parse_outcome(text: str) -> tuple[int, ...]:
-    if any(c not in "+-" for c in text):
-        raise ValueError(f"invalid outcome string {text!r}")
-    return tuple(1 if c == "+" else -1 for c in text)
+@lru_cache(maxsize=None)
+def outcome_strings(n_qubits: int) -> tuple[str, ...]:
+    """Outcome strings of every basis index, in index order."""
+    return tuple(outcome_string(row) for row in spin_table(n_qubits))
 
 
 def basis_rotations(bases, n_qubits: int) -> np.ndarray:
@@ -100,17 +104,26 @@ def rotate_states(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Apply per-basis products of local 2x2 factors to a batch of vectors.
 
     ``rotations[b, k]`` acts on qubit k of ``vectors[b]`` (see
-    ``basis_rotations``).  One two-branch pass per qubit; the full
-    2^n x 2^n unitary is never formed.
+    ``basis_rotations``); a single row ``vectors`` of shape (1, 2^n) is
+    rotated into every basis.  One pass per qubit; the full 2^n x 2^n
+    unitary is never formed.  Each pass contracts the factor of the leading
+    qubit and writes that qubit's axis last, so the next qubit leads the
+    following pass and the original order is back after n passes.
     """
-    n_batch, dim = vectors.shape
+    n_batch = rotations.shape[0]
+    dim = vectors.shape[1]
+    half = dim >> 1
+    buffers = [np.empty((n_batch, half, 2), dtype=np.complex128) for _ in range(2)]
     out = vectors
     for k in range(rotations.shape[1]):
-        left = 1 << k
-        right = dim >> (k + 1)
-        out = np.einsum(
-            "buv,bavc->bauc", rotations[:, k], out.reshape(n_batch, left, 2, right)
-        ).reshape(n_batch, dim)
+        buf = buffers[k & 1]
+        np.einsum(
+            "buv,bvm->bum",
+            rotations[:, k],
+            out.reshape(-1, 2, half),
+            out=buf.transpose(0, 2, 1),
+        )
+        out = buf.reshape(n_batch, dim)
     return out
 
 
@@ -134,7 +147,7 @@ def basis_probabilities(amplitudes, bases) -> np.ndarray:
     """(n_bases, 2^n) outcome probabilities of a pure state in each basis."""
     vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     rotations = basis_rotations(bases, qubit_count(vec.size))
-    rotated = rotate_states(rotations, np.broadcast_to(vec, (len(bases), vec.size)))
+    rotated = rotate_states(rotations, vec[None])
     return np.abs(rotated) ** 2
 
 
@@ -267,79 +280,105 @@ class MeasurementDataset:
     def records(self) -> list[MeasurementRecord]:
         return [self.record(i) for i in range(self.n_records)]
 
-    @classmethod
-    def from_records(
-        cls,
-        n_qubits: int,
-        records,
-        mode: str = "exact",
-        seed: int | None = None,
-    ) -> "MeasurementDataset":
-        dim = 2**n_qubits
-        by_basis: dict[str, dict[int, MeasurementRecord]] = {}
-        for rec in records:
-            by_basis.setdefault(rec.basis, {})[outcome_index(rec.outcome)] = rec
-        bases = sorted(by_basis)
-        probs = np.zeros((len(bases), dim))
-        counts = np.zeros((len(bases), dim), dtype=np.int64)
-        have_counts = False
-        for b, basis in enumerate(bases):
-            rows = by_basis[basis]
-            if len(rows) != dim:
-                raise ValueError(
-                    f"basis {basis!r} lists {len(rows)} outcomes, expected {dim}"
-                )
-            for i, rec in rows.items():
-                probs[b, i] = rec.probability
-                if rec.shots is not None:
-                    counts[b, i] = rec.shots
-                    have_counts = True
-        return cls(
-            n_qubits, tuple(bases), probs, counts if have_counts else None, mode, seed
-        )
-
     def save_jsonl(self, path) -> None:
+        """Write a header line, then one line per (basis, outcome) record.
+
+        Record lines are formatted directly and match ``jsonio.dumps`` of
+        ``{"basis", "outcome", "p", "shots"}`` byte for byte.
+        """
+        outcomes = [f'"outcome": "{s}", "p": ' for s in outcome_strings(self.n_qubits)]
+        if self.counts is not None:
+            counts = self.counts.tolist()
+        else:
+            counts = [["null"] * self.dim] * len(self.bases)
         with open(path, "w", encoding="utf-8") as fh:
             header = {"n_qubits": self.n_qubits, "mode": self.mode, "seed": self.seed}
             fh.write(jsonio.dumps(header))
             fh.write("\n")
-            for rec in self.records():
+            for basis, probs, shots in zip(
+                self.bases, self.probabilities.tolist(), counts
+            ):
+                prefix = f'{{"basis": "{basis}", '
                 fh.write(
-                    jsonio.dumps(
-                        {
-                            "basis": rec.basis,
-                            "outcome": outcome_string(rec.outcome),
-                            "p": rec.probability,
-                            "shots": rec.shots,
-                        }
+                    "".join(
+                        f'{prefix}{outcome}{jsonio.format_float(p)}, "shots": {k}}}\n'
+                        for outcome, p, k in zip(outcomes, probs, shots)
                     )
                 )
-                fh.write("\n")
 
     @classmethod
     def load_jsonl(cls, path) -> "MeasurementDataset":
+        """Read a file written by ``save_jsonl``, filling per-basis rows line by line.
+
+        Each (basis, outcome) pair must appear exactly once, and each outcome
+        must be ``n_qubits`` characters over ``+``/``-``; anything else
+        raises ValueError.
+        """
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        if not lines:
-            raise ValueError(f"dataset file {path} is empty")
-        header = jsonio.loads(lines[0])
-        records = []
-        for line in lines[1:]:
-            doc = jsonio.loads(line)
-            records.append(
-                MeasurementRecord(
-                    doc["basis"],
-                    parse_outcome(doc["outcome"]),
-                    float(doc["p"]),
-                    int(doc["shots"]) if doc.get("shots") is not None else None,
+            header = next((jsonio.loads(line) for line in fh if line.strip()), None)
+            if not isinstance(header, dict):
+                raise ValueError(f"dataset file {path} has no header object")
+            n_qubits = int(header["n_qubits"])
+            if n_qubits < 1:
+                raise ValueError("n_qubits must be at least 1")
+            dim = 2**n_qubits
+            index_of = {s: i for i, s in enumerate(outcome_strings(n_qubits))}
+            # basis -> (probabilities, shot counts, outcome indices seen)
+            rows: dict[str, tuple[np.ndarray, np.ndarray, set]] = {}
+            have_counts = False
+            for line in fh:
+                if not line.strip():
+                    continue
+                doc = jsonio.loads(line)
+                if not isinstance(doc, dict):
+                    raise ValueError(f"record {doc!r} is not a JSON object")
+                outcome = doc.get("outcome")
+                i = index_of.get(outcome) if isinstance(outcome, str) else None
+                if i is None:
+                    raise ValueError(
+                        f"invalid outcome {outcome!r}: expected {n_qubits} "
+                        "characters over +, -"
+                    )
+                basis = doc["basis"]
+                try:
+                    row = rows[basis]
+                except (KeyError, TypeError):
+                    validate_basis(basis, n_qubits)
+                    row = rows[basis] = (
+                        np.zeros(dim),
+                        np.zeros(dim, dtype=np.int64),
+                        set(),
+                    )
+                probs, counts, seen = row
+                if i in seen:
+                    raise ValueError(
+                        f"duplicate record for basis {basis!r}, outcome {outcome!r}"
+                    )
+                seen.add(i)
+                probs[i] = doc["p"]
+                shots = doc.get("shots")
+                if shots is not None:
+                    counts[i] = shots
+                    have_counts = True
+        bases = sorted(rows)
+        for basis in bases:
+            listed = len(rows[basis][2])
+            if listed != dim:
+                raise ValueError(
+                    f"basis {basis!r} lists {listed} outcomes, expected {dim}"
                 )
-            )
+        probs = np.array([rows[basis][0] for basis in bases]).reshape(-1, dim)
+        counts = None
+        if have_counts:
+            counts = np.array([rows[basis][1] for basis in bases])
         seed = header.get("seed")
-        return cls.from_records(
-            int(header["n_qubits"]),
-            records,
-            mode=header.get("mode", "exact"),
-            seed=int(seed) if seed is not None else None,
+        return cls(
+            n_qubits,
+            tuple(bases),
+            probs,
+            counts,
+            header.get("mode", "exact"),
+            int(seed) if seed is not None else None,
         )
 
 

@@ -198,17 +198,19 @@ def log_likelihood(
     """Data log-likelihood of the normalized approximation; higher is better.
 
     Records are weighted by shot counts when present, by their probabilities
-    otherwise.
+    otherwise.  Predicted probabilities come from the rank-r factors, as the
+    normalized weighted sum of each eigenstate's outcome probabilities.
     """
-    rho = approx.density_matrix()
+    total = approx.weight_sum
+    if total <= 0:
+        raise ValueError("cannot normalize an approximation with zero weight")
+    q = np.zeros(data.probabilities.shape)
+    for pair in approx.pairs:
+        q += (pair.weight / total) * _predicted_probabilities(data, pair.state)
     weights = (
         data.counts.astype(float) if data.counts is not None else data.probabilities
     )
-    total = 0.0
-    for b, basis in enumerate(data.bases):
-        q = measurement.probabilities_matrix(rho.entries, basis)
-        total += float(weights[b] @ np.log(np.maximum(q, floor)))
-    return total
+    return float((weights * np.log(np.maximum(q, floor))).sum())
 
 
 def relative_fidelity(rho: DensityMatrix, approx: SpectralApprox) -> float:

@@ -39,3 +39,38 @@ def bell_dataset(bell_rho) -> ms.MeasurementDataset:
 @pytest.fixture(scope="session")
 def w4_rho() -> st.DensityMatrix:
     return ms.make_w_mixture(4, [0.860, 0.063, 0.037], seed=7)
+
+
+_HEADER = '{"n_qubits": 1, "mode": "exact", "seed": null}\n'
+
+#: Dataset files the loader must reject: name -> (file text, error pattern).
+MALFORMED_DATASETS = {
+    "duplicate": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n',
+        "duplicate record",
+    ),
+    "outcome_length": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-+", "p": 0.5, "shots": null}\n',
+        "invalid outcome '-\\+': expected 1 characters",
+    ),
+    "outcome_character": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "0", "p": 0.5, "shots": null}\n',
+        "invalid outcome '0': expected 1 characters",
+    ),
+    "record_not_object": (_HEADER + '["z", "+", 1.0]\n', "not a JSON object"),
+    "basis_not_string": (
+        _HEADER + '{"basis": ["z"], "outcome": "+", "p": 1.0, "shots": null}\n',
+        "is not a length-1 string",
+    ),
+    "missing_outcome": (
+        _HEADER + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n',
+        "lists 1 outcomes",
+    ),
+}

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,8 @@ import pytest
 
 from eigentomo import measurement as ms
 from eigentomo import states as st
+
+from conftest import MALFORMED_DATASETS
 
 
 def run_cli(*args, check=True):
@@ -192,6 +195,17 @@ class TestReconstructCommand:
         )
         assert proc.returncode == 1
         assert "error" in proc.stderr.lower() and "finite" in proc.stderr
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DATASETS))
+    def test_malformed_dataset_runtime_error(self, tmp_path, name):
+        text, match = MALFORMED_DATASETS[name]
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text)
+        proc = run_cli(
+            "reconstruct", "--dataset", path, "--out-dir", tmp_path, check=False
+        )
+        assert proc.returncode == 1
+        assert re.search(f"^error: .*{match}", proc.stderr, re.MULTILINE)
 
     def test_nonexistent_dataset_runtime_error(self, tmp_path):
         proc = run_cli(

@@ -55,6 +55,40 @@ class TestCostTerms:
         value = costs.cost_terms("kl1", np.array([0.5]), np.array([0.0]), 1e-12)
         assert np.isfinite(value).all()
 
+    def test_terms_and_grads_equal_closed_forms(self):
+        rng = np.random.default_rng(2)
+        p = rng.dirichlet(np.ones(6), size=5)
+        q = rng.dirichlet(np.ones(6), size=5)
+        # Zeros on either side, a q below the floor and a kink at p == q.
+        p[0, :3] = 0.0
+        q[1, :2] = 0.0
+        q[2, 0] = 1e-14
+        q[3, :] = p[3, :]
+        floor = costs.DENOM_FLOOR
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pq = np.log(p) - np.log(np.maximum(q, floor))
+            log_qp = np.log(q) - np.log(np.maximum(p, floor))
+            closed = {
+                "l1": (np.abs(p - q), np.sign(q - p)),
+                "l15": (
+                    np.abs(p - q) ** 1.5,
+                    1.5 * np.sqrt(np.abs(q - p)) * np.sign(q - p),
+                ),
+                "kl1": (
+                    np.where(p > 0, p * log_pq, 0.0),
+                    np.where((p > 0) & (q >= floor), -p / q, 0.0),
+                ),
+                "kl2": (
+                    np.where(q > 0, q * log_qp, 0.0),
+                    np.where(q > 0, log_qp + 1.0, 0.0),
+                ),
+            }
+        for kind in costs.COST_KINDS:
+            terms, grads = costs.cost_terms_and_grads(kind, p, q, floor)
+            assert np.array_equal(terms, closed[kind][0]), kind
+            assert np.array_equal(grads, closed[kind][1]), kind
+            assert np.array_equal(costs.cost_terms(kind, p, q, floor), terms), kind
+
     def test_total_cost_non_negative_on_distributions(self):
         # Individual divergence terms may be negative; the sum over a full
         # outcome distribution never is.

@@ -1,14 +1,17 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from eigentomo import jsonio
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
-from conftest import random_density_matrix, random_pure
+from conftest import MALFORMED_DATASETS, random_density_matrix, random_pure
 
 
 class TestLocalRotation:
@@ -53,9 +56,8 @@ class TestOutcomeConventions:
 
     def test_strings(self):
         assert ms.outcome_string((1, -1, 1)) == "+-+"
-        assert ms.parse_outcome("+-+") == (1, -1, 1)
-        with pytest.raises(ValueError):
-            ms.parse_outcome("+0")
+        assert ms.outcome_strings(3)[ms.outcome_index((1, -1, 1))] == "+-+"
+        assert ms.outcome_strings(1) == ("+", "-")
 
 
 class TestProjectorProbabilities:
@@ -133,6 +135,49 @@ class TestProjectorProbabilities:
         basis = "".join(rng.choice(list("xyz")) for _ in range(n_qubits))
         probs = ms.probabilities_matrix(rho, basis)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def strided_rotate_states(rotations, vectors):
+    """The qubit-strided einsum kernel that ``rotate_states`` replaced."""
+    n_batch, dim = vectors.shape
+    out = vectors
+    for k in range(rotations.shape[1]):
+        out = np.einsum(
+            "buv,bavc->bauc",
+            rotations[:, k],
+            out.reshape(n_batch, 1 << k, 2, dim >> (k + 1)),
+        ).reshape(n_batch, dim)
+    return out
+
+
+class TestRotateStates:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("mode", ["full", "compressed"])
+    def test_bitwise_equal_to_strided_kernel(self, n, mode):
+        rng = np.random.default_rng(100 + n)
+        bases = ms.generate_basis_set(n, mode, seed=n)
+        forward = ms.basis_rotations(bases, n)
+        transposed = forward.transpose(0, 1, 3, 2).copy()
+        shape = (len(bases), 2**n)
+        broadcast = np.broadcast_to(random_pure(2**n, rng), shape)
+        dense = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for rotations in (forward, transposed):
+            for vectors in (broadcast, dense):
+                got = ms.rotate_states(rotations, vectors)
+                want = strided_rotate_states(rotations, vectors)
+                assert got.shape == shape
+                assert np.array_equal(got.view(float), want.view(float))
+            shared = ms.rotate_states(rotations, broadcast[:1])
+            want = strided_rotate_states(rotations, broadcast)
+            assert np.array_equal(shared.view(float), want.view(float))
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(7)
+        rotations = ms.basis_rotations(ms.generate_basis_set(3), 3)
+        vectors = rng.normal(size=(27, 8)) + 1j * rng.normal(size=(27, 8))
+        before = vectors.copy()
+        ms.rotate_states(rotations, vectors)
+        assert np.array_equal(vectors, before)
 
 
 class TestGenerateBasisSet:
@@ -283,6 +328,78 @@ class TestDatasetContainer:
         )
         with pytest.raises(ValueError, match="outcomes"):
             ms.MeasurementDataset.load_jsonl(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DATASETS))
+    def test_malformed_records_rejected(self, tmp_path, name):
+        text, match = MALFORMED_DATASETS[name]
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            ms.MeasurementDataset.load_jsonl(path)
+
+    def test_missing_outcome_field_rejected(self, tmp_path):
+        path = tmp_path / "no_outcome.jsonl"
+        path.write_text(
+            '{"n_qubits": 1, "mode": "exact", "seed": null}\n'
+            '{"basis": "z", "p": 1.0, "shots": null}\n'
+        )
+        with pytest.raises(ValueError, match="invalid outcome"):
+            ms.MeasurementDataset.load_jsonl(path)
+
+    def test_writer_matches_per_record_encoding(self, tmp_path, bell_rho):
+        for data in (
+            ms.exact_dataset(bell_rho, ["xy", "zz"]),
+            ms.sample_dataset(bell_rho, ["xx", "yz"], 50, seed=2),
+        ):
+            header = {"n_qubits": data.n_qubits, "mode": data.mode, "seed": data.seed}
+            lines = [jsonio.dumps(header)] + [
+                jsonio.dumps(
+                    {
+                        "basis": rec.basis,
+                        "outcome": ms.outcome_string(rec.outcome),
+                        "p": rec.probability,
+                        "shots": rec.shots,
+                    }
+                )
+                for rec in data.records()
+            ]
+            path = tmp_path / "data.jsonl"
+            data.save_jsonl(path)
+            assert path.read_text() == "\n".join(lines) + "\n"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        hst.integers(1, 3).flatmap(
+            lambda n: hst.tuples(
+                hst.just(n),
+                hst.sets(
+                    hst.sampled_from(ms.generate_basis_set(n, "full")), min_size=1
+                ),
+            )
+        ),
+        hst.integers(0, 2**32 - 1),
+        hst.sampled_from([0, 1, 40]),
+    )
+    def test_jsonl_round_trip_property(self, n_and_bases, seed, shots):
+        n, bases = n_and_bases
+        rho = random_density_matrix(2**n, np.random.default_rng(seed))
+        if shots:
+            data = ms.sample_dataset(rho, bases, shots, seed=seed)
+        else:
+            data = ms.exact_dataset(rho, bases)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            data.save_jsonl(a)
+            data.save_jsonl(b)
+            assert a.read_bytes() == b.read_bytes()
+            loaded = ms.MeasurementDataset.load_jsonl(a)
+        assert loaded.n_qubits == n and loaded.bases == data.bases
+        assert np.array_equal(loaded.probabilities, data.probabilities)
+        if shots:
+            assert np.array_equal(loaded.counts, data.counts)
+        else:
+            assert loaded.counts is None
+        assert loaded.mode == data.mode and loaded.seed == data.seed
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

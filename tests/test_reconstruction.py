@@ -197,6 +197,39 @@ class TestLogLikelihood:
         )
         assert rc.log_likelihood(bogus, data) <= rc.log_likelihood(rank1, data)
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_rank_r_matches_dense_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        dim = 2**n
+        bases = ms.generate_basis_set(n, "full" if n < 4 else "compressed", seed=n)
+        for rank in range(1, min(3, dim) + 1):
+            g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+            vectors, _ = np.linalg.qr(g)
+            weights = rng.dirichlet(np.ones(rank + 1))[:rank]
+            approx = rc.SpectralApprox(
+                tuple(
+                    rc.SpectralPair(float(w), st.StateVector.normalized(v))
+                    for w, v in zip(weights, vectors.T)
+                )
+            )
+            rho = random_density_matrix(dim, rng)
+            exact = ms.exact_dataset(rho, bases)
+            sampled = ms.sample_dataset(rho, bases, 300, seed=rank)
+            dense = approx.density_matrix().entries
+            for data in (exact, sampled):
+                record_weights = (
+                    data.counts if data.counts is not None else data.probabilities
+                )
+                reference = sum(
+                    float(
+                        record_weights[b]
+                        @ np.log(np.maximum(ms.probabilities_matrix(dense, basis), 1e-12))
+                    )
+                    for b, basis in enumerate(data.bases)
+                )
+                value = rc.log_likelihood(approx, data)
+                assert value == pytest.approx(reference, rel=1e-12, abs=0)
+
     def test_shot_weighting_used_when_counts_present(self, bell_rho):
         sampled = ms.sample_dataset(bell_rho, ["zz"], 100, seed=3)
         approx = rc.SpectralApprox((rc.SpectralPair(1.0, ms.bell_states()[0]),))
