@@ -22,12 +22,10 @@ from .states import (
 )
 from .measurement import (
     MeasurementDataset,
-    MeasurementRecord,
     bell_mixture,
     exact_dataset,
     generate_basis_set,
     make_w_mixture,
-    projector_probabilities,
     sample_dataset,
     w_state,
 )

@@ -130,15 +130,12 @@ def entropy_tables(
     """
     if psi is None:
         psi = eigendecompose(rho).eigenvectors[0]
-    entropy_rows = reconstruction.eigenstate_entropy_profile(rho, psi, bases)
-    probability_rows = []
-    table = measurement.spin_table(rho.n_qubits)
-    for basis in bases:
-        mixed = measurement.probabilities_matrix(rho.entries, basis)
-        pure = measurement.probabilities_vector(psi.amplitudes, basis)
-        for i in range(mixed.size):
-            outcome = measurement.outcome_string(table[i])
-            probability_rows.append(
-                (basis, outcome, float(mixed[i]), float(pure[i]))
-            )
-    return entropy_rows, probability_rows
+    mixed = measurement.density_probabilities(rho, bases)
+    pure = measurement.basis_probabilities(psi.amplitudes, bases)
+    outcomes = measurement.outcome_strings(rho.n_qubits)
+    probability_rows = [
+        (basis, outcome, m, p)
+        for basis, mixed_row, pure_row in zip(bases, mixed.tolist(), pure.tolist())
+        for outcome, m, p in zip(outcomes, mixed_row, pure_row)
+    ]
+    return reconstruction.entropy_rows(bases, mixed, pure), probability_rows

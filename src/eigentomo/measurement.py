@@ -6,6 +6,11 @@ index.  Outcomes are tuples of +1/-1 spins, and outcome (s_0, ..., s_{n-1})
 maps to the rotated-basis index whose bit k is 0 for s_k = +1.  Datasets
 carry a full grid of 2^n outcome records per basis (zero-probability
 outcomes included), sorted by basis label and then by outcome index.
+
+Every outcome probability comes from one kernel, ``mixture_probabilities``:
+the table sum_k w_k |U_b v_k|^2 of a weighted set of states.  A pure state
+is the one-state case, and a density matrix is its eigensystem
+(``density_probabilities``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jsonio
-from .states import DensityMatrix, StateVector, matrix_of, qubit_count
+from .states import HERM_ATOL, DensityMatrix, StateVector, matrix_of, qubit_count
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 _ROTATIONS = {
@@ -33,6 +38,12 @@ _ROTATION_STACK = np.stack([_ROTATIONS[axis] for axis in "xyz"])
 PROBABILITY_FLOOR = -1e-12
 #: Per-basis probabilities must sum to one within this tolerance.
 BASIS_SUM_ATOL = 1e-9
+#: Sampled probabilities must equal count / basis total within this tolerance.
+COUNT_RATIO_ATOL = 1e-12
+#: Largest register for exhaustive 2^n tables (RBM exact mode, dataset loading).
+EXACT_MODE_MAX_QUBITS = 12
+#: Rotated vectors per ``rotate_states`` call in ``mixture_probabilities``.
+_BLOCK_VECTORS = 256
 
 
 def local_rotation(axis: str) -> np.ndarray:
@@ -127,28 +138,34 @@ def rotate_states(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotate_matrix(entries, basis: str) -> np.ndarray:
-    """Conjugate a density matrix into the measurement frame of ``basis``."""
-    mat = np.asarray(entries, dtype=np.complex128)
-    n = len(basis)
-    if mat.shape != (2**n, 2**n):
-        raise ValueError(f"matrix shape {mat.shape} does not match basis {basis!r}")
-    t = mat.reshape((2,) * (2 * n))
-    for k, axis in enumerate(basis):
-        if axis == "z":
-            continue
-        u = _ROTATIONS[axis]
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
-        t = np.moveaxis(np.tensordot(u.conj(), t, axes=([1], [n + k])), 0, n + k)
-    return t.reshape(mat.shape)
+def mixture_probabilities(weights, vectors, bases) -> np.ndarray:
+    """(n_bases, 2^n) table of sum_k w_k |U_b v_k|^2 over the columns v_k of ``vectors``.
+
+    The (2^n, r) factor is rotated as one row of length r 2^n: its leading
+    axes are the qubits, so ``rotate_states`` cycles them to the back and
+    leaves the r axis first.  Bases go in blocks of about ``_BLOCK_VECTORS``
+    rotated vectors per call.
+    """
+    w = np.asarray(weights, dtype=float)
+    v = np.ascontiguousarray(vectors, dtype=np.complex128)
+    dim, rank = v.shape
+    if w.shape != (rank,):
+        raise ValueError(f"weights of shape {w.shape} do not match {rank} vectors")
+    rotations = basis_rotations(bases, qubit_count(dim))
+    row = v.reshape(1, dim * rank)
+    step = max(1, _BLOCK_VECTORS // rank)
+    probs = np.empty((len(rotations), dim))
+    for start in range(0, len(rotations), step):
+        block = rotations[start : start + step]
+        rotated = rotate_states(block, row).reshape(len(block), rank, dim)
+        probs[start : start + len(block)] = w @ np.abs(rotated) ** 2
+    return probs
 
 
 def basis_probabilities(amplitudes, bases) -> np.ndarray:
     """(n_bases, 2^n) outcome probabilities of a pure state in each basis."""
-    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    rotations = basis_rotations(bases, qubit_count(vec.size))
-    rotated = rotate_states(rotations, vec[None])
-    return np.abs(rotated) ** 2
+    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1, 1)
+    return mixture_probabilities(np.ones(1), vec, bases)
 
 
 def probabilities_vector(amplitudes, basis: str) -> np.ndarray:
@@ -156,19 +173,17 @@ def probabilities_vector(amplitudes, basis: str) -> np.ndarray:
     return basis_probabilities(amplitudes, [basis])[0]
 
 
-def probabilities_matrix(entries, basis: str) -> np.ndarray:
-    """Outcome probabilities of a (possibly raw Hermitian) matrix in ``basis``."""
-    return np.real(np.diag(rotate_matrix(entries, basis)))
+def density_probabilities(rho, bases) -> np.ndarray:
+    """(n_bases, 2^n) outcome probabilities of a density matrix, from its eigensystem.
 
-
-def projector_probabilities(rho, basis: str) -> dict[tuple[int, ...], float]:
-    """Map from outcome tuple to probability for one measurement basis."""
+    ``rho`` may be a raw Hermitian matrix (negative eigenvalues allowed); a
+    matrix that is not Hermitian within ``HERM_ATOL`` raises ValueError.
+    """
     mat = matrix_of(rho)
-    n = qubit_count(mat.shape[0])
-    validate_basis(basis, n)
-    probs = probabilities_matrix(mat, basis)
-    table = spin_table(n)
-    return {tuple(int(s) for s in table[i]): float(probs[i]) for i in range(probs.size)}
+    if np.abs(mat - mat.conj().T).max() > HERM_ATOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    eigenvalues, eigenvectors = np.linalg.eigh(mat)
+    return mixture_probabilities(eigenvalues, eigenvectors, bases)
 
 
 def generate_basis_set(n_qubits: int, mode: str = "full", seed: int = 0) -> list[str]:
@@ -191,14 +206,6 @@ def generate_basis_set(n_qubits: int, mode: str = "full", seed: int = 0) -> list
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(pool), size=count - 1, replace=False) if count > 1 else []
     return sorted([all_z] + [pool[i] for i in picked])
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    basis: str
-    outcome: tuple[int, ...]
-    probability: float
-    shots: int | None = None
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,11 @@ class MeasurementDataset:
             counts = np.array(counts, dtype=np.int64)
             if counts.shape != probs.shape or counts.min() < 0:
                 raise ValueError("invalid shot-count array")
+            totals = counts.sum(axis=1)
+            if np.any(totals == 0):
+                raise ValueError("a sampled basis has no shots")
+            if np.abs(probs - counts / totals[:, None]).max() > COUNT_RATIO_ATOL:
+                raise ValueError("record probabilities disagree with the shot counts")
             counts.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "bases", bases)
@@ -267,18 +279,6 @@ class MeasurementDataset:
             return self.probabilities[self.bases.index(basis)]
         except ValueError:
             raise KeyError(f"basis {basis!r} not present in dataset") from None
-
-    def record(self, index: int) -> MeasurementRecord:
-        b, i = divmod(index, self.dim)
-        return MeasurementRecord(
-            self.bases[b],
-            index_outcome(i, self.n_qubits),
-            float(self.probabilities[b, i]),
-            int(self.counts[b, i]) if self.counts is not None else None,
-        )
-
-    def records(self) -> list[MeasurementRecord]:
-        return [self.record(i) for i in range(self.n_records)]
 
     def save_jsonl(self, path) -> None:
         """Write a header line, then one line per (basis, outcome) record.
@@ -310,17 +310,22 @@ class MeasurementDataset:
     def load_jsonl(cls, path) -> "MeasurementDataset":
         """Read a file written by ``save_jsonl``, filling per-basis rows line by line.
 
-        Each (basis, outcome) pair must appear exactly once, and each outcome
-        must be ``n_qubits`` characters over ``+``/``-``; anything else
-        raises ValueError.
+        The header's ``n_qubits`` must be an integer up to the exact-mode cap,
+        each (basis, outcome) pair must appear exactly once, and each outcome
+        must be ``n_qubits`` characters over ``+``/``-``; anything else raises
+        ValueError.
         """
         with open(path, "r", encoding="utf-8") as fh:
             header = next((jsonio.loads(line) for line in fh if line.strip()), None)
             if not isinstance(header, dict):
                 raise ValueError(f"dataset file {path} has no header object")
-            n_qubits = int(header["n_qubits"])
-            if n_qubits < 1:
-                raise ValueError("n_qubits must be at least 1")
+            n_qubits = header.get("n_qubits")
+            # Checked before outcome_strings builds its 2^n map.
+            if type(n_qubits) is not int or not 1 <= n_qubits <= EXACT_MODE_MAX_QUBITS:
+                raise ValueError(
+                    f"header n_qubits must be an integer in 1..{EXACT_MODE_MAX_QUBITS}, "
+                    f"got {n_qubits!r}"
+                )
             dim = 2**n_qubits
             index_of = {s: i for i, s in enumerate(outcome_strings(n_qubits))}
             # basis -> (probabilities, shot counts, outcome indices seen)
@@ -396,11 +401,7 @@ def exact_dataset(rho, bases) -> MeasurementDataset:
     mat = matrix_of(rho)
     n = qubit_count(mat.shape[0])
     basis_list = _sorted_unique_bases(bases, n)
-    # Each row is copied out at once: a diagonal view would keep its basis's
-    # whole rotated matrix alive until every basis is done.
-    probs = np.empty((len(basis_list), mat.shape[0]))
-    for b, basis in enumerate(basis_list):
-        probs[b] = probabilities_matrix(mat, basis)
+    probs = density_probabilities(mat, basis_list)
     return MeasurementDataset(n, tuple(basis_list), probs, None, "exact", None)
 
 
@@ -411,11 +412,9 @@ def sample_dataset(rho, bases, shots_per_basis: int, seed: int) -> MeasurementDa
     mat = matrix_of(rho)
     n = qubit_count(mat.shape[0])
     basis_list = _sorted_unique_bases(bases, n)
+    p = np.clip(density_probabilities(mat, basis_list), 0.0, None)
     rng = np.random.default_rng(seed)
-    counts = np.zeros((len(basis_list), 2**n), dtype=np.int64)
-    for b, basis in enumerate(basis_list):
-        p = np.clip(probabilities_matrix(mat, basis), 0.0, None)
-        counts[b] = rng.multinomial(shots_per_basis, p / p.sum())
+    counts = rng.multinomial(shots_per_basis, p / p.sum(axis=1, keepdims=True))
     probs = counts / float(shots_per_basis)
     return MeasurementDataset(n, tuple(basis_list), probs, counts, "sampled", int(seed))
 

@@ -15,11 +15,8 @@ import numpy as np
 from scipy.special import expit
 
 from . import jsonio, measurement
+from .measurement import EXACT_MODE_MAX_QUBITS
 from .states import StateVector
-
-
-#: Largest register for which exact (exhaustive) normalization is used.
-EXACT_MODE_MAX_QUBITS = 12
 
 
 def log_sum_exp(values: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import measurement, rbm
 from .measurement import MeasurementDataset
-from .states import DensityMatrix, StateVector, eigendecompose, fidelity, matrix_of
+from .states import DensityMatrix, StateVector, eigendecompose, fidelity
 from .training import TrainConfig, train_next_eigenstate
 
 #: Default denominator floor when estimating eigenvalues.
@@ -204,9 +204,13 @@ def log_likelihood(
     total = approx.weight_sum
     if total <= 0:
         raise ValueError("cannot normalize an approximation with zero weight")
-    q = np.zeros(data.probabilities.shape)
-    for pair in approx.pairs:
-        q += (pair.weight / total) * _predicted_probabilities(data, pair.state)
+    if data.n_qubits != approx.n_qubits:
+        raise ValueError("dataset and state disagree in qubit count")
+    q = measurement.mixture_probabilities(
+        [pair.weight / total for pair in approx.pairs],
+        np.column_stack([pair.state.amplitudes for pair in approx.pairs]),
+        data.bases,
+    )
     weights = (
         data.counts.astype(float) if data.counts is not None else data.probabilities
     )
@@ -220,27 +224,30 @@ def relative_fidelity(rho: DensityMatrix, approx: SpectralApprox) -> float:
     return fidelity(rho, approx.density_matrix()) / kappa
 
 
-def eigenstate_entropy_profile(source, psi: StateVector, bases) -> list[tuple]:
-    """Per-basis Shannon entropies of the source statistics and of ``psi``.
-
-    ``source`` is either a MeasurementDataset or a density matrix (typed or
-    raw).  Returns rows (basis, entropy_mixed, entropy_pure), natural log.
-    """
+def entropy_rows(bases, mixed: np.ndarray, pure: np.ndarray) -> list[tuple]:
+    """Rows (basis, entropy_mixed, entropy_pure) of per-basis probability tables."""
 
     def entropy(p: np.ndarray) -> float:
         p = np.clip(p, 0.0, None)
         nz = p[p > 0]
         return float(-(nz * np.log(nz)).sum())
 
-    rows = []
-    for basis in bases:
-        if isinstance(source, MeasurementDataset):
-            mixed = source.basis_row(basis)
-        else:
-            mixed = measurement.probabilities_matrix(matrix_of(source), basis)
-        pure = measurement.probabilities_vector(psi.amplitudes, basis)
-        rows.append((basis, entropy(mixed), entropy(pure)))
-    return rows
+    return [(basis, entropy(m), entropy(p)) for basis, m, p in zip(bases, mixed, pure)]
+
+
+def eigenstate_entropy_profile(source, psi: StateVector, bases) -> list[tuple]:
+    """Per-basis Shannon entropies of the source statistics and of ``psi``.
+
+    ``source`` is either a MeasurementDataset or a density matrix (typed or
+    raw Hermitian).  Returns rows (basis, entropy_mixed, entropy_pure),
+    natural log.
+    """
+    if isinstance(source, MeasurementDataset):
+        mixed = [source.basis_row(basis) for basis in bases]
+    else:
+        mixed = measurement.density_probabilities(source, bases)
+    pure = measurement.basis_probabilities(psi.amplitudes, bases)
+    return entropy_rows(bases, mixed, pure)
 
 
 def reconstruct(

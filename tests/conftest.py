@@ -26,6 +26,20 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def dense_rotation(basis: str) -> np.ndarray:
+    """The full 2^n x 2^n unitary of ``basis``: a Kronecker product of local rotations."""
+    dense = np.ones((1, 1))
+    for axis in basis:
+        dense = np.kron(dense, ms.local_rotation(axis))
+    return dense
+
+
+def dense_probabilities(mat: np.ndarray, basis: str) -> np.ndarray:
+    """Reference outcome probabilities: the diagonal of U mat U^dagger."""
+    dense = dense_rotation(basis)
+    return np.real(np.diag(dense @ mat @ dense.conj().T))
+
+
 @pytest.fixture(scope="session")
 def bell_rho() -> st.DensityMatrix:
     return ms.bell_mixture()
@@ -42,6 +56,7 @@ def w4_rho() -> st.DensityMatrix:
 
 
 _HEADER = '{"n_qubits": 1, "mode": "exact", "seed": null}\n'
+_SAMPLED_HEADER = '{"n_qubits": 1, "mode": "sampled", "seed": 1}\n'
 
 #: Dataset files the loader must reject: name -> (file text, error pattern).
 MALFORMED_DATASETS = {
@@ -72,5 +87,28 @@ MALFORMED_DATASETS = {
     "missing_outcome": (
         _HEADER + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n',
         "lists 1 outcomes",
+    ),
+    "shots_disagree_with_p": (
+        _SAMPLED_HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": 999}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": 1}\n',
+        "disagree with the shot counts",
+    ),
+    "basis_without_shots": (
+        _SAMPLED_HEADER
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": 0}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": 0}\n',
+        "has no shots",
+    ),
+    "n_qubits_above_cap": (
+        '{"n_qubits": 13, "mode": "exact", "seed": null}\n'
+        + '{"basis": "zzzzzzzzzzzzz", "outcome": "+++++++++++++", "p": 1.0, '
+        + '"shots": null}\n',
+        "header n_qubits must be an integer in 1..12, got 13",
+    ),
+    "n_qubits_not_integer": (
+        '{"n_qubits": 1.5, "mode": "exact", "seed": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n',
+        "header n_qubits must be an integer in 1..12, got 1.5",
     ),
 }

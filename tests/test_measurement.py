@@ -11,7 +11,13 @@ from eigentomo import jsonio
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
-from conftest import MALFORMED_DATASETS, random_density_matrix, random_pure
+from conftest import (
+    MALFORMED_DATASETS,
+    dense_probabilities,
+    dense_rotation,
+    random_density_matrix,
+    random_pure,
+)
 
 
 class TestLocalRotation:
@@ -63,33 +69,75 @@ class TestOutcomeConventions:
 class TestProjectorProbabilities:
     def test_ground_state_all_z(self):
         psi = st.StateVector.normalized([1, 0, 0, 0])
-        probs = ms.projector_probabilities(st.DensityMatrix.from_pure(psi), "zz")
-        assert probs[(1, 1)] == pytest.approx(1.0, abs=1e-12)
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        probs = ms.density_probabilities(st.DensityMatrix.from_pure(psi), ["zz"])[0]
+        assert probs[ms.outcome_index((1, 1))] == pytest.approx(1.0, abs=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_uniform(self):
         rho = st.DensityMatrix.maximally_mixed(3)
-        for basis in ("zzz", "xyz", "yyy"):
-            probs = ms.projector_probabilities(rho, basis)
-            assert all(abs(p - 0.125) <= 1e-12 for p in probs.values())
+        probs = ms.density_probabilities(rho, ["zzz", "xyz", "yyy"])
+        assert np.abs(probs - 0.125).max() <= 1e-12
 
     def test_bell_state_xx(self):
         bell = ms.bell_states()[0]
-        probs = ms.projector_probabilities(st.DensityMatrix.from_pure(bell), "xx")
-        assert probs[(1, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert probs[(-1, -1)] == pytest.approx(0.5, abs=1e-12)
-        assert probs[(1, -1)] == pytest.approx(0.0, abs=1e-12)
-        assert probs[(-1, 1)] == pytest.approx(0.0, abs=1e-12)
+        probs = ms.density_probabilities(st.DensityMatrix.from_pure(bell), ["xx"])[0]
+        assert probs[ms.outcome_index((1, 1))] == pytest.approx(0.5, abs=1e-12)
+        assert probs[ms.outcome_index((-1, -1))] == pytest.approx(0.5, abs=1e-12)
+        assert probs[ms.outcome_index((1, -1))] == pytest.approx(0.0, abs=1e-12)
+        assert probs[ms.outcome_index((-1, 1))] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_unitary(self):
         rng = np.random.default_rng(20)
         for basis in ("xy", "yz", "xx"):
             rho = random_density_matrix(4, rng)
-            dense = np.kron(
-                ms.local_rotation(basis[0]), ms.local_rotation(basis[1])
-            )
-            expected = np.real(np.diag(dense @ rho @ dense.conj().T))
-            assert np.allclose(ms.probabilities_matrix(rho, basis), expected)
+            expected = dense_probabilities(rho, basis)
+            assert np.allclose(ms.density_probabilities(rho, [basis])[0], expected)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_density_probabilities_match_dense_unitaries(self, n):
+        rng = np.random.default_rng(22 + n)
+        dim = 2**n
+        bases = ms.generate_basis_set(n, "full")
+        psd = random_density_matrix(dim, rng)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        indefinite = 0.5 * (g + g.conj().T)
+        assert np.linalg.eigvalsh(indefinite).min() < 0
+        for mat in (psd, indefinite):
+            expected = [dense_probabilities(mat, basis) for basis in bases]
+            probs = ms.density_probabilities(mat, bases)
+            assert probs.shape == (3**n, dim)
+            assert np.allclose(probs, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_mixture_spanning_several_blocks(self, rank):
+        # At n = 6 one rotate_states call holds 256 // rank of the 729 bases.
+        rng = np.random.default_rng(60 + rank)
+        bases = ms.generate_basis_set(6, "full")
+        vectors = np.linalg.qr(
+            rng.normal(size=(64, rank)) + 1j * rng.normal(size=(64, rank))
+        )[0]
+        weights = rng.dirichlet(np.ones(rank))
+        mat = (vectors * weights) @ vectors.conj().T
+        expected = [dense_probabilities(mat, basis) for basis in bases]
+        probs = ms.mixture_probabilities(weights, vectors, bases)
+        assert probs.shape == (729, 64)
+        assert np.allclose(probs, expected, rtol=0, atol=1e-12)
+
+    def test_non_hermitian_rejected(self):
+        mat = np.diag([1.0, 0.0]).astype(complex)
+        mat[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ms.density_probabilities(mat, ["z"])
+
+    def test_pure_case_is_rotate_states(self):
+        rng = np.random.default_rng(23)
+        bases = ms.generate_basis_set(4, "full")
+        psi = random_pure(16, rng)
+        rotated = ms.rotate_states(ms.basis_rotations(bases, 4), psi[None])
+        assert np.array_equal(
+            ms.mixture_probabilities([1.0], psi[:, None], bases),
+            np.abs(rotated) ** 2,
+        )
 
     def test_batched_vector_probabilities_match_dense_unitaries(self):
         rng = np.random.default_rng(21)
@@ -97,12 +145,7 @@ class TestProjectorProbabilities:
             bases = ms.generate_basis_set(n, "full")
             for _ in range(3):
                 psi = random_pure(2**n, rng)
-                expected = []
-                for basis in bases:
-                    dense = np.array([[1]])
-                    for axis in basis:
-                        dense = np.kron(dense, ms.local_rotation(axis))
-                    expected.append(np.abs(dense @ psi) ** 2)
+                expected = [np.abs(dense_rotation(basis) @ psi) ** 2 for basis in bases]
                 probs = ms.basis_probabilities(psi, bases)
                 assert probs.shape == (3**n, 2**n)
                 assert np.allclose(probs, expected, rtol=0, atol=1e-12)
@@ -133,7 +176,7 @@ class TestProjectorProbabilities:
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(2**n_qubits, rng)
         basis = "".join(rng.choice(list("xyz")) for _ in range(n_qubits))
-        probs = ms.probabilities_matrix(rho, basis)
+        probs = ms.density_probabilities(rho, [basis])[0]
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -300,9 +343,21 @@ class TestDatasetContainer:
         assert data.probabilities[0, 1] == 0.0
 
     def test_records_sorted_by_basis_then_outcome(self, bell_dataset):
-        records = bell_dataset.records()
-        keys = [(r.basis, ms.outcome_index(r.outcome)) for r in records]
+        # "+" sorts before "-", so outcome strings sort in index order.
+        keys = [
+            (basis, outcome)
+            for basis in bell_dataset.bases
+            for outcome in ms.outcome_strings(bell_dataset.n_qubits)
+        ]
+        assert len(keys) == bell_dataset.n_records
         assert keys == sorted(keys)
+
+    def test_rejects_counts_disagreeing_with_probabilities(self):
+        probs = np.array([[0.5, 0.5]])
+        for counts in ([[999, 1]], [[0, 0]]):
+            with pytest.raises(ValueError, match="shot"):
+                ms.MeasurementDataset(1, ("z",), probs, counts, "sampled", 1)
+        ms.MeasurementDataset(1, ("z",), probs, [[3, 3]], "sampled", 1)
 
     def test_jsonl_round_trip(self, tmp_path, bell_rho):
         data = ms.sample_dataset(bell_rho, ["xx", "zy"], 200, seed=8)
@@ -352,16 +407,17 @@ class TestDatasetContainer:
             ms.sample_dataset(bell_rho, ["xx", "yz"], 50, seed=2),
         ):
             header = {"n_qubits": data.n_qubits, "mode": data.mode, "seed": data.seed}
+            counts = (
+                data.counts.tolist()
+                if data.counts is not None
+                else [[None] * data.dim] * len(data.bases)
+            )
             lines = [jsonio.dumps(header)] + [
-                jsonio.dumps(
-                    {
-                        "basis": rec.basis,
-                        "outcome": ms.outcome_string(rec.outcome),
-                        "p": rec.probability,
-                        "shots": rec.shots,
-                    }
+                jsonio.dumps({"basis": basis, "outcome": outcome, "p": p, "shots": k})
+                for basis, probs, shots in zip(
+                    data.bases, data.probabilities.tolist(), counts
                 )
-                for rec in data.records()
+                for outcome, p, k in zip(ms.outcome_strings(data.n_qubits), probs, shots)
             ]
             path = tmp_path / "data.jsonl"
             data.save_jsonl(path)

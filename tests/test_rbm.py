@@ -9,6 +9,8 @@ from eigentomo import measurement as ms
 from eigentomo import rbm
 from eigentomo import states as st
 
+from conftest import dense_rotation
+
 
 def brute_force_marginal(params: rbm.RbmParams, sigma) -> float:
     """Sum the joint Boltzmann weight over every hidden configuration."""
@@ -196,10 +198,7 @@ class TestRotatedProbability:
                                               scale=0.4, phase_scale=0.8)
             basis = "".join(rng.choice(list("xyz")) for _ in range(n))
             vec = amplitudes(state)
-            dense = np.array([[1]])
-            for axis in basis:
-                dense = np.kron(dense, ms.local_rotation(axis))
-            expected = np.abs(dense @ vec) ** 2
+            expected = np.abs(dense_rotation(basis) @ vec) ** 2
             probs = ms.probabilities_vector(vec, basis)
             for index in range(2**n):
                 assert probs[index] == pytest.approx(float(expected[index]), abs=1e-9)

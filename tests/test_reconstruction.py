@@ -4,7 +4,7 @@ import pytest
 from eigentomo import costs, measurement as ms, reconstruction as rc, training
 from eigentomo import states as st
 
-from conftest import random_density_matrix, random_pure
+from conftest import dense_probabilities, random_density_matrix, random_pure
 
 
 def basis_vector(dim, index):
@@ -223,7 +223,7 @@ class TestLogLikelihood:
                 reference = sum(
                     float(
                         record_weights[b]
-                        @ np.log(np.maximum(ms.probabilities_matrix(dense, basis), 1e-12))
+                        @ np.log(np.maximum(dense_probabilities(dense, basis), 1e-12))
                     )
                     for b, basis in enumerate(data.bases)
                 )
