@@ -4,8 +4,9 @@ Every cost is a sum of per-record terms comparing the dataset probability p
 with the ansatz probability q in the same basis/outcome, optionally plus a
 penalty on squared overlaps with previously extracted states.  Gradients in
 all network parameters are exact and analytic: the per-record sensitivities
-are pulled back through the transposed basis rotations (one extra rotation
-pass per basis) and contracted against the RBM log-derivative tables.
+are pulled back through the transposed basis rotations (one adjoint pass of
+``measurement.BasisRotation``) and contracted against the RBM log-derivative
+tables.
 """
 
 from __future__ import annotations
@@ -107,10 +108,8 @@ class CostEngine:
         self.spec = spec
         self.n_qubits = n
         self.dim = data.dim
-        self.data_probs = data.probabilities
-        self.rotations = measurement.basis_rotations(data.bases, n)
-        # Plain transpose: record sensitivities are pulled back through U^T.
-        self.rotations_t = self.rotations.transpose(0, 1, 3, 2).copy()
+        self.rotation = measurement.BasisRotation(data.bases, n)
+        self.data_probs = self.rotation.arrange(data.probabilities)
         if spec.orth_states:
             self.orth = np.stack([s.amplitudes for s in spec.orth_states])
         else:
@@ -127,13 +126,12 @@ class CostEngine:
         pulled = np.zeros(self.dim, dtype=np.complex128)
         beta = 0.0
         if probs.size:
-            rotated = measurement.rotate_states(self.rotations, psi[None])
+            rotated = self.rotation.forward(psi[:, None])
             q = np.abs(rotated) ** 2
             terms, g = cost_terms_and_grads(self.spec.kind, probs, q, floor)
             total += float(terms.sum())
-            pulled += measurement.rotate_states(
-                self.rotations_t, g * rotated.conj()
-            ).sum(axis=0)
+            # Plain transpose: record sensitivities are pulled back through U^T.
+            pulled += self.rotation.adjoint(g * rotated.conj())
             beta += float((g * q).sum())
         if self.orth is not None:
             overlaps = self.orth.conj() @ psi

@@ -7,10 +7,12 @@ maps to the rotated-basis index whose bit k is 0 for s_k = +1.  Datasets
 carry a full grid of 2^n outcome records per basis (zero-probability
 outcomes included), sorted by basis label and then by outcome index.
 
-Every outcome probability comes from one kernel, ``mixture_probabilities``:
-the table sum_k w_k |U_b v_k|^2 of a weighted set of states.  A pure state
-is the one-state case, and a density matrix is its eigensystem
-(``density_probabilities``).
+Every basis rotation goes through one kernel, ``BasisRotation``: it splits
+each U_b into dense left-half and right-half factors and applies each
+distinct left factor once per pass.  Every outcome probability comes from
+``mixture_probabilities``, the table sum_k w_k |U_b v_k|^2 of a weighted set
+of states, which rotates through it.  A pure state is the one-state case, and
+a density matrix is its eigensystem (``density_probabilities``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ _ROTATIONS = {
 }
 for _mat in _ROTATIONS.values():
     _mat.setflags(write=False)
-_ROTATION_STACK = np.stack([_ROTATIONS[axis] for axis in "xyz"])
+_AXES = frozenset(_ROTATIONS)
 
 #: Record probabilities may undershoot zero by at most this much before clamping.
 PROBABILITY_FLOOR = -1e-12
@@ -42,7 +44,7 @@ BASIS_SUM_ATOL = 1e-9
 COUNT_RATIO_ATOL = 1e-12
 #: Largest register for exhaustive 2^n tables (RBM exact mode, dataset loading).
 EXACT_MODE_MAX_QUBITS = 12
-#: Rotated vectors per ``rotate_states`` call in ``mixture_probabilities``.
+#: Rotated vectors per ``BasisRotation.forward`` call in ``mixture_probabilities``.
 _BLOCK_VECTORS = 256
 
 
@@ -58,11 +60,7 @@ def local_rotation(axis: str) -> np.ndarray:
 
 
 def validate_basis(basis: str, n_qubits: int) -> None:
-    if (
-        not isinstance(basis, str)
-        or len(basis) != n_qubits
-        or any(c not in "xyz" for c in basis)
-    ):
+    if not isinstance(basis, str) or len(basis) != n_qubits or not set(basis) <= _AXES:
         raise ValueError(
             f"basis {basis!r} is not a length-{n_qubits} string over x, y, z"
         )
@@ -103,62 +101,152 @@ def outcome_strings(n_qubits: int) -> tuple[str, ...]:
     return tuple(outcome_string(row) for row in spin_table(n_qubits))
 
 
-def basis_rotations(bases, n_qubits: int) -> np.ndarray:
-    """(n_bases, n_qubits, 2, 2) stack of the local rotations of each basis."""
-    for basis in bases:
-        validate_basis(basis, n_qubits)
-    axes = [["xyz".index(axis) for axis in basis] for basis in bases]
-    return _ROTATION_STACK[np.array(axes, dtype=np.intp).reshape(len(bases), n_qubits)]
-
-
-def rotate_states(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Apply per-basis products of local 2x2 factors to a batch of vectors.
-
-    ``rotations[b, k]`` acts on qubit k of ``vectors[b]`` (see
-    ``basis_rotations``); a single row ``vectors`` of shape (1, 2^n) is
-    rotated into every basis.  One pass per qubit; the full 2^n x 2^n
-    unitary is never formed.  Each pass contracts the factor of the leading
-    qubit and writes that qubit's axis last, so the next qubit leads the
-    following pass and the original order is back after n passes.
-    """
-    n_batch = rotations.shape[0]
-    dim = vectors.shape[1]
-    half = dim >> 1
-    buffers = [np.empty((n_batch, half, 2), dtype=np.complex128) for _ in range(2)]
-    out = vectors
-    for k in range(rotations.shape[1]):
-        buf = buffers[k & 1]
-        np.einsum(
-            "buv,bvm->bum",
-            rotations[:, k],
-            out.reshape(-1, 2, half),
-            out=buf.transpose(0, 2, 1),
+def _kron_rotations(labels: list[str]) -> np.ndarray:
+    """(len(labels), 2^m, 2^m) stack of the Kronecker products of the local
+    rotations along each label; all labels have the same length m >= 0."""
+    stack = np.ones((len(labels), 1, 1), dtype=np.complex128)
+    for k in range(len(labels[0]) if labels else 0):
+        local = np.array([_ROTATIONS[label[k]] for label in labels])
+        dim = 2 * stack.shape[1]
+        stack = (stack[:, :, None, :, None] * local[:, None, :, None, :]).reshape(
+            len(labels), dim, dim
         )
-        out = buf.reshape(n_batch, dim)
-    return out
+    return stack
+
+
+class BasisRotation:
+    """The unitaries U_b of a list of bases, each split as U_b = L_b (x) R_b.
+
+    L_b is the dense product of the local rotations of the first n // 2
+    qubits and R_b that of the others.  A state psi, read as the
+    2^{n_L} x 2^{n_R} matrix P, rotates as U_b psi = L_b P R_b^T.  Bases
+    sharing a left prefix g share Y_g = L_g P, so the forward pass applies
+    each distinct left factor once, then one matmul Y_g [R_b1^T ... R_bk^T]
+    per prefix.  The adjoint sum_b U_b^T x_b takes one matmul
+    [X_b1 ... X_bk] [R_b1; ...; R_bk] per prefix, which also sums the group,
+    and one matmul by the stacked L_g^T.
+
+    Rotated vectors are laid out (2^{n_L}, r, n_bases, 2^{n_R}) for r states,
+    with the bases in ``order`` (grouped by prefix, otherwise in list order):
+    in that layout the bases of one prefix form one strided matrix.
+    ``arrange`` puts a per-basis table into the same layout.
+    """
+
+    def __init__(self, bases, n_qubits: int):
+        bases = list(bases)
+        for basis in bases:
+            validate_basis(basis, n_qubits)
+        n_left = n_qubits // 2
+        self.shape = (1 << n_left, 1 << (n_qubits - n_left))
+        d_left, d_right = self.shape
+        prefixes = sorted({basis[:n_left] for basis in bases})
+        suffixes = sorted({basis[n_left:] for basis in bases})
+        prefix_of = {label: i for i, label in enumerate(prefixes)}
+        suffix_of = {label: i for i, label in enumerate(suffixes)}
+        group, suffix = np.array(
+            [(prefix_of[b[:n_left]], suffix_of[b[n_left:]]) for b in bases],
+            dtype=np.intp,
+        ).reshape(-1, 2).T
+        #: Basis indices grouped by left prefix: ``order[bounds[g]:bounds[g + 1]]``
+        #: are the bases of prefix group g.
+        self.order = np.argsort(group, kind="stable")
+        self.bounds = np.searchsorted(
+            group[self.order], np.arange(len(prefixes) + 1)
+        ).tolist()
+        self._left = _kron_rotations(prefixes).reshape(-1, d_left, d_left)
+        # Row (g, m) of the stack is row m of L_g: the adjoint's last matmul.
+        self._left_t = self._left.transpose(2, 0, 1).reshape(d_left, -1)
+        # Per prefix group, [R_b1; ...; R_bk] with rows (b, j) = row j of R_b;
+        # its transpose is [R_b1^T ... R_bk^T].
+        right = _kron_rotations(suffixes)[suffix[self.order]].reshape(-1, d_right)
+        self._columns = [
+            slice(a * d_right, b * d_right)
+            for a, b in zip(self.bounds, self.bounds[1:])
+        ]
+        self._right = [right[cols] for cols in self._columns]
+
+    @property
+    def n_groups(self) -> int:
+        return len(self._left)
+
+    def arrange(self, table: np.ndarray) -> np.ndarray:
+        """A (n_bases, 2^n) table with rows in list order, in the layout of
+        ``forward`` for r = 1."""
+        d_left, d_right = self.shape
+        rows = np.asarray(table)[self.order].reshape(-1, d_left, d_right)
+        return np.ascontiguousarray(rows.transpose(1, 0, 2))[:, None]
+
+    def forward(self, vectors: np.ndarray, first: int = 0, last: int | None = None):
+        """U_b v_k for the columns v_k of a (2^n, r) array and the bases of prefix
+        groups ``first`` to ``last`` (exclusive; default all), laid out
+        (2^{n_L}, r, n, 2^{n_R}) for the n bases ``order[bounds[first]:bounds[last]]``.
+        """
+        d_left, d_right = self.shape
+        if last is None:
+            last = self.n_groups
+        groups = slice(first, last)
+        rank = vectors.shape[1]
+        states = vectors.reshape(d_left, d_right, rank).transpose(0, 2, 1)
+        offset = self.bounds[first] * d_right
+        out = np.empty(
+            (d_left * rank, self.bounds[last] * d_right - offset), dtype=np.complex128
+        )
+        prefix_products = self._left[groups] @ states.reshape(d_left, rank * d_right)
+        for y, cols, right in zip(
+            prefix_products, self._columns[groups], self._right[groups]
+        ):
+            np.matmul(
+                y.reshape(-1, d_right),
+                right.T,
+                out=out[:, cols.start - offset : cols.stop - offset],
+            )
+        return out.reshape(d_left, rank, -1, d_right)
+
+    def adjoint(self, rotated: np.ndarray) -> np.ndarray:
+        """sum_b U_b^T x_b over one vector x_b per basis, given in the layout of
+        ``forward`` (r = 1); the plain transpose, with no conjugation."""
+        d_left, d_right = self.shape
+        x = rotated.reshape(d_left, -1)
+        sums = np.empty((self.n_groups, d_left, d_right), dtype=np.complex128)
+        for total, cols, right in zip(sums, self._columns, self._right):
+            np.matmul(x[:, cols], right, out=total)
+        return (self._left_t @ sums.reshape(-1, d_right)).reshape(-1)
 
 
 def mixture_probabilities(weights, vectors, bases) -> np.ndarray:
-    """(n_bases, 2^n) table of sum_k w_k |U_b v_k|^2 over the columns v_k of ``vectors``.
+    """(n_bases, 2^n) table of sum_k w_k |U_b v_k|^2 over the columns v_k of
+    ``vectors``.
 
-    The (2^n, r) factor is rotated as one row of length r 2^n: its leading
-    axes are the qubits, so ``rotate_states`` cycles them to the back and
-    leaves the r axis first.  Bases go in blocks of about ``_BLOCK_VECTORS``
-    rotated vectors per call.
+    The columns go through ``BasisRotation.forward`` in chunks, each with
+    runs of whole prefix groups, so that a call holds about
+    ``_BLOCK_VECTORS`` rotated vectors and each prefix's left factor meets
+    each column once.
     """
     w = np.asarray(weights, dtype=float)
     v = np.ascontiguousarray(vectors, dtype=np.complex128)
     dim, rank = v.shape
     if w.shape != (rank,):
         raise ValueError(f"weights of shape {w.shape} do not match {rank} vectors")
-    rotations = basis_rotations(bases, qubit_count(dim))
-    row = v.reshape(1, dim * rank)
-    step = max(1, _BLOCK_VECTORS // rank)
-    probs = np.empty((len(rotations), dim))
-    for start in range(0, len(rotations), step):
-        block = rotations[start : start + step]
-        rotated = rotate_states(block, row).reshape(len(block), rank, dim)
-        probs[start : start + len(block)] = w @ np.abs(rotated) ** 2
+    rotation = BasisRotation(bases, qubit_count(dim))
+    bounds, n_groups = rotation.bounds, rotation.n_groups
+    largest = max((b - a for a, b in zip(bounds, bounds[1:])), default=1)
+    step = max(1, _BLOCK_VECTORS // largest)
+    d_left, d_right = rotation.shape
+    table = np.zeros((d_left, len(rotation.order), d_right))
+    for start in range(0, rank, step):
+        columns = slice(start, start + step)
+        max_bases = _BLOCK_VECTORS // min(step, rank - start)
+        first = 0
+        for last in range(1, n_groups + 1):
+            if last < n_groups and bounds[last + 1] - bounds[first] <= max_bases:
+                continue
+            rotated = rotation.forward(v[:, columns], first, last)
+            table[:, bounds[first] : bounds[last]] += np.einsum(
+                "k,ikbj->ibj", w[columns], np.abs(rotated) ** 2
+            )
+            first = last
+    probs = np.empty((len(rotation.order), dim))
+    probs[rotation.order] = table.transpose(1, 0, 2).reshape(-1, dim)
     return probs
 
 

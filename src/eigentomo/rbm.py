@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import jsonio, measurement
+from . import measurement
 from .measurement import EXACT_MODE_MAX_QUBITS
 from .states import StateVector
 
@@ -301,41 +301,3 @@ def unpack_parameters(theta: np.ndarray, n_qubits: int) -> NqsState:
         RbmParams(w, a, b) for a, b, w in split_parameters(theta, n_qubits)
     )
     return NqsState(amplitude_net, phase_net)
-
-
-def save_checkpoint(path, state: NqsState, seed: int | None = None) -> None:
-    def net_doc(net: RbmParams) -> dict:
-        return {
-            "W": net.weights.tolist(),
-            "a": net.visible_bias.tolist(),
-            "b": net.hidden_bias.tolist(),
-        }
-
-    jsonio.dump(
-        {
-            "n": state.amplitude_net.n_visible,
-            "m": state.amplitude_net.n_hidden,
-            "lambda": net_doc(state.amplitude_net),
-            "mu": net_doc(state.phase_net),
-            "seed": seed,
-        },
-        path,
-    )
-
-
-def load_checkpoint(path) -> tuple[NqsState, int | None]:
-    doc = jsonio.load(path)
-
-    def net_of(key: str) -> RbmParams:
-        sub = doc[key]
-        return RbmParams(
-            np.asarray(sub["W"], dtype=float),
-            np.asarray(sub["a"], dtype=float),
-            np.asarray(sub["b"], dtype=float),
-        )
-
-    seed = doc.get("seed")
-    return (
-        NqsState(net_of("lambda"), net_of("mu")),
-        int(seed) if seed is not None else None,
-    )

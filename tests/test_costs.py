@@ -159,12 +159,13 @@ class TestCostGradient:
 
     def test_matches_finite_differences_all_kinds(self):
         rng = np.random.default_rng(10)
-        for instance in range(20):
-            n = 2 + instance % 2
+        cases = [(2, "full"), (3, "full")] * 10
+        cases += [(4, "compressed"), (5, "compressed")] * 3
+        for instance, (n, mode) in enumerate(cases):
             target = random_state(n, seed=100 + instance)
             data = ms.exact_dataset(
                 st.DensityMatrix.from_pure(rbm.to_state_vector(target)),
-                ms.generate_basis_set(n, "full"),
+                ms.generate_basis_set(n, mode, seed=instance),
             )
             orth = rbm.to_state_vector(random_state(n, seed=200 + instance))
             theta = rng.uniform(-0.5, 0.5, rbm.n_parameters(n))

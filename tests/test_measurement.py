@@ -110,7 +110,8 @@ class TestProjectorProbabilities:
 
     @pytest.mark.parametrize("rank", [1, 3])
     def test_mixture_spanning_several_blocks(self, rank):
-        # At n = 6 one rotate_states call holds 256 // rank of the 729 bases.
+        # At n = 6 each of the 27 prefix groups has 27 bases, and one
+        # BasisRotation.forward call holds whole groups of at most 256 // rank bases.
         rng = np.random.default_rng(60 + rank)
         bases = ms.generate_basis_set(6, "full")
         vectors = np.linalg.qr(
@@ -130,14 +131,13 @@ class TestProjectorProbabilities:
             ms.density_probabilities(mat, ["z"])
 
     def test_pure_case_is_rotate_states(self):
+        """The one-state mixture is |U_b psi|^2, checked against dense unitaries."""
         rng = np.random.default_rng(23)
         bases = ms.generate_basis_set(4, "full")
         psi = random_pure(16, rng)
-        rotated = ms.rotate_states(ms.basis_rotations(bases, 4), psi[None])
-        assert np.array_equal(
-            ms.mixture_probabilities([1.0], psi[:, None], bases),
-            np.abs(rotated) ** 2,
-        )
+        expected = [np.abs(dense_rotation(basis) @ psi) ** 2 for basis in bases]
+        probs = ms.mixture_probabilities([1.0], psi[:, None], bases)
+        assert np.allclose(probs, expected, rtol=0, atol=1e-13)
 
     def test_batched_vector_probabilities_match_dense_unitaries(self):
         rng = np.random.default_rng(21)
@@ -180,47 +180,69 @@ class TestProjectorProbabilities:
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def strided_rotate_states(rotations, vectors):
-    """The qubit-strided einsum kernel that ``rotate_states`` replaced."""
-    n_batch, dim = vectors.shape
-    out = vectors
-    for k in range(rotations.shape[1]):
-        out = np.einsum(
-            "buv,bavc->bauc",
-            rotations[:, k],
-            out.reshape(n_batch, 1 << k, 2, dim >> (k + 1)),
-        ).reshape(n_batch, dim)
+def in_list_order(rotation, rotated) -> np.ndarray:
+    """``BasisRotation.forward`` output as (n_bases, r, 2^n), bases in list order."""
+    d_left, rank, n_bases, d_right = rotated.shape
+    out = np.empty((n_bases, rank, d_left * d_right), dtype=complex)
+    out[rotation.order] = rotated.transpose(2, 1, 0, 3).reshape(n_bases, rank, -1)
     return out
 
 
 class TestRotateStates:
+    """``BasisRotation`` against dense Kronecker-product unitaries.
+
+    The first test keeps the name it had when it compared the per-qubit
+    kernel with a strided einsum; it now checks the split kernel against
+    ``dense_rotation`` at 1e-13.
+    """
+
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("mode", ["full", "compressed"])
     def test_bitwise_equal_to_strided_kernel(self, n, mode):
         rng = np.random.default_rng(100 + n)
         bases = ms.generate_basis_set(n, mode, seed=n)
-        forward = ms.basis_rotations(bases, n)
-        transposed = forward.transpose(0, 1, 3, 2).copy()
-        shape = (len(bases), 2**n)
-        broadcast = np.broadcast_to(random_pure(2**n, rng), shape)
-        dense = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for rotations in (forward, transposed):
-            for vectors in (broadcast, dense):
-                got = ms.rotate_states(rotations, vectors)
-                want = strided_rotate_states(rotations, vectors)
-                assert got.shape == shape
-                assert np.array_equal(got.view(float), want.view(float))
-            shared = ms.rotate_states(rotations, broadcast[:1])
-            want = strided_rotate_states(rotations, broadcast)
-            assert np.array_equal(shared.view(float), want.view(float))
+        rotation = ms.BasisRotation(bases, n)
+        dense = np.array([dense_rotation(basis) for basis in bases])
+        psi = random_pure(2**n, rng)
+        pair = np.column_stack([psi, random_pure(2**n, rng)])
+        for vectors in (psi[:, None], pair):
+            got = in_list_order(rotation, rotation.forward(vectors))
+            want = np.einsum("bij,jk->bki", dense, vectors)
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+        pulled = np.array([random_pure(2**n, rng) for _ in bases])
+        got = rotation.adjoint(rotation.arrange(pulled))
+        want = np.einsum("bji,bj->i", dense, pulled)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("mode", ["full", "compressed"])
+    def test_unsorted_bases_and_adjoint_identity(self, n, mode):
+        # sum_b <y_b, U_b v> = <sum_b U_b^T y_b, v> (bilinear, no conjugation),
+        # on a shuffled basis list; n = 1 has an empty left half.
+        rng = np.random.default_rng(200 + n)
+        bases = ms.generate_basis_set(n, mode, seed=n)
+        bases = [bases[i] for i in rng.permutation(len(bases))]
+        rotation = ms.BasisRotation(bases, n)
+        v = random_pure(2**n, rng)
+        rotated = rotation.forward(v[:, None])
+        want = np.array([dense_rotation(basis) @ v for basis in bases])
+        got = in_list_order(rotation, rotated)[:, 0]
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        y = rng.normal(size=want.shape) + 1j * rng.normal(size=want.shape)
+        lhs = np.sum(y * want)
+        rhs = rotation.adjoint(rotation.arrange(y)) @ v
+        assert abs(lhs - rhs) <= 1e-12 * np.sqrt(len(bases))
 
     def test_inputs_untouched(self):
         rng = np.random.default_rng(7)
-        rotations = ms.basis_rotations(ms.generate_basis_set(3), 3)
-        vectors = rng.normal(size=(27, 8)) + 1j * rng.normal(size=(27, 8))
-        before = vectors.copy()
-        ms.rotate_states(rotations, vectors)
-        assert np.array_equal(vectors, before)
+        rotation = ms.BasisRotation(ms.generate_basis_set(3), 3)
+        vectors = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+        pulled = rng.normal(size=(2, 1, 27, 4)) + 1j * rng.normal(size=(2, 1, 27, 4))
+        before = vectors.copy(), pulled.copy()
+        rotation.forward(vectors)
+        rotation.adjoint(pulled)
+        assert np.array_equal(vectors, before[0])
+        assert np.array_equal(pulled, before[1])
 
 
 class TestGenerateBasisSet:

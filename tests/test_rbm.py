@@ -304,24 +304,3 @@ class TestParameterPacking:
         back = rbm.unpack_parameters(theta, 3)
         assert np.array_equal(back.amplitude_net.weights, state.amplitude_net.weights)
         assert np.array_equal(back.phase_net.hidden_bias, state.phase_net.hidden_bias)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        state = rbm.NqsState.uniform_init(2, seed=4, scale=0.3, phase_scale=0.6)
-        path = tmp_path / "state.json"
-        rbm.save_checkpoint(path, state, seed=4)
-        loaded, seed = rbm.load_checkpoint(path)
-        assert seed == 4
-        assert np.array_equal(amplitudes(loaded), amplitudes(state))
-
-    def test_schema_keys(self, tmp_path):
-        from eigentomo import jsonio
-
-        state = rbm.NqsState.uniform_init(2, seed=4)
-        path = tmp_path / "state.json"
-        rbm.save_checkpoint(path, state)
-        doc = jsonio.load(path)
-        assert set(doc) == {"n", "m", "lambda", "mu", "seed"}
-        assert set(doc["lambda"]) == {"W", "a", "b"}
-        assert doc["n"] == 2 and doc["m"] == 2
