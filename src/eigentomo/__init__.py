@@ -30,14 +30,13 @@ from .measurement import (
     w_state,
 )
 from .rbm import NqsState, RbmParams
-from .costs import CostSpec, cost_gradient, cost_value
-from .training import TrainConfig, TrainingLog, train_next_eigenstate, train_pure_state
+from .costs import CostSpec
+from .training import TrainConfig, TrainingLog, train_next_eigenstate
 from .reconstruction import (
     IterationReport,
     SpectralApprox,
     SpectralPair,
     deflate,
-    eigenstate_entropy_profile,
     estimate_dominant_eigenvalue,
     log_likelihood,
     reconstruct,

@@ -234,18 +234,7 @@ def cmd_verify(args) -> int:
     corpus = propositions.default_corpus(
         seed=args.seed, states_per_dim=args.states_per_dim, dims=dims
     )
-    fidelity_fn = None
-    pure_fidelity_fn = None
-    if args.inject_faulty_fidelity:
-        fidelity_fn = lambda a, b: fidelity(a, b) + 0.02  # noqa: E731
-        pure_fidelity_fn = lambda a, b: pure_fidelity(a, b) + 0.02  # noqa: E731
-    result = propositions.run_corpus(
-        corpus,
-        trials=args.trials,
-        seed=args.seed,
-        fidelity_fn=fidelity_fn,
-        pure_fidelity_fn=pure_fidelity_fn,
-    )
+    result = propositions.run_corpus(corpus, trials=args.trials, seed=args.seed)
 
     report_path = _out_path(args, "verify_report.json")
     doc = {
@@ -455,11 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--trials", type=POSITIVE_INT, default=500)
     p_ver.add_argument("--states-per-dim", type=POSITIVE_INT, default=25)
-    p_ver.add_argument(
-        "--inject-faulty-fidelity",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
     p_ver.set_defaults(func=cmd_verify, parser=p_ver)
 
     p_fig = sub.add_parser(

@@ -6,7 +6,8 @@ penalty on squared overlaps with previously extracted states.  Gradients in
 all network parameters are exact and analytic: the per-record sensitivities
 are pulled back through the transposed basis rotations (one adjoint pass of
 ``measurement.BasisRotation``) and contracted against the RBM log-derivative
-tables.
+tables.  ``CostEngine`` compiles one spec against one dataset and gives the
+cost and its gradient together, on the flat parameter vector.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ def cost_terms(kind: str, p, q, floor: float) -> np.ndarray:
 class CostEngine:
     """Precompiled evaluation of one cost spec against one dataset.
 
-    Works on the flat parameter vector used by the trainer; the public
-    ``cost_value``/``cost_gradient`` helpers wrap it for NqsState inputs.
+    Works on the flat parameter vector of ``rbm.pack_parameters``, the one
+    the trainer descends on; ``value_and_grad`` gives the total cost and its
+    exact gradient in that layout.
     """
 
     def __init__(self, spec: CostSpec, data: MeasurementDataset):
@@ -152,22 +154,3 @@ class CostEngine:
         pb = -np.imag(u @ tanh_p)
         pw = -np.imag(s.T @ (u[:, None] * tanh_p))
         return total, rbm.join_parameters((ga, gb, gw), (pa, pb, pw))
-
-
-def cost_value(spec: CostSpec, state: rbm.NqsState, data: MeasurementDataset) -> float:
-    """Total cost of an ansatz state against a dataset."""
-    if data.n_qubits != state.n_qubits:
-        raise ValueError("dataset and state disagree in qubit count")
-    return CostEngine(spec, data).value(rbm.pack_parameters(state))
-
-
-def cost_gradient(
-    spec: CostSpec, state: rbm.NqsState, data: MeasurementDataset
-) -> np.ndarray:
-    """Exact analytic gradient of ``cost_value`` in every network parameter.
-
-    The flat vector is laid out like ``rbm.pack_parameters``.
-    """
-    if data.n_qubits != state.n_qubits:
-        raise ValueError("dataset and state disagree in qubit count")
-    return CostEngine(spec, data).value_and_grad(rbm.pack_parameters(state))[1]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import measurement, reconstruction
 from .costs import DENOM_FLOOR, cost_terms
@@ -108,6 +107,9 @@ def cost_comparison_grid(
             )
         )
 
+    # Imported here so that importing the package does not load scipy.
+    from scipy.stats import spearmanr
+
     infidelity = [1.0 - row.fidelity for row in rows]
     correlations = {}
     for kind in GRID_COSTS:
@@ -119,17 +121,25 @@ def cost_comparison_grid(
     return rows, correlations
 
 
-def entropy_tables(
-    rho: DensityMatrix, bases, psi: StateVector | None = None
-) -> tuple[list[tuple], list[tuple]]:
+def entropy_rows(bases, mixed: np.ndarray, pure: np.ndarray) -> list[tuple]:
+    """Rows (basis, entropy_mixed, entropy_pure) of per-basis probability tables."""
+
+    def entropy(p: np.ndarray) -> float:
+        p = np.clip(p, 0.0, None)
+        nz = p[p > 0]
+        return float(-(nz * np.log(nz)).sum())
+
+    return [(basis, entropy(m), entropy(p)) for basis, m, p in zip(bases, mixed, pure)]
+
+
+def entropy_tables(rho: DensityMatrix, bases) -> tuple[list[tuple], list[tuple]]:
     """Per-basis entropy rows and per-projector probability rows.
 
-    ``psi`` defaults to the dominant eigenstate of ``rho``.  Entropy rows
-    are (basis, entropy_mixed, entropy_pure); probability rows are
-    (basis, outcome string, p_mixed, p_pure).
+    "Pure" is the dominant eigenstate of ``rho``.  Entropy rows are (basis,
+    entropy_mixed, entropy_pure); probability rows are (basis, outcome
+    string, p_mixed, p_pure).
     """
-    if psi is None:
-        psi = eigendecompose(rho).eigenvectors[0]
+    psi = eigendecompose(rho).eigenvectors[0]
     mixed = measurement.density_probabilities(rho, bases)
     pure = measurement.basis_probabilities(psi.amplitudes, bases)
     outcomes = measurement.outcome_strings(rho.n_qubits)
@@ -138,4 +148,4 @@ def entropy_tables(
         for basis, mixed_row, pure_row in zip(bases, mixed.tolist(), pure.tolist())
         for outcome, m, p in zip(outcomes, mixed_row, pure_row)
     ]
-    return reconstruction.entropy_rows(bases, mixed, pure), probability_rows
+    return entropy_rows(bases, mixed, pure), probability_rows

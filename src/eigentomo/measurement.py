@@ -77,20 +77,6 @@ def spin_table(n_qubits: int) -> np.ndarray:
     return table
 
 
-def outcome_index(outcome) -> int:
-    """Basis index of an outcome tuple (+1 maps to bit 0, qubit 0 is the MSB)."""
-    idx = 0
-    for s in outcome:
-        if s not in (1, -1):
-            raise ValueError(f"outcome entries must be +1 or -1, got {s!r}")
-        idx = (idx << 1) | (s == -1)
-    return idx
-
-
-def index_outcome(index: int, n_qubits: int) -> tuple[int, ...]:
-    return tuple(int(s) for s in spin_table(n_qubits)[index])
-
-
 def outcome_string(outcome) -> str:
     return "".join("+" if s == 1 else "-" for s in outcome)
 
@@ -361,12 +347,6 @@ class MeasurementDataset:
     @property
     def n_records(self) -> int:
         return self.probabilities.size
-
-    def basis_row(self, basis: str) -> np.ndarray:
-        try:
-            return self.probabilities[self.bases.index(basis)]
-        except ValueError:
-            raise KeyError(f"basis {basis!r} not present in dataset") from None
 
     def save_jsonl(self, path) -> None:
         """Write a header line, then one line per (basis, outcome) record.

@@ -24,8 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import bell_mixture, make_w_mixture
+# The checks look both fidelities up by these module names at call time, so a
+# caller can wrap or replace them.
 from .states import fidelity as _default_fidelity
-from .states import matrix_of, pure_fidelity as _default_pure_fidelity
+from .states import half_trace_norm, matrix_of
+from .states import pure_fidelity as _default_pure_fidelity
 
 DEFAULT_TOL = 1e-10
 RANK_FIDELITY_TOL = 1e-9
@@ -88,11 +91,9 @@ def check_prop1(
     n_challengers: int,
     seed: int,
     tol: float = DEFAULT_TOL,
-    fidelity_fn=None,
 ) -> PropositionReport:
     """Haar-random pure states never exceed fidelity p_1 with rho."""
     mat = matrix_of(rho)
-    pure_fid = fidelity_fn or _default_pure_fidelity
     vals, vecs = _sorted_spectrum(mat)
     if vals.size > 1 and vals[0] - vals[1] <= 1e-8:
         return PropositionReport(
@@ -100,9 +101,9 @@ def check_prop1(
         )
     rng = np.random.default_rng(seed)
     challengers = haar_states(mat.shape[0], n_challengers, rng)
-    fids = np.array([pure_fid(mat, c) for c in challengers])
+    fids = np.array([_default_pure_fidelity(mat, c) for c in challengers])
     violation = float(max(0.0, fids.max() - vals[0]))
-    attain_err = float(abs(pure_fid(mat, vecs[:, 0]) - vals[0]))
+    attain_err = float(abs(_default_pure_fidelity(mat, vecs[:, 0]) - vals[0]))
     worst = challengers[int(np.argmax(fids))]
     return PropositionReport(
         1,
@@ -116,31 +117,6 @@ def check_prop1(
             "attainment_error": attain_err,
         },
     )
-
-
-def uniqueness_probe(
-    rho, n_challengers: int, seed: int, fidelity_margin: float = 1e-4
-) -> tuple[int, float]:
-    """Near-optimal perturbations of the dominant eigenvector stay close to it.
-
-    Generates challengers as small random rotations of the dominant
-    eigenvector, keeps those within ``fidelity_margin`` of the optimum p_1,
-    and returns (qualifying count, minimum squared overlap with v_1).
-    """
-    mat = matrix_of(rho)
-    vals, vecs = _sorted_spectrum(mat)
-    top = vecs[:, 0]
-    rng = np.random.default_rng(seed)
-    noise = haar_states(mat.shape[0], n_challengers, rng)
-    eps = rng.uniform(0.0, 0.2, size=n_challengers)
-    raw = top[None, :] + eps[:, None] * noise
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    fids = np.real(np.einsum("kd,de,ke->k", raw.conj(), mat, raw))
-    keep = fids >= vals[0] - fidelity_margin
-    if not keep.any():
-        return 0, 1.0
-    overlaps = np.abs(raw[keep] @ top.conj()) ** 2
-    return int(keep.sum()), float(overlaps.min())
 
 
 def check_prop2(
@@ -159,14 +135,12 @@ def check_prop2(
     rng = np.random.default_rng(seed)
     challengers = haar_states(mat.shape[0], n_challengers, rng)
     diffs = mat[None, :, :] - np.einsum("ku,kv->kuv", challengers, challengers.conj())
-    dists = 0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
+    dists = half_trace_norm(diffs)
     lower, upper = 1.0 - vals[0], 1.0 - vals[-1]
     low_viol = float(max(0.0, (lower - dists).max()))
     high_viol = float(max(0.0, (dists - upper).max()))
     top = vecs[:, 0]
-    attained = 0.5 * np.abs(
-        np.linalg.eigvalsh(mat - np.outer(top, top.conj()))
-    ).sum()
+    attained = half_trace_norm(mat - np.outer(top, top.conj()))
     attain_err = float(abs(attained - lower))
     violation = max(low_viol, high_viol, attain_err)
     return PropositionReport(
@@ -189,7 +163,6 @@ def check_prop3(
     n_challengers: int,
     seed: int,
     tol: float = RANK_FIDELITY_TOL,
-    fidelity_fn=None,
 ) -> PropositionReport:
     """Random rank-r states never exceed fidelity kappa(r); truncation attains it.
 
@@ -198,7 +171,6 @@ def check_prop3(
     Tr(D rho D) = sum_j p_j k_j is verified.
     """
     mat = matrix_of(rho)
-    fid = fidelity_fn or _default_fidelity
     dim = mat.shape[0]
     if not 1 <= r <= dim:
         raise ValueError(f"rank {r} out of range 1..{dim}")
@@ -215,7 +187,7 @@ def check_prop3(
         weights = rng.exponential(size=r)
         weights /= weights.sum()
         tau = (q * weights) @ q.conj().T
-        value = fid(mat, tau)
+        value = _default_fidelity(mat, tau)
         if value > max_fid:
             max_fid = value
             worst = tau
@@ -225,7 +197,7 @@ def check_prop3(
         b13_err = max(b13_err, abs(lhs - float(vals @ captured)))
 
     truncated = (vecs[:, :r] * (vals[:r] / kappa)) @ vecs[:, :r].conj().T
-    attain_err = float(abs(fid(mat, truncated) - kappa))
+    attain_err = float(abs(_default_fidelity(mat, truncated) - kappa))
     violation = max(0.0, max_fid - kappa)
     passed = violation <= tol and attain_err <= tol and b13_err <= DEFAULT_TOL * 10
     return PropositionReport(
@@ -267,7 +239,7 @@ def check_prop4(
         shares /= shares.sum()
         weights = vals[:r] + slack * shares
         tau = (vecs[:, :r] * weights) @ vecs[:, :r].conj().T
-        dist = 0.5 * np.abs(np.linalg.eigvalsh(mat - tau)).sum()
+        dist = half_trace_norm(mat - tau)
         worst = max(worst, abs(dist - (1.0 - kappa)))
 
     probe_best = np.inf
@@ -277,9 +249,7 @@ def check_prop4(
         shares = rng.exponential(size=r)
         shares /= shares.sum()
         tau = (q * shares) @ q.conj().T
-        probe_best = min(
-            probe_best, 0.5 * np.abs(np.linalg.eigvalsh(mat - tau)).sum()
-        )
+        probe_best = min(probe_best, half_trace_norm(mat - tau))
 
     return PropositionReport(
         4,
@@ -372,8 +342,6 @@ def run_corpus(
     trials: int = 500,
     rank: int = 2,
     seed: int = 0,
-    fidelity_fn=None,
-    pure_fidelity_fn=None,
 ) -> CorpusResult:
     """Run every proposition check plus the Weyl check over a state corpus."""
     if corpus is None:
@@ -385,9 +353,9 @@ def run_corpus(
         base = seed + 1000 * index
         dim = mat.shape[0]
         r = min(rank, dim)
-        p1 = check_prop1(mat, trials, base, fidelity_fn=pure_fidelity_fn)
+        p1 = check_prop1(mat, trials, base)
         p2 = check_prop2(mat, trials, base + 1)
-        p3 = check_prop3(mat, r, max(trials // 5, 20), base + 2, fidelity_fn=fidelity_fn)
+        p3 = check_prop3(mat, r, max(trials // 5, 20), base + 2)
         p4 = check_prop4(mat, r, max(trials // 5, 20), base + 3)
         probe = haar_states(dim, 1, rng)[0]
         weyl = check_weyl(-np.outer(probe, probe.conj()), mat, 2, base + 4)

@@ -3,8 +3,9 @@
 Two real-valued RBMs over +1/-1 spins define one pure state: the amplitude
 network gives the modulus through its normalized marginal, and the phase
 network gives the argument through half its log-marginal.  For small
-registers every normalization is computed exactly by exhaustive summation;
-block Gibbs sampling is available for the amplitude marginal beyond that.
+registers every normalization is computed exactly by exhaustive summation
+inside ``wavefunction``, the one evaluator of the ansatz; block Gibbs
+sampling is available for the amplitude marginal beyond that.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import measurement
 from .measurement import EXACT_MODE_MAX_QUBITS
@@ -120,16 +120,6 @@ def rbm_log_marginal(params: RbmParams, sigma) -> float:
     return float(log_marginal_table(params, s[None, :])[0])
 
 
-def log_partition(params: RbmParams) -> float:
-    """Log of the visible-layer normalization, by exhaustive summation.
-
-    Only available up to EXACT_MODE_MAX_QUBITS visible nodes; beyond that,
-    draw from the marginal with ``gibbs_sample`` instead.
-    """
-    spins = exact_spin_table(params.n_visible)
-    return log_sum_exp(log_marginal_table(params, spins))
-
-
 @dataclass(frozen=True)
 class NqsState:
     """Pure-state ansatz made of an amplitude RBM and a phase RBM."""
@@ -191,26 +181,6 @@ def to_state_vector(state: NqsState) -> StateVector:
     return StateVector.normalized(wavefunction(pack_parameters(state), spins)[0])
 
 
-def _hidden_on(s: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return expit(2.0 * (s @ w + b))
-
-
-def _visible_on(h: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return expit(2.0 * (w @ h + a))
-
-
-def gibbs_conditional_hidden(params: RbmParams, sigma) -> np.ndarray:
-    """P(h_j = +1 | visible spins): elementwise logistic of 2(W^T s + b)."""
-    s = _spins(sigma, params.n_visible)
-    return _hidden_on(s, params.weights, params.hidden_bias)
-
-
-def gibbs_conditional_visible(params: RbmParams, hidden) -> np.ndarray:
-    """P(s_i = +1 | hidden spins): elementwise logistic of 2(W h + a)."""
-    h = _spins(hidden, params.n_hidden)
-    return _visible_on(h, params.weights, params.visible_bias)
-
-
 def gibbs_sample(
     params: RbmParams,
     n_samples: int,
@@ -221,11 +191,16 @@ def gibbs_sample(
     """Single-chain block Gibbs sampling of the visible marginal.
 
     Starting from a seeded random visible configuration, each sweep resamples
-    the hidden layer given the visible one and then the visible layer given
-    the hidden one.  After ``burn_in`` sweeps, every ``thin``-th visible
-    configuration is emitted.  Returns an (n_samples, n_visible) array of
-    +1/-1 spins; identical seeds give identical output.
+    the hidden layer given the visible one, P(h_j = +1 | s) =
+    logistic(2 (W^T s + b)_j), and then the visible layer given the hidden
+    one, P(s_i = +1 | h) = logistic(2 (W h + a)_i).  After ``burn_in``
+    sweeps, every ``thin``-th visible configuration is emitted.  Returns an
+    (n_samples, n_visible) array of +1/-1 spins; identical seeds give
+    identical output.
     """
+    # Imported here so that importing the package does not load scipy.
+    from scipy.special import expit
+
     if n_samples < 1 or thin < 1 or burn_in < 0:
         raise ValueError("need n_samples >= 1, thin >= 1, burn_in >= 0")
     n, m = params.n_visible, params.n_hidden
@@ -246,8 +221,8 @@ def gibbs_sample(
             ptr = 0
         u = uniforms[ptr]
         ptr += 1
-        h = np.where(u[:m] < _hidden_on(s, w, b), 1.0, -1.0)
-        s = np.where(u[m:] < _visible_on(h, w, a), 1.0, -1.0)
+        h = np.where(u[:m] < expit(2.0 * (s @ w + b)), 1.0, -1.0)
+        s = np.where(u[m:] < expit(2.0 * (w @ h + a)), 1.0, -1.0)
         if t >= burn_in and (t - burn_in + 1) % thin == 0:
             out[emitted] = s
             emitted += 1

@@ -224,32 +224,6 @@ def relative_fidelity(rho: DensityMatrix, approx: SpectralApprox) -> float:
     return fidelity(rho, approx.density_matrix()) / kappa
 
 
-def entropy_rows(bases, mixed: np.ndarray, pure: np.ndarray) -> list[tuple]:
-    """Rows (basis, entropy_mixed, entropy_pure) of per-basis probability tables."""
-
-    def entropy(p: np.ndarray) -> float:
-        p = np.clip(p, 0.0, None)
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
-
-    return [(basis, entropy(m), entropy(p)) for basis, m, p in zip(bases, mixed, pure)]
-
-
-def eigenstate_entropy_profile(source, psi: StateVector, bases) -> list[tuple]:
-    """Per-basis Shannon entropies of the source statistics and of ``psi``.
-
-    ``source`` is either a MeasurementDataset or a density matrix (typed or
-    raw Hermitian).  Returns rows (basis, entropy_mixed, entropy_pure),
-    natural log.
-    """
-    if isinstance(source, MeasurementDataset):
-        mixed = [source.basis_row(basis) for basis in bases]
-    else:
-        mixed = measurement.density_probabilities(source, bases)
-    pure = measurement.basis_probabilities(psi.amplitudes, bases)
-    return entropy_rows(bases, mixed, pure)
-
-
 def reconstruct(
     data: MeasurementDataset,
     max_rank: int,
@@ -273,6 +247,8 @@ def reconstruct(
     steps: list[StepRecord] = []
     notes: list[str] = []
     remaining = 1.0
+    # Log-likelihood of ``pairs``: the ``after`` of the last kept step.
+    kept_likelihood = None
 
     for step in range(1, max_rank + 1):
         config = replace(
@@ -300,14 +276,9 @@ def reconstruct(
             )
         candidate = SpectralApprox(tuple(pairs + [SpectralPair(weight, psi)]))
 
-        if step == 1:
-            before = None
-            after = log_likelihood(candidate, data)
-            accepted = True
-        else:
-            before = log_likelihood(SpectralApprox(tuple(pairs)), data)
-            after = log_likelihood(candidate, data)
-            accepted = after > before
+        before = kept_likelihood
+        after = log_likelihood(candidate, data)
+        accepted = before is None or after > before
 
         eig_fid = None
         gap = None
@@ -348,6 +319,7 @@ def reconstruct(
                 f"one ({pairs[-1].weight:.4g}); extraction order inverted"
             )
         pairs.append(SpectralPair(weight, psi))
+        kept_likelihood = after
         if step == max_rank:
             break
         if 1.0 - weight_raw < 1e-9:

@@ -230,6 +230,15 @@ def pure_fidelity(rho, psi) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def half_trace_norm(diff: np.ndarray) -> np.ndarray:
+    """Half the absolute-eigenvalue sum of each Hermitian matrix in a stack.
+
+    ``diff`` is one (d, d) matrix or a (..., d, d) stack; the result has the
+    stack's leading shape.
+    """
+    return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+
+
 def trace_distance(rho, sigma) -> float:
     """Half the absolute-eigenvalue sum of (rho - sigma).
 
@@ -242,8 +251,7 @@ def trace_distance(rho, sigma) -> float:
     diff = a - b
     if np.abs(diff - diff.conj().T).max() > 1e-9:
         raise ValueError("difference matrix is not Hermitian within tolerance")
-    lam = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.abs(lam).sum())
+    return float(half_trace_norm(diff))
 
 
 def _fix_phase(column: np.ndarray) -> np.ndarray:

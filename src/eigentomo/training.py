@@ -7,12 +7,12 @@ no halving gives a step that does not increase the cost, after ``patience``
 epochs without a relative improvement above ``tol_rel``, once the cost
 reaches 1e-15, or at ``max_epochs``.  Restart k draws its initial parameters
 from seed ``base_seed + k``; restarts run one after another, and the best by
-final cost wins, ties broken by restart index.
+final cost wins, ties broken by restart index.  ``train_next_eigenstate`` is
+the one entry point: with no previous states it is a plain pure-state fit.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,8 +31,6 @@ PHASE_INIT_SCALE = 0.5
 #: Total squared overlap with previous states counted as orthogonal.
 ORTHOGONALITY_TOL = 1e-3
 _COST_FLOOR = 1e-15
-
-LOG_COLUMNS = ("epoch", "cost", "grad_norm", "learning_rate", "restart")
 
 
 @dataclass(frozen=True)
@@ -66,21 +64,6 @@ class TrainingLog:
     diagnostics: list[str] = field(default_factory=list)
     orthogonality_ok: bool | None = None
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LOG_COLUMNS)
-            for epoch, cost, gnorm, lr, restart in self.rows:
-                writer.writerow(
-                    [
-                        epoch,
-                        format(cost, ".17g"),
-                        format(gnorm, ".17g"),
-                        format(lr, ".17g"),
-                        restart,
-                    ]
-                )
-
 
 @dataclass
 class _RestartResult:
@@ -95,12 +78,16 @@ def _run_restart(
     engine: CostEngine, config: TrainConfig, restart: int
 ) -> _RestartResult:
     rng = np.random.default_rng(config.seed + restart)
-    half = rbm.n_parameters(engine.n_qubits) // 2
-    theta = np.concatenate(
-        [
-            rng.uniform(-INIT_SCALE, INIT_SCALE, size=half),
-            rng.uniform(-PHASE_INIT_SCALE, PHASE_INIT_SCALE, size=half),
-        ]
+    n = engine.n_qubits
+    theta = rbm.join_parameters(
+        *(
+            (
+                rng.uniform(-scale, scale, size=n),
+                rng.uniform(-scale, scale, size=n),
+                rng.uniform(-scale, scale, size=(n, n)),
+            )
+            for scale in (INIT_SCALE, PHASE_INIT_SCALE)
+        )
     )
     rows: list[tuple[int, float, float, float, int]] = []
 
@@ -149,17 +136,24 @@ def _run_restart(
     return _RestartResult(restart, best_theta, best_cost, rows)
 
 
-def train_pure_state(
-    data: MeasurementDataset, config: TrainConfig
+def train_next_eigenstate(
+    data: MeasurementDataset,
+    previous: list[StateVector] | tuple[StateVector, ...],
+    config: TrainConfig,
 ) -> tuple[NqsState, TrainingLog]:
-    """Fit a pure ansatz state to measurement statistics.
+    """Fit a pure ansatz state to measurement statistics, orthogonal to
+    previously extracted states.
 
-    Returns the best state over all restarts together with the full training
-    log; identical (data, config) inputs give bit-identical results.
+    With an empty ``previous`` this is a plain pure-state fit.  Returns the
+    best state over all restarts together with the full training log;
+    identical inputs give bit-identical results.  If the trained state fails
+    to reach the orthogonality tolerance, the failure is flagged in the log
+    and the state is still returned.
     """
-    if data.n_records == 0 and not config.cost.orth_states:
+    spec = replace(config.cost, orth_states=tuple(previous))
+    if data.n_records == 0 and not spec.orth_states:
         raise ValueError("dataset is empty and no orthogonality penalty is active")
-    engine = CostEngine(config.cost, data)
+    engine = CostEngine(spec, data)
     results = [_run_restart(engine, config, k) for k in range(config.restarts)]
 
     diagnostics = [
@@ -177,22 +171,7 @@ def train_pure_state(
         best_cost=winner.cost,
         diagnostics=diagnostics,
     )
-    return rbm.unpack_parameters(winner.theta, engine.n_qubits), log
-
-
-def train_next_eigenstate(
-    data: MeasurementDataset,
-    previous: list[StateVector] | tuple[StateVector, ...],
-    config: TrainConfig,
-) -> tuple[NqsState, TrainingLog]:
-    """Fit a state constrained to be orthogonal to previously extracted ones.
-
-    With an empty ``previous`` this is exactly ``train_pure_state``.  If the
-    trained state fails to reach the orthogonality tolerance, the failure is
-    flagged in the log and the state is still returned.
-    """
-    spec = replace(config.cost, orth_states=tuple(previous))
-    state, log = train_pure_state(data, replace(config, cost=spec))
+    state = rbm.unpack_parameters(winner.theta, engine.n_qubits)
     if previous:
         psi = rbm.to_state_vector(state)
         total = float(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eigentomo import measurement as ms
+from eigentomo import propositions as pr
 from eigentomo import states as st
 
 #: One line per acceptance criterion, echoed in the terminal summary.
@@ -53,6 +54,17 @@ def bell_dataset(bell_rho) -> ms.MeasurementDataset:
 @pytest.fixture(scope="session")
 def w4_rho() -> st.DensityMatrix:
     return ms.make_w_mixture(4, [0.860, 0.063, 0.037], seed=7)
+
+
+@pytest.fixture
+def inflated_fidelities(monkeypatch):
+    """Make the proposition checks see both fidelities 0.02 too high."""
+    monkeypatch.setattr(
+        pr, "_default_fidelity", lambda a, b: st.fidelity(a, b) + 0.02
+    )
+    monkeypatch.setattr(
+        pr, "_default_pure_fidelity", lambda a, b: st.pure_fidelity(a, b) + 0.02
+    )
 
 
 _HEADER = '{"n_qubits": 1, "mode": "exact", "seed": null}\n'

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from eigentomo import cli
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
@@ -244,12 +245,12 @@ class TestVerifyCommand:
         assert "--dims" in proc.stderr
         assert not (tmp_path / "verify_report.json").exists()
 
-    def test_fault_injection_exits_three(self, tmp_path):
-        proc = run_cli(
-            "verify", "--dims", "2", "--trials", 10, "--states-per-dim", 2,
-            "--inject-faulty-fidelity", "--out-dir", tmp_path, check=False,
+    def test_fault_injection_exits_three(self, tmp_path, inflated_fidelities):
+        code = cli.main(
+            ["verify", "--dims", "2", "--trials", "10", "--states-per-dim", "2",
+             "--out-dir", str(tmp_path)]
         )
-        assert proc.returncode == 3
+        assert code == 3
         doc = json.loads((tmp_path / "verify_report.json").read_text())
         assert doc["passed"] is False
 
@@ -363,3 +364,19 @@ class TestManifests:
         assert manifest["flags"]["bases"] == "full"
         assert manifest["flags"]["seed"] == 0
         assert manifest["duration_s"] >= 0
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported inside the two functions that use it
+        # (figures.cost_comparison_grid, rbm.gibbs_sample), so synth,
+        # reconstruct and verify never load it.
+        code = (
+            "import sys, eigentomo.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"

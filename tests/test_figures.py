@@ -64,3 +64,18 @@ class TestEntropyTables:
             pure = sum(r[3] for r in probability_rows if r[0] == basis)
             assert mixed == pytest.approx(1.0, abs=1e-9)
             assert pure == pytest.approx(1.0, abs=1e-9)
+
+    def test_maximally_mixed(self):
+        rho = st.DensityMatrix.maximally_mixed(2)
+        rows, _ = figures.entropy_tables(rho, ["zz", "xy"])
+        for _, mixed, _ in rows:
+            assert mixed == pytest.approx(2 * np.log(2), abs=1e-12)
+
+    def test_pure_computational_state_zero_entropy(self):
+        psi = st.StateVector.normalized([1, 0, 0, 0])
+        rho = st.DensityMatrix.from_pure(psi)
+        rows, _ = figures.entropy_tables(rho, ["zz", "xx"])
+        zz, xx = rows
+        assert zz[1] == pytest.approx(0.0, abs=1e-12)
+        assert zz[2] == pytest.approx(0.0, abs=1e-12)
+        assert xx[2] == pytest.approx(2 * np.log(2), abs=1e-12)

@@ -51,18 +51,16 @@ class TestLocalRotation:
 
 class TestOutcomeConventions:
     def test_qubit_zero_is_most_significant(self):
-        assert ms.outcome_index((1, 1)) == 0
-        assert ms.outcome_index((1, -1)) == 1
-        assert ms.outcome_index((-1, 1)) == 2
-        assert ms.outcome_index((-1, -1)) == 3
+        assert ms.outcome_strings(2) == ("++", "+-", "-+", "--")
 
     def test_round_trip(self):
         for i in range(8):
-            assert ms.outcome_index(ms.index_outcome(i, 3)) == i
+            outcome = ms.outcome_string(ms.spin_table(3)[i])
+            assert ms.outcome_strings(3).index(outcome) == i
 
     def test_strings(self):
         assert ms.outcome_string((1, -1, 1)) == "+-+"
-        assert ms.outcome_strings(3)[ms.outcome_index((1, -1, 1))] == "+-+"
+        assert ms.outcome_strings(3)[2] == "+-+"
         assert ms.outcome_strings(1) == ("+", "-")
 
 
@@ -70,7 +68,8 @@ class TestProjectorProbabilities:
     def test_ground_state_all_z(self):
         psi = st.StateVector.normalized([1, 0, 0, 0])
         probs = ms.density_probabilities(st.DensityMatrix.from_pure(psi), ["zz"])[0]
-        assert probs[ms.outcome_index((1, 1))] == pytest.approx(1.0, abs=1e-12)
+        ground = ms.outcome_strings(2).index("++")
+        assert probs[ground] == pytest.approx(1.0, abs=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_uniform(self):
@@ -81,10 +80,10 @@ class TestProjectorProbabilities:
     def test_bell_state_xx(self):
         bell = ms.bell_states()[0]
         probs = ms.density_probabilities(st.DensityMatrix.from_pure(bell), ["xx"])[0]
-        assert probs[ms.outcome_index((1, 1))] == pytest.approx(0.5, abs=1e-12)
-        assert probs[ms.outcome_index((-1, -1))] == pytest.approx(0.5, abs=1e-12)
-        assert probs[ms.outcome_index((1, -1))] == pytest.approx(0.0, abs=1e-12)
-        assert probs[ms.outcome_index((-1, 1))] == pytest.approx(0.0, abs=1e-12)
+        expected = {"++": 0.5, "--": 0.5, "+-": 0.0, "-+": 0.0}
+        for outcome, p in expected.items():
+            index = ms.outcome_strings(2).index(outcome)
+            assert probs[index] == pytest.approx(p, abs=1e-12)
 
     def test_matches_dense_unitary(self):
         rng = np.random.default_rng(20)
@@ -164,7 +163,7 @@ class TestProjectorProbabilities:
             ms.probabilities_vector(v, axis) for v, axis in zip(singles, basis)
         ]
         for i in range(2**n_qubits):
-            outcome = ms.index_outcome(i, n_qubits)
+            outcome = ms.spin_table(n_qubits)[i]
             product = np.prod(
                 [sp[0 if s == 1 else 1] for sp, s in zip(single_probs, outcome)]
             )

@@ -97,9 +97,15 @@ class TestLogMarginal:
         assert np.isfinite(value)
 
 
+def exact_log_normalizer(params: rbm.RbmParams) -> float:
+    """Log of the visible-layer normalization, as ``rbm.wavefunction`` sums it."""
+    spins = rbm.exact_spin_table(params.n_visible)
+    return rbm.log_sum_exp(rbm.log_marginal_table(params, spins))
+
+
 class TestLogPartition:
     def test_zero_params(self):
-        assert rbm.log_partition(rbm.RbmParams.zeros(3)) == pytest.approx(
+        assert exact_log_normalizer(rbm.RbmParams.zeros(3)) == pytest.approx(
             6 * np.log(2)
         )
 
@@ -107,7 +113,7 @@ class TestLogPartition:
         rng = np.random.default_rng(77)
         for _ in range(5):
             params = random_params(4, rng)
-            assert rbm.log_partition(params) == pytest.approx(
+            assert exact_log_normalizer(params) == pytest.approx(
                 np.log(brute_force_partition(params)), rel=1e-9
             )
 
@@ -116,18 +122,19 @@ class TestLogPartition:
         a = rng.normal(size=5)
         params = rbm.RbmParams(np.zeros((5, 5)), a, np.zeros(5))
         expected = np.log(np.prod(2 * np.cosh(a)) * 2**5)
-        assert rbm.log_partition(params) == pytest.approx(expected, rel=1e-12)
+        assert exact_log_normalizer(params) == pytest.approx(expected, rel=1e-12)
 
     def test_cap_enforced(self):
-        params = rbm.RbmParams.zeros(13)
         with pytest.raises(ValueError, match="gibbs_sample"):
-            rbm.log_partition(params)
+            rbm.exact_spin_table(13)
+        with pytest.raises(ValueError, match="gibbs_sample"):
+            rbm.to_state_vector(rbm.NqsState.uniform_init(13, seed=0))
 
 
 class TestAmplitudes:
     def test_zero_params_uniform(self):
         state = rbm.NqsState(rbm.RbmParams.zeros(2), rbm.RbmParams.zeros(2))
-        value = amplitudes(state)[ms.outcome_index([1, -1])]
+        value = amplitudes(state)[ms.outcome_strings(2).index("+-")]
         assert abs(value) == pytest.approx(0.5, abs=1e-12)
         assert np.angle(value) == pytest.approx(np.log(2), abs=1e-12)
 
@@ -147,13 +154,14 @@ class TestAmplitudes:
         state = rbm.NqsState(amp_net, phase_net)
         partition = brute_force_partition(amp_net)
         vec = amplitudes(state)
-        for sigma in ([1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, -1, -1]):
+        for outcome in ("++++", "+-+-", "----"):
+            sigma = [1 if c == "+" else -1 for c in outcome]
             expected = np.sqrt(
                 brute_force_marginal(amp_net, np.asarray(sigma, float)) / partition
             ) * np.exp(
                 0.5j * np.log(brute_force_marginal(phase_net, np.asarray(sigma, float)))
             )
-            value = vec[ms.outcome_index(sigma)]
+            value = vec[ms.outcome_strings(4).index(outcome)]
             assert value == pytest.approx(expected, rel=1e-9)
 
     def test_to_state_vector(self):
@@ -182,14 +190,14 @@ class TestRotatedProbability:
         state = rbm.NqsState.uniform_init(3, seed=5, scale=0.4, phase_scale=0.9)
         vec = amplitudes(state)
         probs = ms.probabilities_vector(vec, "zzz")
-        for sigma in ([1, 1, 1], [1, -1, 1]):
-            index = ms.outcome_index(sigma)
+        for outcome in ("+++", "+-+"):
+            index = ms.outcome_strings(3).index(outcome)
             assert probs[index] == pytest.approx(abs(vec[index]) ** 2, abs=1e-12)
 
     def test_uniform_state_is_plus_state(self):
         state = rbm.NqsState(rbm.RbmParams.zeros(1), rbm.RbmParams.zeros(1))
         probs = ms.probabilities_vector(amplitudes(state), "x")
-        assert probs[ms.outcome_index((1,))] == pytest.approx(1.0, abs=1e-12)
+        assert probs[ms.outcome_strings(1).index("+")] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_unitary(self):
         rng = np.random.default_rng(81)
@@ -209,60 +217,6 @@ class TestRotatedProbability:
         for basis in ("xyzx", "yyyy", "zxzy"):
             assert ms.probabilities_vector(vec, basis).sum() == pytest.approx(
                 1.0, abs=1e-9
-            )
-
-
-class TestGibbsConditionals:
-    def test_zero_params_half(self):
-        params = rbm.RbmParams.zeros(3)
-        assert np.allclose(rbm.gibbs_conditional_hidden(params, [1, -1, 1]), 0.5)
-        assert np.allclose(rbm.gibbs_conditional_visible(params, [-1, 1, -1]), 0.5)
-
-    def test_saturated_bias(self):
-        params = rbm.RbmParams(np.zeros((2, 2)), np.zeros(2), np.array([50.0, 0.0]))
-        probs = rbm.gibbs_conditional_hidden(params, [1, -1])
-        assert abs(1.0 - probs[0]) <= 1e-20
-
-    def test_matches_exhaustive_boltzmann_conditional(self):
-        rng = np.random.default_rng(82)
-        params = random_params(3, rng)
-        sigma = np.array([1.0, -1.0, 1.0])
-        for j in range(3):
-            num = 0.0
-            den = 0.0
-            for h_bits in itertools.product((1.0, -1.0), repeat=3):
-                h = np.asarray(h_bits)
-                weight = np.exp(
-                    sigma @ params.weights @ h
-                    + params.visible_bias @ sigma
-                    + params.hidden_bias @ h
-                )
-                den += weight
-                if h[j] == 1.0:
-                    num += weight
-            assert rbm.gibbs_conditional_hidden(params, sigma)[j] == pytest.approx(
-                num / den, abs=1e-12
-            )
-
-    def test_visible_mirror_matches_exhaustive(self):
-        rng = np.random.default_rng(83)
-        params = random_params(3, rng)
-        hidden = np.array([-1.0, 1.0, 1.0])
-        for i in range(3):
-            num = 0.0
-            den = 0.0
-            for s_bits in itertools.product((1.0, -1.0), repeat=3):
-                s = np.asarray(s_bits)
-                weight = np.exp(
-                    s @ params.weights @ hidden
-                    + params.visible_bias @ s
-                    + params.hidden_bias @ hidden
-                )
-                den += weight
-                if s[i] == 1.0:
-                    num += weight
-            assert rbm.gibbs_conditional_visible(params, hidden)[i] == pytest.approx(
-                num / den, abs=1e-12
             )
 
 

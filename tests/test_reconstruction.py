@@ -261,28 +261,6 @@ class TestRelativeFidelity:
         assert rc.relative_fidelity(rho, approx) == pytest.approx(direct, abs=1e-12)
 
 
-class TestEntropyProfile:
-    def test_maximally_mixed(self):
-        rho = st.DensityMatrix.maximally_mixed(2)
-        rows = rc.eigenstate_entropy_profile(
-            rho, basis_vector(4, 0), ["zz", "xy"]
-        )
-        for _, mixed, _ in rows:
-            assert mixed == pytest.approx(2 * np.log(2), abs=1e-12)
-
-    def test_pure_computational_state_zero_entropy(self):
-        rho = st.DensityMatrix.maximally_mixed(2)
-        rows = rc.eigenstate_entropy_profile(rho, basis_vector(4, 0), ["zz"])
-        assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
-
-    def test_dataset_source(self, bell_rho, bell_dataset):
-        psi = st.eigendecompose(bell_rho).eigenvectors[0]
-        from_rho = rc.eigenstate_entropy_profile(bell_rho, psi, ["xx", "zz"])
-        from_data = rc.eigenstate_entropy_profile(bell_dataset, psi, ["xx", "zz"])
-        for a, b in zip(from_rho, from_data):
-            assert a[1] == pytest.approx(b[1], abs=1e-12)
-
-
 class TestReconstruct:
     def test_pure_state_data_adds_no_second_pair(self):
         target = ms.bell_states()[0]

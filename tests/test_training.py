@@ -33,7 +33,7 @@ class TestTrainPureState:
     def test_recovers_ground_state(self):
         target = st.StateVector.normalized([1, 0, 0, 0])
         data = ms.exact_dataset(st.DensityMatrix.from_pure(target), ["zz", "xx"])
-        state, log = training.train_pure_state(data, quick_config(seed=1))
+        state, log = training.train_next_eigenstate(data, [], quick_config(seed=1))
         psi = rbm.to_state_vector(state)
         assert abs(target.overlap(psi)) ** 2 >= 0.999
         assert log.best_cost < 1e-3
@@ -43,41 +43,41 @@ class TestTrainPureState:
         data = ms.exact_dataset(
             st.DensityMatrix.from_pure(target), ms.generate_basis_set(2, "full")
         )
-        state, _ = training.train_pure_state(
-            data, quick_config(seed=2, max_epochs=6000)
+        state, _ = training.train_next_eigenstate(
+            data, [], quick_config(seed=2, max_epochs=6000)
         )
         psi = rbm.to_state_vector(state)
         assert abs(target.overlap(psi)) ** 2 >= 0.999
 
     def test_mixed_data_approaches_dominant_eigenstate(self, bell_rho, bell_dataset):
         config = quick_config(seed=3, max_epochs=30000, patience=400, tol_rel=1e-7)
-        state, _ = training.train_pure_state(bell_dataset, config)
+        state, _ = training.train_next_eigenstate(bell_dataset, [], config)
         psi = rbm.to_state_vector(state)
         assert st.pure_fidelity(bell_rho, psi) >= 0.899
 
     def test_empty_dataset_rejected(self):
         data = ms.MeasurementDataset(1, (), np.zeros((0, 2)), None, "exact")
         with pytest.raises(ValueError):
-            training.train_pure_state(data, quick_config())
+            training.train_next_eigenstate(data, [], quick_config())
 
     def test_deterministic_logs(self, bell_dataset):
         config = quick_config(seed=4, max_epochs=400, restarts=2)
-        _, log_a = training.train_pure_state(bell_dataset, config)
-        _, log_b = training.train_pure_state(bell_dataset, config)
+        _, log_a = training.train_next_eigenstate(bell_dataset, [], config)
+        _, log_b = training.train_next_eigenstate(bell_dataset, [], config)
         assert log_a.rows == log_b.rows
         assert log_a.winner_restart == log_b.winner_restart
 
     def test_restart_seed_offsets(self, bell_dataset):
         multi = quick_config(seed=10, max_epochs=150, restarts=3, patience=150)
-        _, log_multi = training.train_pure_state(bell_dataset, multi)
+        _, log_multi = training.train_next_eigenstate(bell_dataset, [], multi)
         single = quick_config(seed=11, max_epochs=150, restarts=1, patience=150)
-        _, log_single = training.train_pure_state(bell_dataset, single)
+        _, log_single = training.train_next_eigenstate(bell_dataset, [], single)
         restart1 = [row for row in log_multi.rows if row[4] == 1]
         assert [row[1] for row in restart1] == [row[1] for row in log_single.rows]
 
     def test_best_so_far_non_increasing(self, bell_dataset):
-        _, log = training.train_pure_state(
-            bell_dataset, quick_config(seed=5, max_epochs=500, restarts=1)
+        _, log = training.train_next_eigenstate(
+            bell_dataset, [], quick_config(seed=5, max_epochs=500, restarts=1)
         )
         costs_logged = [row[1] for row in log.rows]
         best = np.minimum.accumulate(costs_logged)
@@ -89,16 +89,10 @@ class TestTrainPureState:
 
         monkeypatch.setattr(costs.CostEngine, "value_and_grad", broken)
         with pytest.raises(RuntimeError, match="all restarts failed"):
-            training.train_pure_state(bell_dataset, quick_config(seed=7))
+            training.train_next_eigenstate(bell_dataset, [], quick_config(seed=7))
 
 
 class TestTrainNextEigenstate:
-    def test_empty_previous_identical_to_plain_training(self, bell_dataset):
-        config = quick_config(seed=9, max_epochs=300, restarts=1)
-        _, log_plain = training.train_pure_state(bell_dataset, config)
-        _, log_next = training.train_next_eigenstate(bell_dataset, [], config)
-        assert log_plain.rows == log_next.rows
-
     def test_orthogonal_complement_recovery(self):
         # With the penalty states spanning all but one direction, the only
         # zero-penalty states are that remaining direction up to phase.
@@ -138,16 +132,3 @@ class TestTrainNextEigenstate:
         assert abs(spectrum.eigenvectors[0].overlap(psi)) ** 2 <= 1e-3
         assert log.orthogonality_ok is True
 
-
-class TestTrainingLog:
-    def test_csv_format(self, tmp_path, bell_dataset):
-        _, log = training.train_pure_state(
-            bell_dataset, quick_config(seed=15, max_epochs=50, restarts=2)
-        )
-        path = tmp_path / "log.csv"
-        log.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,cost,grad_norm,learning_rate,restart"
-        assert len(lines) == len(log.rows) + 1
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[4] == "0"
