@@ -6,8 +6,9 @@ penalty on squared overlaps with previously extracted states.  Gradients in
 all network parameters are exact and analytic: the per-record sensitivities
 are pulled back through the transposed basis rotations (one adjoint pass of
 ``measurement.BasisRotation``) and contracted against the RBM log-derivative
-tables.  ``CostEngine`` compiles one spec against one dataset and gives the
-cost and its gradient together, on the flat parameter vector.
+tables [s | tanh | s (x) tanh] of both networks in one stacked matmul.
+``CostEngine`` compiles one spec against one dataset and gives the cost and
+its gradient together, on the flat parameter vector.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ class CostEngine:
 
     Works on the flat parameter vector of ``rbm.pack_parameters``, the one
     the trainer descends on; ``value_and_grad`` gives the total cost and its
-    exact gradient in that layout.
+    exact gradient in that layout.  The rotated amplitudes, q and the
+    pulled-back product are written into buffers the engine owns (the
+    product over the amplitudes, which it no longer needs).
     """
 
     def __init__(self, spec: CostSpec, data: MeasurementDataset):
@@ -107,11 +110,13 @@ class CostEngine:
         if spec.orth_states and any(s.n_qubits != n for s in spec.orth_states):
             raise ValueError("orth_states do not match the dataset qubit count")
         self.spins = rbm.exact_spin_table(n)
+        self._ones_spins = np.column_stack([np.ones(len(self.spins)), self.spins])
         self.spec = spec
         self.n_qubits = n
-        self.dim = data.dim
         self.rotation = measurement.BasisRotation(data.bases, n)
         self.data_probs = self.rotation.arrange(data.probabilities)
+        self._rotated = np.empty(self.data_probs.shape, dtype=np.complex128)
+        self._q = np.empty(self.data_probs.shape)
         if spec.orth_states:
             self.orth = np.stack([s.amplitudes for s in spec.orth_states])
         else:
@@ -121,36 +126,35 @@ class CostEngine:
         return self.value_and_grad(theta)[0]
 
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
-        psi, tanh_a, tanh_p = rbm.wavefunction(theta, self.spins)
+        psi, tanh = rbm.wavefunction(theta, self.spins)
         probs = self.data_probs
-        floor = DENOM_FLOOR
         total = 0.0
-        pulled = np.zeros(self.dim, dtype=np.complex128)
+        pulled = 0.0
         beta = 0.0
         if probs.size:
-            rotated = self.rotation.forward(psi[:, None])
-            q = np.abs(rotated) ** 2
-            terms, g = cost_terms_and_grads(self.spec.kind, probs, q, floor)
+            rotated = self.rotation.forward(psi[:, None], out=self._rotated)
+            q = np.square(np.abs(rotated, out=self._q), out=self._q)
+            terms, g = cost_terms_and_grads(self.spec.kind, probs, q, DENOM_FLOOR)
             total += float(terms.sum())
             # Plain transpose: record sensitivities are pulled back through U^T.
-            pulled += self.rotation.adjoint(g * rotated.conj())
+            # The product g conj(U psi) overwrites the rotated amplitudes.
+            product = np.multiply(g, np.conjugate(rotated, out=rotated), out=rotated)
+            pulled = self.rotation.adjoint(product)
             beta += float((g * q).sum())
         if self.orth is not None:
             overlaps = self.orth.conj() @ psi
             sq = float((np.abs(overlaps) ** 2).sum())
             total += sq
-            pulled += np.conj(self.orth.T @ overlaps)
+            pulled = pulled + np.conj(self.orth.T @ overlaps)
             beta += sq
 
-        u = pulled * psi
-        weights = np.abs(psi) ** 2
-        s = self.spins
-        ga = np.real(u @ s) - beta * (weights @ s)
-        gb = np.real(u @ tanh_a) - beta * (weights @ tanh_a)
-        gw = np.real(s.T @ (u[:, None] * tanh_a)) - beta * (
-            s.T @ (weights[:, None] * tanh_a)
-        )
-        pa = -np.imag(u @ s)
-        pb = -np.imag(u @ tanh_p)
-        pw = -np.imag(s.T @ (u[:, None] * tanh_p))
-        return total, rbm.join_parameters((ga, gb, gw), (pa, pb, pw))
+        # Per network, d cost / d [a, b, W] = c @ [s | tanh | s (x) tanh] for
+        # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi:
+        # c @ s is the a part and [1 | s]^T (c tanh) the b row above W.  The
+        # rows of c are the real and imaginary floats of conj(u - beta |psi|^2).
+        c = ((np.conj(pulled) - beta * psi) * np.conj(psi)).view(np.float64)
+        c = c.reshape(-1, 2).T
+        bias_weights = self._ones_spins.T @ (c[:, :, None] * tanh)
+        return total, np.concatenate(
+            [c @ self.spins, bias_weights.reshape(2, -1)], axis=1
+        ).reshape(-1)

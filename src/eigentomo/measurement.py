@@ -8,11 +8,14 @@ carry a full grid of 2^n outcome records per basis (zero-probability
 outcomes included), sorted by basis label and then by outcome index.
 
 Every basis rotation goes through one kernel, ``BasisRotation``: it splits
-each U_b into dense left-half and right-half factors and applies each
-distinct left factor once per pass.  Every outcome probability comes from
-``mixture_probabilities``, the table sum_k w_k |U_b v_k|^2 of a weighted set
-of states, which rotates through it.  A pure state is the one-state case, and
-a density matrix is its eigensystem (``density_probabilities``).
+each U_b into a dense left factor on the first k qubits and a dense right
+factor on the others, and applies each distinct left factor once per pass.
+A fixed cost model picks k for each basis list (small registers take k = 0,
+one dense unitary per basis and no per-prefix loop).  Every outcome
+probability comes from ``mixture_probabilities``, the table
+sum_k w_k |U_b v_k|^2 of a weighted set of states, which rotates through it.
+A pure state is the one-state case, and a density matrix is its eigensystem
+(``density_probabilities``).
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ COUNT_RATIO_ATOL = 1e-12
 EXACT_MODE_MAX_QUBITS = 12
 #: Rotated vectors per ``BasisRotation.forward`` call in ``mixture_probabilities``.
 _BLOCK_VECTORS = 256
+#: Modelled cost of one prefix group's Python-level loop iteration, in complex
+#: multiply-adds, for the split-point choice of ``BasisRotation``.
+_GROUP_OVERHEAD_MACS = 5000
 
 
 def local_rotation(axis: str) -> np.ndarray:
@@ -100,17 +106,39 @@ def _kron_rotations(labels: list[str]) -> np.ndarray:
     return stack
 
 
+def _split_point(n_qubits: int, bases) -> int:
+    """The k minimizing the modelled cost of one ``BasisRotation`` pass.
+
+    With G_k distinct k-qubit prefixes among the B bases, the left factors
+    cost G_k 4^k 2^(n-k) multiply-adds, the right factors B 2^k 4^(n-k), and
+    each prefix group a fixed loop overhead.  A pure function of its
+    arguments (ties go to the smaller k), so runs stay bit-identical.
+    """
+    n_bases = len(bases)
+
+    def cost(k: int) -> int:
+        groups = len({basis[:k] for basis in bases})
+        return (
+            groups * (4**k * 2 ** (n_qubits - k) + _GROUP_OVERHEAD_MACS)
+            + n_bases * 2**k * 4 ** (n_qubits - k)
+        )
+
+    return min(range(n_qubits + 1), key=cost)
+
+
 class BasisRotation:
     """The unitaries U_b of a list of bases, each split as U_b = L_b (x) R_b.
 
-    L_b is the dense product of the local rotations of the first n // 2
-    qubits and R_b that of the others.  A state psi, read as the
-    2^{n_L} x 2^{n_R} matrix P, rotates as U_b psi = L_b P R_b^T.  Bases
-    sharing a left prefix g share Y_g = L_g P, so the forward pass applies
-    each distinct left factor once, then one matmul Y_g [R_b1^T ... R_bk^T]
-    per prefix.  The adjoint sum_b U_b^T x_b takes one matmul
-    [X_b1 ... X_bk] [R_b1; ...; R_bk] per prefix, which also sums the group,
-    and one matmul by the stacked L_g^T.
+    L_b is the dense product of the local rotations of the first n_L qubits
+    and R_b that of the others.  The split n_L comes from a cost model
+    (``_split_point``), not from a fixed n // 2: n_L = 0, the pick for small
+    registers, is one empty left factor with the dense U_b as right factors.
+    A state psi, read as the 2^{n_L} x 2^{n_R} matrix P, rotates as
+    U_b psi = L_b P R_b^T.  Bases sharing a left prefix g share Y_g = L_g P,
+    so the forward pass applies each distinct left factor once, then one
+    matmul Y_g [R_b1^T ... R_bk^T] per prefix.  The adjoint sum_b U_b^T x_b
+    takes one matmul [X_b1 ... X_bk] [R_b1; ...; R_bk] per prefix, which also
+    sums the group, and one matmul by the stacked L_g^T.
 
     Rotated vectors are laid out (2^{n_L}, r, n_bases, 2^{n_R}) for r states,
     with the bases in ``order`` (grouped by prefix, otherwise in list order):
@@ -122,7 +150,7 @@ class BasisRotation:
         bases = list(bases)
         for basis in bases:
             validate_basis(basis, n_qubits)
-        n_left = n_qubits // 2
+        n_left = _split_point(n_qubits, bases)
         self.shape = (1 << n_left, 1 << (n_qubits - n_left))
         d_left, d_right = self.shape
         prefixes = sorted({basis[:n_left] for basis in bases})
@@ -162,10 +190,19 @@ class BasisRotation:
         rows = np.asarray(table)[self.order].reshape(-1, d_left, d_right)
         return np.ascontiguousarray(rows.transpose(1, 0, 2))[:, None]
 
-    def forward(self, vectors: np.ndarray, first: int = 0, last: int | None = None):
+    def forward(
+        self,
+        vectors: np.ndarray,
+        first: int = 0,
+        last: int | None = None,
+        out: np.ndarray | None = None,
+    ):
         """U_b v_k for the columns v_k of a (2^n, r) array and the bases of prefix
         groups ``first`` to ``last`` (exclusive; default all), laid out
         (2^{n_L}, r, n, 2^{n_R}) for the n bases ``order[bounds[first]:bounds[last]]``.
+
+        ``out``, if given, is a C-contiguous complex array of that shape that
+        receives the result.
         """
         d_left, d_right = self.shape
         if last is None:
@@ -174,9 +211,10 @@ class BasisRotation:
         rank = vectors.shape[1]
         states = vectors.reshape(d_left, d_right, rank).transpose(0, 2, 1)
         offset = self.bounds[first] * d_right
-        out = np.empty(
-            (d_left * rank, self.bounds[last] * d_right - offset), dtype=np.complex128
-        )
+        width = self.bounds[last] * d_right - offset
+        if out is None:
+            out = np.empty((d_left, rank, width // d_right, d_right), np.complex128)
+        columns = out.reshape(d_left * rank, width)
         prefix_products = self._left[groups] @ states.reshape(d_left, rank * d_right)
         for y, cols, right in zip(
             prefix_products, self._columns[groups], self._right[groups]
@@ -184,9 +222,9 @@ class BasisRotation:
             np.matmul(
                 y.reshape(-1, d_right),
                 right.T,
-                out=out[:, cols.start - offset : cols.stop - offset],
+                out=columns[:, cols.start - offset : cols.stop - offset],
             )
-        return out.reshape(d_left, rank, -1, d_right)
+        return out
 
     def adjoint(self, rotated: np.ndarray) -> np.ndarray:
         """sum_b U_b^T x_b over one vector x_b per basis, given in the layout of

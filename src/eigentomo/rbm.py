@@ -4,8 +4,9 @@ Two real-valued RBMs over +1/-1 spins define one pure state: the amplitude
 network gives the modulus through its normalized marginal, and the phase
 network gives the argument through half its log-marginal.  For small
 registers every normalization is computed exactly by exhaustive summation
-inside ``wavefunction``, the one evaluator of the ansatz; block Gibbs
-sampling is available for the amplitude marginal beyond that.
+inside ``wavefunction``, the one evaluator of the ansatz, which evaluates
+both networks as one stacked (2, ...) pass; block Gibbs sampling is
+available for the amplitude marginal beyond that.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ class RbmParams:
 
 
 def log_two_cosh(x: np.ndarray) -> np.ndarray:
-    """log(2 cosh x) without overflow: |x| + log1p(exp(-2|x|))."""
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax))
+    """log(2 cosh x) without overflow: log(e^x + e^-x) as |x| + log1p(e^-2|x|)."""
+    return np.logaddexp(x, -x)
 
 
 def _spins(sigma, n: int) -> np.ndarray:
@@ -102,9 +102,13 @@ def exact_spin_table(n_qubits: int) -> np.ndarray:
 
 
 def _log_marginal(spins: np.ndarray, a, b, w) -> tuple[np.ndarray, np.ndarray]:
-    """(a.s + sum_j log 2cosh(W^T s + b)_j, W^T s + b) for every row of ``spins``."""
+    """(a.s + sum_j log 2cosh(W^T s + b)_j, W^T s + b) for every row of ``spins``.
+
+    For a stack of networks, ``a`` is (k, n), ``b`` (k, 1, n) and ``w``
+    (k, n, n), and both outputs carry the leading network axis.
+    """
     theta = spins @ w + b
-    return spins @ a + log_two_cosh(theta).sum(axis=-1), theta
+    return a @ spins.T + log_two_cosh(theta).sum(axis=-1), theta
 
 
 def log_marginal_table(params: RbmParams, spins: np.ndarray) -> np.ndarray:
@@ -161,18 +165,19 @@ def wavefunction(theta: np.ndarray, spins: np.ndarray):
     """Amplitudes and hidden-unit tanh tables of flat parameters ``theta``.
 
     ``spins`` is the float (2^n, n) spin table.  Returns the normalized
-    amplitude vector in computational-index order together with
-    tanh(W^T s + b) of the amplitude and of the phase network for every row
-    of ``spins``; the tanh tables are the log-derivative factors of the
-    analytic cost gradients.  Works on raw arrays, because the trainer calls
-    it on every cost evaluation.
+    amplitude vector in computational-index order together with the
+    (2, 2^n, n) stack of tanh(W^T s + b), amplitude network first, for every
+    row of ``spins``; the tanh tables are the log-derivative factors of the
+    analytic cost gradients.  Both networks go through one stacked
+    ``_log_marginal``.  Works on raw arrays, because the trainer calls it on
+    every cost evaluation.
     """
-    amplitude_net, phase_net = split_parameters(theta, spins.shape[1])
-    log_p, theta_a = _log_marginal(spins, *amplitude_net)
-    log_z = log_sum_exp(log_p)
-    phase, theta_p = _log_marginal(spins, *phase_net)
-    psi = np.exp(0.5 * (log_p - log_z) + 0.5j * phase)
-    return psi, np.tanh(theta_a), np.tanh(theta_p)
+    n = spins.shape[1]
+    nets = _network_rows(theta, n)
+    a, b, w = nets[:, :n], nets[:, None, n : 2 * n], nets[:, 2 * n :]
+    (log_p, phase), hidden = _log_marginal(spins, a, b, w.reshape(2, n, n))
+    psi = np.exp(0.5 * (log_p - log_sum_exp(log_p)) + 0.5j * phase)
+    return psi, np.tanh(hidden)
 
 
 def to_state_vector(state: NqsState) -> StateVector:
@@ -251,23 +256,25 @@ def n_parameters(n_qubits: int) -> int:
     return 2 * (n_qubits * n_qubits + 2 * n_qubits)
 
 
+def _network_rows(theta: np.ndarray, n_qubits: int) -> np.ndarray:
+    """A flat parameter vector as a (2, n_parameters / 2) view: one row
+    [a, b, W] per network, amplitude first."""
+    theta = np.asarray(theta, dtype=float)
+    n = n_parameters(n_qubits)
+    if theta.shape != (n,):
+        raise ValueError(f"expected {n} parameters, got {theta.shape}")
+    return theta.reshape(2, n // 2)
+
+
 def split_parameters(theta: np.ndarray, n_qubits: int):
     """Views ((a, b, W) amplitude, (a, b, W) phase) into a flat vector.
 
     The layout is the one ``join_parameters`` writes.
     """
-    theta = np.asarray(theta, dtype=float)
     n = n_qubits
-    if theta.shape != (n_parameters(n),):
-        raise ValueError(f"expected {n_parameters(n)} parameters, got {theta.shape}")
-    span = 2 * n + n * n
     return tuple(
-        (
-            theta[offset : offset + n],
-            theta[offset + n : offset + 2 * n],
-            theta[offset + 2 * n : offset + span].reshape(n, n),
-        )
-        for offset in (0, span)
+        (row[:n], row[n : 2 * n], row[2 * n :].reshape(n, n))
+        for row in _network_rows(theta, n)
     )
 
 

@@ -187,50 +187,71 @@ def in_list_order(rotation, rotated) -> np.ndarray:
     return out
 
 
+def split_points(monkeypatch, n):
+    """Each split point k = 0..n in turn, forced on new ``BasisRotation``s."""
+    for k in range(n + 1):
+        monkeypatch.setattr(ms, "_split_point", lambda n_qubits, bases, k=k: k)
+        yield k
+
+
 class TestRotateStates:
     """``BasisRotation`` against dense Kronecker-product unitaries.
 
     The first test keeps the name it had when it compared the per-qubit
     kernel with a strided einsum; it now checks the split kernel against
-    ``dense_rotation`` at 1e-13.
+    ``dense_rotation`` at 1e-13.  Up to n = 6 both kernel tests run at every
+    split point k = 0..n, not only at the one the cost model picks.
     """
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("mode", ["full", "compressed"])
-    def test_bitwise_equal_to_strided_kernel(self, n, mode):
+    def test_bitwise_equal_to_strided_kernel(self, n, mode, monkeypatch):
         rng = np.random.default_rng(100 + n)
         bases = ms.generate_basis_set(n, mode, seed=n)
-        rotation = ms.BasisRotation(bases, n)
         dense = np.array([dense_rotation(basis) for basis in bases])
         psi = random_pure(2**n, rng)
         pair = np.column_stack([psi, random_pure(2**n, rng)])
-        for vectors in (psi[:, None], pair):
-            got = in_list_order(rotation, rotation.forward(vectors))
-            want = np.einsum("bij,jk->bki", dense, vectors)
-            assert np.allclose(got, want, rtol=0, atol=1e-13)
         pulled = np.array([random_pure(2**n, rng) for _ in bases])
-        got = rotation.adjoint(rotation.arrange(pulled))
-        want = np.einsum("bji,bj->i", dense, pulled)
-        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        for k in split_points(monkeypatch, n):
+            rotation = ms.BasisRotation(bases, n)
+            assert rotation.shape == (2**k, 2 ** (n - k))
+            for vectors in (psi[:, None], pair):
+                got = in_list_order(rotation, rotation.forward(vectors))
+                want = np.einsum("bij,jk->bki", dense, vectors)
+                assert np.allclose(got, want, rtol=0, atol=1e-13)
+            got = rotation.adjoint(rotation.arrange(pulled))
+            want = np.einsum("bji,bj->i", dense, pulled)
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("mode", ["full", "compressed"])
-    def test_unsorted_bases_and_adjoint_identity(self, n, mode):
+    def test_unsorted_bases_and_adjoint_identity(self, n, mode, monkeypatch):
         # sum_b <y_b, U_b v> = <sum_b U_b^T y_b, v> (bilinear, no conjugation),
-        # on a shuffled basis list; n = 1 has an empty left half.
+        # on a shuffled basis list, at every split point for n <= 6 (k = 0 is
+        # an empty left half) and at the modelled one for n = 7, 8.
         rng = np.random.default_rng(200 + n)
         bases = ms.generate_basis_set(n, mode, seed=n)
         bases = [bases[i] for i in rng.permutation(len(bases))]
-        rotation = ms.BasisRotation(bases, n)
         v = random_pure(2**n, rng)
-        rotated = rotation.forward(v[:, None])
         want = np.array([dense_rotation(basis) @ v for basis in bases])
-        got = in_list_order(rotation, rotated)[:, 0]
-        assert np.allclose(got, want, rtol=0, atol=1e-13)
         y = rng.normal(size=want.shape) + 1j * rng.normal(size=want.shape)
         lhs = np.sum(y * want)
-        rhs = rotation.adjoint(rotation.arrange(y)) @ v
-        assert abs(lhs - rhs) <= 1e-12 * np.sqrt(len(bases))
+        for _ in split_points(monkeypatch, n) if n <= 6 else [None]:
+            rotation = ms.BasisRotation(bases, n)
+            rotated = rotation.forward(v[:, None])
+            got = in_list_order(rotation, rotated)[:, 0]
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+            rhs = rotation.adjoint(rotation.arrange(y)) @ v
+            assert abs(lhs - rhs) <= 1e-12 * np.sqrt(len(bases))
+
+    def test_forward_into_given_buffer(self):
+        rng = np.random.default_rng(8)
+        rotation = ms.BasisRotation(ms.generate_basis_set(4, "compressed", 7), 4)
+        vectors = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+        want = rotation.forward(vectors)
+        buffer = np.empty_like(want)
+        assert rotation.forward(vectors, out=buffer) is buffer
+        assert np.array_equal(buffer, want)
 
     def test_inputs_untouched(self):
         rng = np.random.default_rng(7)
@@ -242,6 +263,34 @@ class TestRotateStates:
         rotation.adjoint(pulled)
         assert np.array_equal(vectors, before[0])
         assert np.array_equal(pulled, before[1])
+
+
+class TestSplitPoint:
+    """The cost model picks the split of ``BasisRotation`` from (n, bases) alone."""
+
+    @pytest.mark.parametrize(
+        "n, bases, k",
+        [
+            (2, ms.generate_basis_set(2), 0),
+            (8, ms.generate_basis_set(8, "compressed", 7), 4),
+        ],
+        ids=["bell-full-2", "w8-compressed-8"],
+    )
+    def test_pinned_choice(self, n, bases, k):
+        assert ms._split_point(n, bases) == k
+        assert ms.BasisRotation(bases, n).shape == (2**k, 2 ** (n - k))
+
+    @pytest.mark.parametrize(
+        "n, mode", [(2, "full"), (4, "compressed"), (8, "compressed")]
+    )
+    def test_same_for_rebuilds_and_shuffles(self, n, mode):
+        bases = ms.generate_basis_set(n, mode, 7)
+        shapes = {ms.BasisRotation(bases, n).shape for _ in range(2)}
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            shuffled = [bases[i] for i in rng.permutation(len(bases))]
+            shapes.add(ms.BasisRotation(shuffled, n).shape)
+        assert len(shapes) == 1
 
 
 class TestGenerateBasisSet:

@@ -142,7 +142,7 @@ class TestAmplitudes:
         # The raw evaluator, since to_state_vector renormalizes its output.
         for seed, n in ((0, 2), (1, 4), (2, 4), (3, 7), (4, 10)):
             state = rbm.NqsState.uniform_init(n, seed=seed, scale=0.4, phase_scale=0.8)
-            amps, _, _ = rbm.wavefunction(
+            amps, _ = rbm.wavefunction(
                 rbm.pack_parameters(state), rbm.exact_spin_table(n)
             )
             assert (np.abs(amps) ** 2).sum() == pytest.approx(1.0, abs=1e-9)
@@ -183,6 +183,43 @@ class TestAmplitudes:
                 ms.probabilities_vector(vec, "xy"),
                 atol=1e-12,
             )
+
+
+class TestFusedEvaluator:
+    """``wavefunction`` evaluates both networks as one stack; each slice must
+    equal the per-network tables."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_network_tables(self, n):
+        rng = np.random.default_rng(300 + n)
+        amp_net = random_params(n, rng)
+        phase_net = random_params(n, rng, scale=1.2)
+        if n > 1:
+            # A layout that read W transposed would then give other tables.
+            assert not np.allclose(amp_net.weights, amp_net.weights.T)
+            assert not np.allclose(phase_net.weights, phase_net.weights.T)
+        spins = rbm.exact_spin_table(n)
+        psi, tanh = rbm.wavefunction(
+            rbm.pack_parameters(rbm.NqsState(amp_net, phase_net)), spins
+        )
+        assert psi.shape == (2**n,) and tanh.shape == (2, 2**n, n)
+        log_p = rbm.log_marginal_table(amp_net, spins)
+        phase = rbm.log_marginal_table(phase_net, spins)
+        assert np.allclose(
+            np.log(np.abs(psi) ** 2) + rbm.log_sum_exp(log_p), log_p,
+            rtol=0, atol=1e-12,
+        )
+        # 2 arg psi equals the phase log-marginal modulo 2 pi.
+        assert np.allclose(
+            np.exp(2j * np.angle(psi)), np.exp(1j * phase), rtol=0, atol=1e-12
+        )
+        for k, net in enumerate((amp_net, phase_net)):
+            want = np.tanh(spins @ net.weights + net.hidden_bias)
+            assert np.allclose(tanh[k], want, rtol=0, atol=1e-14)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 16 parameters"):
+            rbm.wavefunction(np.zeros(15), rbm.exact_spin_table(2))
 
 
 class TestRotatedProbability:
