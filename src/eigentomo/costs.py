@@ -69,7 +69,9 @@ def cost_terms_and_grads(
         sign = np.sign(diff)
         if kind == "l1":
             return size, sign
-        return size**1.5, 1.5 * np.sqrt(size) * sign
+        root = np.sqrt(size)
+        sign *= 1.5 * root  # in place: no sixth record-length array alive at once
+        return size * root, sign
     terms = np.zeros(p.shape)
     grads = np.zeros(p.shape)
     if kind == "kl1":

@@ -14,7 +14,10 @@ p_1 >= ... >= p_n and eigenvectors v_1, ..., v_n:
    q_i >= p_i attains trace distance exactly 1 - kappa(r), so the
    trace-distance optimum at fixed rank is massively degenerate.
 
-All checks run on plain Hermitian matrices of any dimension.
+All checks run on plain Hermitian matrices of any dimension.  Each check
+draws its random challengers as one stack and scores the whole stack with
+one fidelity or trace-norm call; the rank-r challengers of checks 3 and 4
+come from one draw, ``_rank_r_challengers``.
 """
 
 from __future__ import annotations
@@ -77,6 +80,18 @@ def _sorted_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
+def _rank_r_challengers(
+    rng: np.random.Generator, dim: int, r: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random rank-r states as (count, dim, r) orthonormal frames q and
+    (count, r) simplex weights w; member k is q_k diag(w_k) q_k^dag."""
+    g = rng.normal(size=(count, dim, r)) + 1j * rng.normal(size=(count, dim, r))
+    frames, _ = np.linalg.qr(g)
+    weights = rng.exponential(size=(count, r))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return frames, weights
+
+
 def _witness(rho: np.ndarray, challenger: np.ndarray) -> dict:
     return {
         "rho_re": rho.real.tolist(),
@@ -101,7 +116,7 @@ def check_prop1(
         )
     rng = np.random.default_rng(seed)
     challengers = haar_states(mat.shape[0], n_challengers, rng)
-    fids = np.array([_default_pure_fidelity(mat, c) for c in challengers])
+    fids = _default_pure_fidelity(mat, challengers)
     violation = float(max(0.0, fids.max() - vals[0]))
     attain_err = float(abs(_default_pure_fidelity(mat, vecs[:, 0]) - vals[0]))
     worst = challengers[int(np.argmax(fids))]
@@ -178,38 +193,30 @@ def check_prop3(
     kappa = float(vals[:r].sum())
     rng = np.random.default_rng(seed)
 
-    max_fid = 0.0
-    b13_err = 0.0
-    worst = None
-    for _ in range(n_challengers):
-        g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-        q, _ = np.linalg.qr(g)
-        weights = rng.exponential(size=r)
-        weights /= weights.sum()
-        tau = (q * weights) @ q.conj().T
-        value = _default_fidelity(mat, tau)
-        if value > max_fid:
-            max_fid = value
-            worst = tau
-        proj = q @ q.conj().T
-        captured = (np.abs(q.conj().T @ vecs) ** 2).sum(axis=0)
-        lhs = float(np.real(np.trace(proj @ mat @ proj)))
-        b13_err = max(b13_err, abs(lhs - float(vals @ captured)))
+    frames, weights = _rank_r_challengers(rng, dim, r, n_challengers)
+    adjoints = frames.conj().swapaxes(1, 2)
+    taus = (frames * weights[:, None, :]) @ adjoints
+    fids = _default_fidelity(mat, taus)
+    best = int(np.argmax(fids))
+    projs = frames @ adjoints
+    captured = (np.abs(adjoints @ vecs) ** 2).sum(axis=1)
+    lhs = np.real(np.trace(projs @ mat @ projs, axis1=1, axis2=2))
+    b13_err = float(np.abs(lhs - captured @ vals).max())
 
     truncated = (vecs[:, :r] * (vals[:r] / kappa)) @ vecs[:, :r].conj().T
     attain_err = float(abs(_default_fidelity(mat, truncated) - kappa))
-    violation = max(0.0, max_fid - kappa)
+    violation = max(0.0, float(fids[best]) - kappa)
     passed = violation <= tol and attain_err <= tol and b13_err <= DEFAULT_TOL * 10
     return PropositionReport(
         3,
         n_challengers,
         float(max(violation, attain_err)),
         passed,
-        witness=_witness(mat, worst) if violation > tol and worst is not None else None,
+        witness=_witness(mat, taus[best]) if violation > tol else None,
         extras={
             "kappa": kappa,
             "attainment_error": attain_err,
-            "b13_max_error": float(b13_err),
+            "b13_max_error": b13_err,
         },
     )
 
@@ -230,35 +237,26 @@ def check_prop4(
         raise ValueError(f"rank {r} out of range 1..{dim}")
     vals, vecs = _sorted_spectrum(mat)
     kappa = float(vals[:r].sum())
-    slack = 1.0 - kappa
     rng = np.random.default_rng(seed)
 
-    worst = 0.0
-    for _ in range(n_family):
-        shares = rng.exponential(size=r)
-        shares /= shares.sum()
-        weights = vals[:r] + slack * shares
-        tau = (vecs[:, :r] * weights) @ vecs[:, :r].conj().T
-        dist = half_trace_norm(mat - tau)
-        worst = max(worst, abs(dist - (1.0 - kappa)))
+    shares = rng.exponential(size=(n_family, r))
+    shares /= shares.sum(axis=1, keepdims=True)
+    top = vecs[:, :r]
+    family = (top * (vals[:r] + (1.0 - kappa) * shares)[:, None, :]) @ top.conj().T
+    worst = float(np.abs(half_trace_norm(mat - family) - (1.0 - kappa)).max())
 
-    probe_best = np.inf
-    for _ in range(min(n_family, 200)):
-        g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-        q, _ = np.linalg.qr(g)
-        shares = rng.exponential(size=r)
-        shares /= shares.sum()
-        tau = (q * shares) @ q.conj().T
-        probe_best = min(probe_best, half_trace_norm(mat - tau))
+    frames, weights = _rank_r_challengers(rng, dim, r, min(n_family, 200))
+    probe = (frames * weights[:, None, :]) @ frames.conj().swapaxes(1, 2)
+    probe_best = float(half_trace_norm(mat - probe).min())
 
     return PropositionReport(
         4,
         n_family,
-        float(worst),
+        worst,
         worst <= tol,
         extras={
             "kappa": kappa,
-            "trace_conjecture_min_gap": float(probe_best - (1.0 - kappa)),
+            "trace_conjecture_min_gap": probe_best - (1.0 - kappa),
         },
     )
 

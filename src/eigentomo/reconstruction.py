@@ -81,11 +81,9 @@ class SpectralApprox:
         total = self.weight_sum
         if total <= 0:
             raise ValueError("cannot normalize an approximation with zero weight")
-        mat = np.zeros((self.pairs[0].state.dim,) * 2, dtype=np.complex128)
-        for pair in self.pairs:
-            mat += (pair.weight / total) * pair.state.projector()
-        mat = 0.5 * (mat + mat.conj().T)
-        return DensityMatrix(mat, self.n_qubits)
+        weights = [pair.weight / total for pair in self.pairs]
+        vectors = np.column_stack([pair.state.amplitudes for pair in self.pairs])
+        return DensityMatrix.from_eigensystem(weights, vectors)
 
     @classmethod
     def from_spectrum(cls, rho: DensityMatrix, r: int) -> "SpectralApprox":

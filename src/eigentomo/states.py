@@ -185,49 +185,55 @@ def vector_of(obj) -> np.ndarray:
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
+    if a.shape != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 def _clean_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues at round-off scale so sqrt does not amplify noise."""
-    cutoff = max(float(vals.max()), 0.0) * vals.size * 1e-14
+    """Zero out round-off-scale eigenvalues of each last-axis spectrum before a sqrt."""
+    cutoff = np.maximum(vals.max(axis=-1, keepdims=True), 0.0) * vals.shape[-1] * 1e-14
     return np.where(vals > cutoff, vals, 0.0)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root via Hermitian eigendecomposition.
+    """Matrix square root, of each member of a stack, via Hermitian eigendecomposition.
 
     Eigenvalues at round-off scale are clamped at zero; anything below the
-    numerical PSD floor is a genuine error in the input.
-    """
+    numerical PSD floor, in any member, is a genuine error in the input."""
     vals, vecs = np.linalg.eigh(mat)
     if float(vals.min()) < FIDELITY_PSD_FLOOR:
         raise ValueError("matrix is not positive semi-definite")
-    return (vecs * np.sqrt(_clean_psd_eigenvalues(vals))) @ vecs.conj().T
+    roots = np.sqrt(_clean_psd_eigenvalues(vals))[..., None, :]
+    return (vecs * roots) @ vecs.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho, sigma) -> float:
-    """Fidelity [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2 between two states."""
+def fidelity(rho, sigma):
+    """Fidelity [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2 between two states.
+
+    A (k, d, d) stack ``sigma`` gives an array of k fidelities, one per member."""
     a = matrix_of(rho)
-    b = matrix_of(sigma)
+    b = np.asarray(sigma, dtype=np.complex128) if np.ndim(sigma) == 3 else matrix_of(sigma)
     _check_same_dim(a, b)
     if float(np.linalg.eigvalsh(a).min()) < FIDELITY_PSD_FLOOR:
         raise ValueError("first argument is not positive semi-definite")
     root = _psd_sqrt(b)
     lam = np.linalg.eigvalsh(root @ a @ root)
-    value = float(np.sqrt(_clean_psd_eigenvalues(lam)).sum() ** 2)
-    return min(max(value, 0.0), 1.0)
+    values = np.clip(np.sqrt(_clean_psd_eigenvalues(lam)).sum(axis=-1) ** 2, 0.0, 1.0)
+    return float(values) if values.ndim == 0 else values
 
 
-def pure_fidelity(rho, psi) -> float:
-    """Fidelity <psi|rho|psi> of a state against a pure state."""
+def pure_fidelity(rho, psi):
+    """Fidelity <psi|rho|psi> of a state against a pure state.
+
+    A (k, d) stack ``psi`` gives an array of k fidelities, one per row."""
     a = matrix_of(rho)
-    v = vector_of(psi)
-    if a.shape[0] != v.size:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.size}")
-    value = float(np.real(v.conj() @ a @ v))
-    return min(max(value, 0.0), 1.0)
+    v = np.asarray(psi, dtype=np.complex128) if np.ndim(psi) == 2 else vector_of(psi)
+    if a.shape[0] != v.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.shape[-1]}")
+    bra = v.conj()
+    # vecdot conjugates its first argument, so this sums psi_i (psi^dag rho)_i.
+    values = np.clip(np.real(np.vecdot(bra, bra @ a)), 0.0, 1.0)
+    return float(values) if values.ndim == 0 else values
 
 
 def half_trace_norm(diff: np.ndarray) -> np.ndarray:

@@ -96,13 +96,14 @@ def _run_restart(
         return _RestartResult(restart, None, np.inf, rows, "non-finite initial cost")
 
     lr = config.learning_rate
-    best_cost = cost
-    best_theta = theta.copy()
+    # Steps never raise the cost, so it is the best so far; theta is rebound, not copied.
+    best_theta = theta
     stall = 0
     for epoch in range(1, config.max_epochs + 1):
         # The gradient at the accepted point doubles as the next step's
         # direction, so the common path costs one evaluation per epoch.
         accepted = False
+        previous = cost
         for _ in range(MAX_HALVINGS + 1):
             candidate = theta - lr * grad
             new_cost, new_grad = engine.value_and_grad(candidate)
@@ -111,29 +112,23 @@ def _run_restart(
                 and np.all(np.isfinite(new_grad))
                 and new_cost <= cost
             ):
-                theta = candidate
-                cost = new_cost
-                grad = new_grad
+                theta, cost, grad = candidate, new_cost, new_grad
                 accepted = True
                 break
             lr *= 0.5
-        gnorm = float(np.linalg.norm(grad))
+        rows.append((epoch, cost, float(np.linalg.norm(grad)), lr, restart))
         if not accepted:
-            rows.append((epoch, cost, gnorm, lr, restart))
             break
-
-        rows.append((epoch, cost, gnorm, lr, restart))
-        if cost < best_cost:
-            improvement = (best_cost - cost) / max(best_cost, _COST_FLOOR)
-            best_cost = cost
-            best_theta = theta.copy()
+        if cost < previous:
+            improvement = (previous - cost) / max(previous, _COST_FLOOR)
+            best_theta = theta
             stall = 0 if improvement > config.tol_rel else stall + 1
         else:
             stall += 1
         if stall >= config.patience or cost <= _COST_FLOOR:
             break
 
-    return _RestartResult(restart, best_theta, best_cost, rows)
+    return _RestartResult(restart, best_theta, cost, rows)
 
 
 def train_next_eigenstate(

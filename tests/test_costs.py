@@ -75,7 +75,7 @@ class TestCostTerms:
             closed = {
                 "l1": (np.abs(p - q), np.sign(q - p)),
                 "l15": (
-                    np.abs(p - q) ** 1.5,
+                    np.abs(p - q) * np.sqrt(np.abs(p - q)),
                     1.5 * np.sqrt(np.abs(q - p)) * np.sign(q - p),
                 ),
                 "kl1": (

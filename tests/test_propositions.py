@@ -94,6 +94,41 @@ class TestProp4:
         assert report.extras["trace_conjecture_min_gap"] >= -1e-10
 
 
+class TestScoringCalls:
+    def test_one_stacked_call_per_check_plus_attainment(self, bell_rho, monkeypatch):
+        calls = []
+        for name in ("_default_fidelity", "_default_pure_fidelity", "half_trace_norm"):
+            def wrapped(*args, _name=name, _inner=getattr(pr, name)):
+                calls.append((_name, np.shape(args[-1])))
+                return _inner(*args)
+
+            monkeypatch.setattr(pr, name, wrapped)
+        mat = bell_rho.entries
+        expected = [
+            (lambda: pr.check_prop1(mat, 500, seed=1), [
+                ("_default_pure_fidelity", (500, 4)),
+                ("_default_pure_fidelity", (4,)),
+            ]),
+            (lambda: pr.check_prop2(mat, 100, seed=2), [
+                ("half_trace_norm", (100, 4, 4)),
+                ("half_trace_norm", (4, 4)),
+            ]),
+            (lambda: pr.check_prop3(mat, 2, 50, seed=3), [
+                ("_default_fidelity", (50, 4, 4)),
+                ("_default_fidelity", (4, 4)),
+            ]),
+            # The family, then the conjecture probe (capped at 200 challengers).
+            (lambda: pr.check_prop4(mat, 2, 300, seed=4), [
+                ("half_trace_norm", (300, 4, 4)),
+                ("half_trace_norm", (200, 4, 4)),
+            ]),
+        ]
+        for check, pinned in expected:
+            calls.clear()
+            assert check().passed
+            assert calls == pinned
+
+
 class TestWeyl:
     def test_commuting_diagonal(self):
         q = np.diag([0.5, 0.3, 0.2]).astype(complex)

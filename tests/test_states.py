@@ -67,16 +67,25 @@ class TestFidelity:
     def test_against_naive_sqrtm_including_dim_three(self):
         rng = np.random.default_rng(10)
         for dim in (2, 3, 4, 8):
-            for _ in range(5):
-                a = random_density_matrix(dim, rng)
-                b = random_density_matrix(dim, rng)
-                assert st.fidelity(a, b) == pytest.approx(
-                    naive_fidelity(a, b), abs=1e-9
-                )
+            pairs = [
+                (random_density_matrix(dim, rng), random_density_matrix(dim, rng))
+                for _ in range(5)
+            ]
+            stack = np.array([b for _, b in pairs])
+            for a, b in pairs:
+                value = st.fidelity(a, b)
+                assert isinstance(value, float)
+                assert value == pytest.approx(naive_fidelity(a, b), abs=1e-9)
+                stacked = st.fidelity(a, stack)
+                assert stacked.shape == (5,)
+                single = [st.fidelity(a, member) for member in stack]
+                np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)
 
     def test_dimension_mismatch(self, bell_rho):
         with pytest.raises(ValueError):
             st.fidelity(bell_rho, st.DensityMatrix.maximally_mixed(1))
+        with pytest.raises(ValueError):
+            st.fidelity(bell_rho, np.array([np.eye(2) / 2] * 3))
 
     def test_non_psd_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
@@ -85,6 +94,8 @@ class TestFidelity:
             st.fidelity(bad, ok)
         with pytest.raises(ValueError):
             st.fidelity(ok, bad)
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            st.fidelity(ok, np.array([ok, bad, ok]))
 
     @settings(max_examples=30, deadline=None)
     @given(hst.integers(0, 2**32 - 1), hst.sampled_from([2, 3, 4, 8, 16]))
@@ -112,15 +123,29 @@ class TestPureFidelity:
     def test_agrees_with_general_fidelity(self):
         rng = np.random.default_rng(11)
         for dim in (2, 4, 8, 16):
-            for _ in range(25):
-                rho = random_density_matrix(dim, rng)
-                v = random_pure(dim, rng)
+            pairs = [
+                (random_density_matrix(dim, rng), random_pure(dim, rng)) for _ in range(25)
+            ]
+            vs = np.array([v for _, v in pairs])
+            projectors = np.einsum("ku,kv->kuv", vs, vs.conj())
+            for rho, v in pairs:
+                value = st.pure_fidelity(rho, v)
                 general = st.fidelity(rho, np.outer(v, v.conj()))
-                assert st.pure_fidelity(rho, v) == pytest.approx(general, abs=1e-9)
+                assert isinstance(value, float)
+                assert value == pytest.approx(general, abs=1e-9)
+                stacked = st.pure_fidelity(rho, vs)
+                assert stacked.shape == (25,)
+                single = [st.pure_fidelity(rho, member) for member in vs]
+                np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(
+                    st.fidelity(rho, projectors), stacked, rtol=0, atol=1e-9
+                )
 
     def test_dimension_mismatch(self, bell_rho):
         with pytest.raises(ValueError):
             st.pure_fidelity(bell_rho, st.StateVector.normalized([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            st.pure_fidelity(bell_rho, np.ones((3, 2)) / np.sqrt(2))
 
 
 class TestTraceDistance:
