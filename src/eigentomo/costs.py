@@ -8,7 +8,7 @@ are pulled back through the transposed basis rotations (one adjoint pass of
 ``measurement.BasisRotation``) and contracted against the RBM log-derivative
 tables [s | tanh | s (x) tanh] of both networks in one stacked matmul.
 ``CostEngine`` compiles one spec against one dataset and gives the cost and
-its gradient together, on the flat parameter vector.
+its gradient together, on the flat parameter vector or on a stack of them.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ class CostEngine:
 
     Works on the flat parameter vector of ``rbm.pack_parameters``, the one
     the trainer descends on; ``value_and_grad`` gives the total cost and its
-    exact gradient in that layout.  The rotated amplitudes, q and the
-    pulled-back product are written into buffers the engine owns (the
-    product over the amplitudes, which it no longer needs).
+    exact gradient in that layout, for one vector or for each row of an
+    (R, P) stack.  The rotated amplitudes, q and the pulled-back product are
+    written into buffers the engine owns (the product over the amplitudes,
+    which it no longer needs), sized for one stack chunk.
     """
 
     def __init__(self, spec: CostSpec, data: MeasurementDataset):
@@ -116,9 +117,17 @@ class CostEngine:
         self.spec = spec
         self.n_qubits = n
         self.rotation = measurement.BasisRotation(data.bases, n)
-        self.data_probs = self.rotation.arrange(data.probabilities)
-        self._rotated = np.empty(self.data_probs.shape, dtype=np.complex128)
-        self._q = np.empty(self.data_probs.shape)
+        # A chunk rotates at most _BLOCK_VECTORS vectors, so that its working
+        # set stays in cache: at n = 8, on the 615-basis set, one 3-member
+        # chunk took 1.3 times as long as three 1-member chunks (2-CPU
+        # machine, one BLAS thread).
+        self._chunk = max(1, measurement._BLOCK_VECTORS // max(1, len(data.bases)))
+        probs = self.rotation.arrange(data.probabilities)
+        buffer_shape = (self._chunk, *probs.shape)
+        #: The dataset probabilities, repeated for each member of a chunk.
+        self.data_probs = np.broadcast_to(probs, buffer_shape)
+        self._rotated = np.empty(buffer_shape, dtype=np.complex128)
+        self._q = np.empty(buffer_shape)
         if spec.orth_states:
             self.orth = np.stack([s.amplitudes for s in spec.orth_states])
         else:
@@ -127,36 +136,60 @@ class CostEngine:
     def value(self, theta: np.ndarray) -> float:
         return self.value_and_grad(theta)[0]
 
-    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, theta):
+        """Cost and gradient of flat parameters ``theta``: a float and a (P,)
+        array, or (R,) costs and (R, P) gradients for an (R, P) stack.
+
+        A stack is evaluated in chunks of members, each member with the bits
+        of its own single-vector call.
+        """
+        theta = np.asarray(theta, dtype=float)
+        stack = theta.reshape(-1, theta.shape[-1])
+        costs = np.empty(len(stack))
+        grads = np.empty(stack.shape)
+        for start in range(0, len(stack), self._chunk):
+            rows = slice(start, start + self._chunk)
+            costs[rows], grads[rows] = self._evaluate(stack[rows])
+        if theta.ndim == 1:
+            return float(costs[0]), grads[0]
+        return costs, grads
+
+    def _evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m,) costs and (m, P) gradients of an (m, P) stack of one chunk."""
+        members = len(theta)
         psi, tanh = rbm.wavefunction(theta, self.spins)
-        probs = self.data_probs
-        total = 0.0
+        probs = self.data_probs[:members]
+        total = np.zeros(members)
         pulled = 0.0
-        beta = 0.0
+        beta = np.zeros(members)
         if probs.size:
-            rotated = self.rotation.forward(psi[:, None], out=self._rotated)
-            q = np.square(np.abs(rotated, out=self._q), out=self._q)
+            rotated = self.rotation.forward(
+                psi[:, :, None], out=self._rotated[:members]
+            )
+            q = self._q[:members]
+            q = np.square(np.abs(rotated, out=q), out=q)
             terms, g = cost_terms_and_grads(self.spec.kind, probs, q, DENOM_FLOOR)
-            total += float(terms.sum())
+            total += terms.reshape(members, -1).sum(axis=1)
             # Plain transpose: record sensitivities are pulled back through U^T.
             # The product g conj(U psi) overwrites the rotated amplitudes.
             product = np.multiply(g, np.conjugate(rotated, out=rotated), out=rotated)
             pulled = self.rotation.adjoint(product)
-            beta += float((g * q).sum())
+            beta += (g * q).reshape(members, -1).sum(axis=1)
         if self.orth is not None:
-            overlaps = self.orth.conj() @ psi
-            sq = float((np.abs(overlaps) ** 2).sum())
+            overlaps = (self.orth.conj() @ psi[:, :, None])[:, :, 0]
+            sq = (np.abs(overlaps) ** 2).sum(axis=1)
             total += sq
-            pulled = pulled + np.conj(self.orth.T @ overlaps)
+            pulled = pulled + np.conj(self.orth.T @ overlaps[:, :, None])[:, :, 0]
             beta += sq
 
         # Per network, d cost / d [a, b, W] = c @ [s | tanh | s (x) tanh] for
         # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi:
         # c @ s is the a part and [1 | s]^T (c tanh) the b row above W.  The
         # rows of c are the real and imaginary floats of conj(u - beta |psi|^2).
-        c = ((np.conj(pulled) - beta * psi) * np.conj(psi)).view(np.float64)
-        c = c.reshape(-1, 2).T
-        bias_weights = self._ones_spins.T @ (c[:, :, None] * tanh)
-        return total, np.concatenate(
-            [c @ self.spins, bias_weights.reshape(2, -1)], axis=1
-        ).reshape(-1)
+        c = ((np.conj(pulled) - beta[:, None] * psi) * np.conj(psi)).view(np.float64)
+        c = c.reshape(members, -1, 2).transpose(0, 2, 1)
+        bias_weights = self._ones_spins.T @ (c[..., None] * tanh)
+        grads = np.concatenate(
+            [c @ self.spins, bias_weights.reshape(members, 2, -1)], axis=-1
+        )
+        return total, grads.reshape(members, -1)

@@ -47,7 +47,8 @@ BASIS_SUM_ATOL = 1e-9
 COUNT_RATIO_ATOL = 1e-12
 #: Largest register for exhaustive 2^n tables (RBM exact mode, dataset loading).
 EXACT_MODE_MAX_QUBITS = 12
-#: Rotated vectors per ``BasisRotation.forward`` call in ``mixture_probabilities``.
+#: Rotated vectors per ``BasisRotation.forward`` call in ``mixture_probabilities``
+#: and, at most, per stack chunk of ``CostEngine.value_and_grad``.
 _BLOCK_VECTORS = 256
 #: Modelled cost of one prefix group's Python-level loop iteration, in complex
 #: multiply-adds, for the split-point choice of ``BasisRotation``.
@@ -143,7 +144,9 @@ class BasisRotation:
     Rotated vectors are laid out (2^{n_L}, r, n_bases, 2^{n_R}) for r states,
     with the bases in ``order`` (grouped by prefix, otherwise in list order):
     in that layout the bases of one prefix form one strided matrix.
-    ``arrange`` puts a per-basis table into the same layout.
+    ``arrange`` puts a per-basis table into the same layout.  Both passes
+    also take a leading stack axis of m members; each member goes through
+    the matmuls of the unstacked call, so it has the same bits.
     """
 
     def __init__(self, bases, n_qubits: int):
@@ -201,6 +204,7 @@ class BasisRotation:
         groups ``first`` to ``last`` (exclusive; default all), laid out
         (2^{n_L}, r, n, 2^{n_R}) for the n bases ``order[bounds[first]:bounds[last]]``.
 
+        An (m, 2^n, r) stack gives an (m, 2^{n_L}, r, n, 2^{n_R}) result.
         ``out``, if given, is a C-contiguous complex array of that shape that
         receives the result.
         """
@@ -208,33 +212,42 @@ class BasisRotation:
         if last is None:
             last = self.n_groups
         groups = slice(first, last)
-        rank = vectors.shape[1]
-        states = vectors.reshape(d_left, d_right, rank).transpose(0, 2, 1)
+        *stack, _, rank = vectors.shape
+        states = vectors.reshape(-1, d_left, d_right, rank).transpose(0, 1, 3, 2)
+        members = len(states)
         offset = self.bounds[first] * d_right
         width = self.bounds[last] * d_right - offset
         if out is None:
-            out = np.empty((d_left, rank, width // d_right, d_right), np.complex128)
-        columns = out.reshape(d_left * rank, width)
-        prefix_products = self._left[groups] @ states.reshape(d_left, rank * d_right)
+            out = np.empty(
+                (*stack, d_left, rank, width // d_right, d_right), np.complex128
+            )
+        columns = out.reshape(members, d_left * rank, width)
+        prefix_products = self._left[groups, None] @ states.reshape(
+            members, d_left, rank * d_right
+        )
         for y, cols, right in zip(
             prefix_products, self._columns[groups], self._right[groups]
         ):
             np.matmul(
-                y.reshape(-1, d_right),
+                y.reshape(members, -1, d_right),
                 right.T,
-                out=columns[:, cols.start - offset : cols.stop - offset],
+                out=columns[:, :, cols.start - offset : cols.stop - offset],
             )
         return out
 
     def adjoint(self, rotated: np.ndarray) -> np.ndarray:
         """sum_b U_b^T x_b over one vector x_b per basis, given in the layout of
-        ``forward`` (r = 1); the plain transpose, with no conjugation."""
+        ``forward`` (r = 1); the plain transpose, with no conjugation.
+
+        A stack of m such layouts gives an (m, 2^n) result.
+        """
         d_left, d_right = self.shape
-        x = rotated.reshape(d_left, -1)
-        sums = np.empty((self.n_groups, d_left, d_right), dtype=np.complex128)
-        for total, cols, right in zip(sums, self._columns, self._right):
-            np.matmul(x[:, cols], right, out=total)
-        return (self._left_t @ sums.reshape(-1, d_right)).reshape(-1)
+        stack = rotated.shape[:-4]
+        x = rotated.reshape(-1, d_left, rotated.shape[-2] * d_right)
+        sums = np.empty((len(x), self.n_groups, d_left, d_right), np.complex128)
+        for total, cols, right in zip(sums.swapaxes(0, 1), self._columns, self._right):
+            np.matmul(x[:, :, cols], right, out=total)
+        return (self._left_t @ sums.reshape(len(x), -1, d_right)).reshape(*stack, -1)
 
 
 def mixture_probabilities(weights, vectors, bases) -> np.ndarray:

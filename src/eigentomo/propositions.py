@@ -149,8 +149,9 @@ def check_prop2(
         )
     rng = np.random.default_rng(seed)
     challengers = haar_states(mat.shape[0], n_challengers, rng)
-    diffs = mat[None, :, :] - np.einsum("ku,kv->kuv", challengers, challengers.conj())
-    dists = half_trace_norm(diffs)
+    # The difference overwrites the outer products: one (k, d, d) stack alive.
+    outer = np.einsum("ku,kv->kuv", challengers, challengers.conj())
+    dists = half_trace_norm(np.subtract(mat, outer, out=outer))
     lower, upper = 1.0 - vals[0], 1.0 - vals[-1]
     low_viol = float(max(0.0, (lower - dists).max()))
     high_viol = float(max(0.0, (dists - upper).max()))

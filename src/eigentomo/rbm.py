@@ -5,7 +5,8 @@ network gives the modulus through its normalized marginal, and the phase
 network gives the argument through half its log-marginal.  For small
 registers every normalization is computed exactly by exhaustive summation
 inside ``wavefunction``, the one evaluator of the ansatz, which evaluates
-both networks as one stacked (2, ...) pass; block Gibbs sampling is
+both networks as one stacked (2, ...) pass, and the 2R networks of R
+parameter vectors as one (R, 2, ...) pass; block Gibbs sampling is
 available for the amplitude marginal beyond that.
 """
 
@@ -20,10 +21,10 @@ from .measurement import EXACT_MODE_MAX_QUBITS
 from .states import StateVector
 
 
-def log_sum_exp(values: np.ndarray) -> float:
-    """Streaming-safe log of a sum of exponentials."""
-    peak = float(values.max())
-    return peak + float(np.log(np.exp(values - peak).sum()))
+def log_sum_exp(values: np.ndarray):
+    """Streaming-safe log of a sum of exponentials along the last axis."""
+    peak = values.max(axis=-1, keepdims=True)
+    return peak[..., 0] + np.log(np.exp(values - peak).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ def exact_spin_table(n_qubits: int) -> np.ndarray:
 def _log_marginal(spins: np.ndarray, a, b, w) -> tuple[np.ndarray, np.ndarray]:
     """(a.s + sum_j log 2cosh(W^T s + b)_j, W^T s + b) for every row of ``spins``.
 
-    For a stack of networks, ``a`` is (k, n), ``b`` (k, 1, n) and ``w``
-    (k, n, n), and both outputs carry the leading network axis.
+    For a stack of networks, ``a`` is (..., n), ``b`` (..., 1, n) and ``w``
+    (..., n, n), and both outputs carry the leading stack axes.
     """
     theta = spins @ w + b
     return a @ spins.T + log_two_cosh(theta).sum(axis=-1), theta
@@ -168,15 +169,18 @@ def wavefunction(theta: np.ndarray, spins: np.ndarray):
     amplitude vector in computational-index order together with the
     (2, 2^n, n) stack of tanh(W^T s + b), amplitude network first, for every
     row of ``spins``; the tanh tables are the log-derivative factors of the
-    analytic cost gradients.  Both networks go through one stacked
+    analytic cost gradients.  An (R, P) stack of parameter vectors gives
+    (R, 2^n) amplitudes and (R, 2, 2^n, n) tables, member r with the bits of
+    ``theta[r]`` alone.  All 2R networks go through one stacked
     ``_log_marginal``.  Works on raw arrays, because the trainer calls it on
     every cost evaluation.
     """
     n = spins.shape[1]
     nets = _network_rows(theta, n)
-    a, b, w = nets[:, :n], nets[:, None, n : 2 * n], nets[:, 2 * n :]
-    (log_p, phase), hidden = _log_marginal(spins, a, b, w.reshape(2, n, n))
-    psi = np.exp(0.5 * (log_p - log_sum_exp(log_p)) + 0.5j * phase)
+    a, b, w = nets[..., :n], nets[..., None, n : 2 * n], nets[..., 2 * n :]
+    log_m, hidden = _log_marginal(spins, a, b, w.reshape(w.shape[:-1] + (n, n)))
+    log_p, phase = log_m[..., 0, :], log_m[..., 1, :]
+    psi = np.exp(0.5 * (log_p - log_sum_exp(log_p)[..., None]) + 0.5j * phase)
     return psi, np.tanh(hidden)
 
 
@@ -258,12 +262,12 @@ def n_parameters(n_qubits: int) -> int:
 
 def _network_rows(theta: np.ndarray, n_qubits: int) -> np.ndarray:
     """A flat parameter vector as a (2, n_parameters / 2) view: one row
-    [a, b, W] per network, amplitude first."""
+    [a, b, W] per network, amplitude first.  An (R, P) stack gives (R, 2, P / 2)."""
     theta = np.asarray(theta, dtype=float)
     n = n_parameters(n_qubits)
-    if theta.shape != (n,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != n:
         raise ValueError(f"expected {n} parameters, got {theta.shape}")
-    return theta.reshape(2, n // 2)
+    return theta.reshape(theta.shape[:-1] + (2, n // 2))
 
 
 def split_parameters(theta: np.ndarray, n_qubits: int):

@@ -159,10 +159,6 @@ class Spectrum:
     def basis_matrix(self) -> np.ndarray:
         return np.column_stack([v.amplitudes for v in self.eigenvectors])
 
-    def reassemble(self) -> np.ndarray:
-        v = self.basis_matrix()
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def matrix_of(obj) -> np.ndarray:
     """Entries of a DensityMatrix, or a complex square ndarray passed through."""

@@ -6,14 +6,18 @@ and the step retried, up to a fixed number of halvings.  A restart ends when
 no halving gives a step that does not increase the cost, after ``patience``
 epochs without a relative improvement above ``tol_rel``, once the cost
 reaches 1e-15, or at ``max_epochs``.  Restart k draws its initial parameters
-from seed ``base_seed + k``; restarts run one after another, and the best by
-final cost wins, ties broken by restart index.  ``train_next_eigenstate`` is
+from seed ``base_seed + k``.  The restarts of one fit run in lockstep: each
+tick evaluates one candidate step of every live restart in one stacked cost
+call, and a restart that stops leaves the stack; each restart still takes
+exactly the steps it would take alone.  The best by final cost wins, ties
+broken by restart index.  ``train_next_eigenstate`` is
 the one entry point: with no previous states it is a plain pure-state fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -66,20 +70,23 @@ class TrainingLog:
 
 
 @dataclass
-class _RestartResult:
+class _Restart:
+    """One restart of a fit: its running state and best parameters."""
+
     restart: int
-    theta: np.ndarray | None
-    cost: float
-    rows: list[tuple[int, float, float, float, int]]
+    lr: float
+    theta: np.ndarray | None = None
+    cost: float = np.inf
     error: str | None = None
+    epoch: int = 1
+    stall: int = 0
+    halvings: int = 0
 
 
-def _run_restart(
-    engine: CostEngine, config: TrainConfig, restart: int
-) -> _RestartResult:
-    rng = np.random.default_rng(config.seed + restart)
-    n = engine.n_qubits
-    theta = rbm.join_parameters(
+def _initial_parameters(n: int, seed: int) -> np.ndarray:
+    """The seeded initial draw of one restart, in the flat parameter layout."""
+    rng = np.random.default_rng(seed)
+    return rbm.join_parameters(
         *(
             (
                 rng.uniform(-scale, scale, size=n),
@@ -89,46 +96,95 @@ def _run_restart(
             for scale in (INIT_SCALE, PHASE_INIT_SCALE)
         )
     )
-    rows: list[tuple[int, float, float, float, int]] = []
 
+
+def _fit_restarts(
+    engine: CostEngine, config: TrainConfig
+) -> tuple[list[_Restart], list[tuple[int, float, float, float, int]]]:
+    """Run every restart of one fit in lockstep; return the restarts in order
+    and the log rows of all of them, restart by restart.
+
+    Each tick scores one candidate per live restart in one stacked
+    ``value_and_grad`` call; a restart that stops leaves the stack.  The
+    stacked members carry the bits of single calls, so each restart sees the
+    evaluations it would see alone.
+    """
+    restarts = [_Restart(k, config.learning_rate) for k in range(config.restarts)]
+    n = engine.n_qubits
+    theta = np.stack([_initial_parameters(n, config.seed + r.restart) for r in restarts])
     cost, grad = engine.value_and_grad(theta)
-    if not np.isfinite(cost) or not np.all(np.isfinite(grad)):
-        return _RestartResult(restart, None, np.inf, rows, "non-finite initial cost")
-
-    lr = config.learning_rate
-    # Steps never raise the cost, so it is the best so far; theta is rebound, not copied.
-    best_theta = theta
-    stall = 0
-    for epoch in range(1, config.max_epochs + 1):
+    finite = np.isfinite(cost) & np.isfinite(grad).all(axis=1)
+    for r, ok in zip(restarts, finite.tolist()):
+        if ok:
+            r.cost = float(cost[r.restart])
+        else:
+            r.error = "non-finite initial cost"
+    live = [r for r in restarts if r.error is None]
+    theta, grad = theta[finite], grad[finite]
+    # Steps never raise the cost, so a restart's best parameters are those of
+    # its last improving step: a row view of that tick's stack, never written.
+    for r, row in zip(live, theta):
+        r.theta = row
+    rates = np.full(len(live), config.learning_rate)
+    # The log is one list in tick order, stably sorted by restart at the end,
+    # so no per-restart lists are joined; its rows share one int object per
+    # epoch number across the restarts, which keeps its memory down.
+    rows: list[tuple[int, float, float, float, int]] = []
+    epochs: list[int] = []
+    while live:
         # The gradient at the accepted point doubles as the next step's
         # direction, so the common path costs one evaluation per epoch.
-        accepted = False
-        previous = cost
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = theta - lr * grad
-            new_cost, new_grad = engine.value_and_grad(candidate)
-            if (
-                np.isfinite(new_cost)
-                and np.all(np.isfinite(new_grad))
-                and new_cost <= cost
-            ):
-                theta, cost, grad = candidate, new_cost, new_grad
-                accepted = True
-                break
-            lr *= 0.5
-        rows.append((epoch, cost, float(np.linalg.norm(grad)), lr, restart))
-        if not accepted:
-            break
-        if cost < previous:
-            improvement = (previous - cost) / max(previous, _COST_FLOOR)
-            best_theta = theta
-            stall = 0 if improvement > config.tol_rel else stall + 1
+        candidate = theta - rates[:, None] * grad
+        new_cost, new_grad = engine.value_and_grad(candidate)
+        finite = (np.isfinite(new_cost) & np.isfinite(new_grad).all(axis=1)).tolist()
+        new_costs = new_cost.tolist()
+        accepted = [
+            ok and c <= r.cost for ok, c, r in zip(finite, new_costs, live)
+        ]
+        if all(accepted):
+            theta, grad = candidate, new_grad
         else:
-            stall += 1
-        if stall >= config.patience or cost <= _COST_FLOOR:
-            break
-
-    return _RestartResult(restart, best_theta, cost, rows)
+            mask = np.array(accepted)[:, None]
+            theta = np.where(mask, candidate, theta)
+            grad = np.where(mask, new_grad, grad)
+        norms = np.sqrt(np.vecdot(grad, grad)).tolist()
+        halved = False
+        stopped = []
+        for i, (r, ok, c) in enumerate(zip(live, accepted, new_costs)):
+            previous = r.cost
+            if ok:
+                r.cost = c
+            else:
+                # Halve the step and retry, up to MAX_HALVINGS times an epoch.
+                r.lr *= 0.5
+                r.halvings += 1
+                halved = True
+                if r.halvings <= MAX_HALVINGS:
+                    continue
+            if r.epoch > len(epochs):
+                epochs.append(r.epoch)
+            rows.append((epochs[r.epoch - 1], r.cost, norms[i], r.lr, r.restart))
+            stop = not ok or r.epoch == config.max_epochs
+            if ok:
+                if c < previous:
+                    improvement = (previous - c) / max(previous, _COST_FLOOR)
+                    r.theta = theta[i]
+                    r.stall = 0 if improvement > config.tol_rel else r.stall + 1
+                else:
+                    r.stall += 1
+                stop = stop or r.stall >= config.patience or c <= _COST_FLOOR
+            r.epoch += 1
+            r.halvings = 0
+            if stop:
+                stopped.append(i)
+        if stopped:
+            keep = [i for i in range(len(live)) if i not in stopped]
+            live = [live[i] for i in keep]
+            theta, grad = theta[keep], grad[keep]
+        if halved or stopped:
+            rates = np.array([r.lr for r in live])
+    rows.sort(key=itemgetter(4))
+    return restarts, rows
 
 
 def train_next_eigenstate(
@@ -149,7 +205,7 @@ def train_next_eigenstate(
     if data.n_records == 0 and not spec.orth_states:
         raise ValueError("dataset is empty and no orthogonality penalty is active")
     engine = CostEngine(spec, data)
-    results = [_run_restart(engine, config, k) for k in range(config.restarts)]
+    results, rows = _fit_restarts(engine, config)
 
     diagnostics = [
         f"restart {r.restart} aborted: {r.error}" for r in results if r.error
@@ -159,7 +215,6 @@ def train_next_eigenstate(
         raise RuntimeError("all restarts failed: " + "; ".join(diagnostics))
     winner = min(survivors, key=lambda r: (r.cost, r.restart))
 
-    rows = [row for r in results for row in r.rows]
     log = TrainingLog(
         rows=rows,
         winner_restart=winner.restart,

@@ -137,6 +137,37 @@ class TestCostValue:
         assert value == pytest.approx(engine.value(theta), rel=1e-12)
 
 
+class TestStackedEvaluation:
+    """A stack of parameter vectors scores each member with the bits of its
+    own single-vector call, across chunk boundaries (n = 4 takes 4 members a
+    chunk, n = 5 takes 2) and in the penalty-only branch."""
+
+    @pytest.mark.parametrize("n, mode", [(1, "full"), (2, "full"), (3, "full"),
+                                         (4, "compressed"), (5, "compressed")])
+    def test_members_bitwise_equal_to_single_calls(self, n, mode):
+        rng = np.random.default_rng(400 + n)
+        target = rbm.to_state_vector(random_state(n, seed=400 + n))
+        data = ms.exact_dataset(
+            st.DensityMatrix.from_pure(target), ms.generate_basis_set(n, mode, seed=n)
+        )
+        empty = ms.MeasurementDataset(n, (), np.zeros((0, 2**n)), None, "exact")
+        orth = (rbm.to_state_vector(random_state(n, seed=500 + n)),)
+        thetas = rng.uniform(-0.5, 0.5, (5, rbm.n_parameters(n)))
+        cases = [(kind, penalty, data) for kind in costs.COST_KINDS
+                 for penalty in ((), orth)]
+        cases.append(("l15", orth, empty))
+        for kind, penalty, dataset in cases:
+            engine = costs.CostEngine(costs.CostSpec(kind, penalty), dataset)
+            singles = [engine.value_and_grad(theta) for theta in thetas]
+            for size in (1, 2, 3, 5):
+                values, grads = engine.value_and_grad(thetas[-size:])
+                assert values.shape == (size,)
+                assert grads.shape == (size, rbm.n_parameters(n))
+                for (value, grad), got, got_grad in zip(singles[-size:], values, grads):
+                    assert got == value
+                    assert np.array_equal(got_grad, grad)
+
+
 class TestCostGradient:
     def test_gradient_zero_at_smooth_minimum(self):
         state = random_state(2, seed=7)

@@ -244,6 +244,27 @@ class TestRotateStates:
             rhs = rotation.adjoint(rotation.arrange(y)) @ v
             assert abs(lhs - rhs) <= 1e-12 * np.sqrt(len(bases))
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_stack_members_bitwise_equal(self, n, monkeypatch):
+        # Each member of an (m, 2^n, r) stack, and of an (m, ...) adjoint
+        # stack, has the bits of its own unstacked call, at every split point.
+        rng = np.random.default_rng(150 + n)
+        bases = ms.generate_basis_set(n, "full")
+        vectors = rng.normal(size=(3, 2**n, 2)) + 1j * rng.normal(size=(3, 2**n, 2))
+        pulled = rng.normal(size=(3, len(bases), 2**n)) * (1 + 1j)
+        for _ in split_points(monkeypatch, n):
+            rotation = ms.BasisRotation(bases, n)
+            for rank in (1, 2):
+                stacked = rotation.forward(vectors[:, :, :rank])
+                for member in range(3):
+                    single = rotation.forward(vectors[member, :, :rank])
+                    assert np.array_equal(stacked[member], single)
+            layouts = np.stack([rotation.arrange(x) for x in pulled])
+            summed = rotation.adjoint(layouts)
+            assert summed.shape == (3, 2**n)
+            for member in range(3):
+                assert np.array_equal(summed[member], rotation.adjoint(layouts[member]))
+
     def test_forward_into_given_buffer(self):
         rng = np.random.default_rng(8)
         rotation = ms.BasisRotation(ms.generate_basis_set(4, "compressed", 7), 4)

@@ -83,6 +83,32 @@ class TestTrainPureState:
         best = np.minimum.accumulate(costs_logged)
         assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
 
+    def test_aborted_restart_leaves_the_others_unchanged(
+        self, bell_dataset, monkeypatch
+    ):
+        config = quick_config(seed=20, max_epochs=300, restarts=3)
+        _, clean = training.train_next_eigenstate(bell_dataset, [], config)
+        evaluate = costs.CostEngine.value_and_grad
+        stack_sizes = []
+
+        def first_cost_of_restart1_nan(self, theta):
+            cost, grad = evaluate(self, theta)
+            if not stack_sizes:
+                cost = cost.copy()
+                cost[1] = np.nan
+            stack_sizes.append(len(theta))
+            return cost, grad
+
+        monkeypatch.setattr(
+            costs.CostEngine, "value_and_grad", first_cost_of_restart1_nan
+        )
+        _, log = training.train_next_eigenstate(bell_dataset, [], config)
+        assert log.diagnostics == ["restart 1 aborted: non-finite initial cost"]
+        assert log.rows == [row for row in clean.rows if row[4] != 1]
+        # One stacked call per tick: the survivors share each evaluation.
+        assert stack_sizes[:2] == [3, 2]
+        assert len(stack_sizes) < len(log.rows)
+
     def test_all_restarts_failing_raises(self, bell_dataset, monkeypatch):
         def broken(self, theta):
             return np.nan, np.full(theta.shape, np.nan)
