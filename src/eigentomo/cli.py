@@ -140,7 +140,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _table_row(args, approx, report, truth, target) -> dict:
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _table_row(approx, report, truth, target) -> dict:
     row: dict = {key: None for key in REPORT_COLUMNS}
     row["n_qubits"] = approx.n_qubits
     accepted = [s for s in report.steps if s.accepted]
@@ -212,12 +219,9 @@ def cmd_reconstruct(args) -> int:
         result_path,
     )
 
-    row = _table_row(args, approx, report, truth, target)
+    row = _table_row(approx, report, truth, target)
     report_path = _out_path(args, "report.csv")
-    with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerow([_fmt(row[key]) for key in REPORT_COLUMNS])
+    _write_csv(report_path, REPORT_COLUMNS, [[_fmt(row[k]) for k in REPORT_COLUMNS]])
 
     inputs = [args.dataset] + [p for p in (args.truth, args.target) if p]
     _write_manifest(args, inputs, [result_path, report_path], started)
@@ -277,31 +281,26 @@ def cmd_figdata(args) -> int:
             floor=args.floor,
         )
         grid_path = _out_path(args, "fig3.csv")
-        with open(grid_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
+        _write_csv(
+            grid_path,
+            ["index", "strength", "fidelity", "eps_fidelity", "p1_estimate", "eps_p1"]
+            + [f"cost_{kind}" for kind in figures.GRID_COSTS],
+            (
                 [
-                    "index",
-                    "strength",
-                    "fidelity",
-                    "eps_fidelity",
-                    "p1_estimate",
-                    "eps_p1",
-                ]
-                + [f"cost_{kind}" for kind in figures.GRID_COSTS]
-            )
-            for row in rows:
-                writer.writerow(
-                    [
+                    _fmt(value)
+                    for value in (
                         row.index,
-                        _fmt(row.strength),
-                        _fmt(row.fidelity),
-                        _fmt(row.eps_fidelity),
-                        _fmt(row.p1_estimate),
-                        _fmt(row.eps_p1),
-                    ]
-                    + [_fmt(row.costs[kind]) for kind in figures.GRID_COSTS]
-                )
+                        row.strength,
+                        row.fidelity,
+                        row.eps_fidelity,
+                        row.p1_estimate,
+                        row.eps_p1,
+                        *(row.costs[kind] for kind in figures.GRID_COSTS),
+                    )
+                ]
+                for row in rows
+            ),
+        )
         summary_path = _out_path(args, "fig3_summary.json")
         jsonio.dump(
             {
@@ -318,17 +317,17 @@ def cmd_figdata(args) -> int:
     else:
         entropy_rows, probability_rows = figures.entropy_tables(rho, bases)
         entropy_path = _out_path(args, "fig4_entropy.csv")
-        with open(entropy_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["basis", "entropy_mixed", "entropy_pure"])
-            for basis, h_mixed, h_pure in entropy_rows:
-                writer.writerow([basis, _fmt(h_mixed), _fmt(h_pure)])
+        _write_csv(
+            entropy_path,
+            ["basis", "entropy_mixed", "entropy_pure"],
+            ([basis, _fmt(hm), _fmt(hp)] for basis, hm, hp in entropy_rows),
+        )
         prob_path = _out_path(args, "fig4_probabilities.csv")
-        with open(prob_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["basis", "outcome", "p_mixed", "p_pure"])
-            for basis, outcome, p_mixed, p_pure in probability_rows:
-                writer.writerow([basis, outcome, _fmt(p_mixed), _fmt(p_pure)])
+        _write_csv(
+            prob_path,
+            ["basis", "outcome", "p_mixed", "p_pure"],
+            ([b, o, _fmt(pm), _fmt(pp)] for b, o, pm, pp in probability_rows),
+        )
         outputs = [entropy_path, prob_path]
         reduced = sum(1 for _, hm, hp in entropy_rows if hp <= hm)
         print(

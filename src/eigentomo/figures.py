@@ -42,18 +42,6 @@ def _grid_cost(kind: str, p: np.ndarray, q: np.ndarray) -> float:
     return float(cost_terms(kind, p, q, DENOM_FLOOR).sum())
 
 
-def _perturbed_state(
-    base: np.ndarray, strength: float, rng: np.random.Generator
-) -> StateVector:
-    dim = base.size
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    herm = 0.5 * (g + g.conj().T)
-    herm /= np.abs(np.linalg.eigvalsh(herm)).max()
-    vals, vecs = np.linalg.eigh(herm)
-    unitary = (vecs * np.exp(1j * strength * vals)) @ vecs.conj().T
-    return StateVector.normalized(unitary @ base)
-
-
 def cost_comparison_grid(
     rho: DensityMatrix,
     bases,
@@ -87,7 +75,8 @@ def cost_comparison_grid(
         if strength == 0.0:
             psi = dominant_state
         else:
-            psi = _perturbed_state(dominant, float(strength), rng)
+            rotation = measurement._random_rotation(dominant.size, float(strength), rng)
+            psi = StateVector.normalized(rotation @ dominant)
         fid = float(abs(dominant_state.overlap(psi)) ** 2)
         estimate, _ = reconstruction.estimate_dominant_eigenvalue(data, psi, floor)
         q = measurement.basis_probabilities(psi.amplitudes, data.bases)

@@ -566,6 +566,16 @@ def bell_mixture(eigenvalues=(0.9, 0.09, 0.009, 0.001)) -> DensityMatrix:
     return DensityMatrix.from_eigensystem(p, basis)
 
 
+def _random_rotation(dim: int, angle: float, rng: np.random.Generator) -> np.ndarray:
+    """Seeded random unitary exp(i angle H), H a random Hermitian matrix
+    scaled to spectral radius 1, so no eigenphase exceeds ``angle`` radians."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    herm = 0.5 * (g + g.conj().T)
+    herm /= np.abs(np.linalg.eigvalsh(herm)).max()
+    vals, vecs = np.linalg.eigh(herm)
+    return (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+
+
 def make_w_mixture(
     n_qubits: int,
     spectrum,
@@ -609,12 +619,6 @@ def make_w_mixture(
         q = -q
 
     if perturbation != 0.0:
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        herm = 0.5 * (g + g.conj().T)
-        herm /= np.abs(np.linalg.eigvalsh(herm)).max()
-        hv, hw = np.linalg.eigh(herm)
-        unitary = (hw * np.exp(1j * perturbation * hv)) @ hw.conj().T
-        q = unitary @ q
+        q = _random_rotation(dim, perturbation, np.random.default_rng(seed)) @ q
 
     return DensityMatrix.from_eigensystem(eigenvalues, q)

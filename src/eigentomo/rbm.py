@@ -20,6 +20,9 @@ from . import measurement
 from .measurement import EXACT_MODE_MAX_QUBITS
 from .states import StateVector
 
+#: Most Gibbs chains advanced together by ``gibbs_sample``.
+_CHAINS = 256
+
 
 def log_sum_exp(values: np.ndarray):
     """Streaming-safe log of a sum of exponentials along the last axis."""
@@ -197,15 +200,18 @@ def gibbs_sample(
     thin: int = 1,
     seed: int = 0,
 ) -> np.ndarray:
-    """Single-chain block Gibbs sampling of the visible marginal.
+    """Block Gibbs sampling of the visible marginal, chains in lockstep.
 
-    Starting from a seeded random visible configuration, each sweep resamples
-    the hidden layer given the visible one, P(h_j = +1 | s) =
-    logistic(2 (W^T s + b)_j), and then the visible layer given the hidden
-    one, P(s_i = +1 | h) = logistic(2 (W h + a)_i).  After ``burn_in``
-    sweeps, every ``thin``-th visible configuration is emitted.  Returns an
-    (n_samples, n_visible) array of +1/-1 spins; identical seeds give
-    identical output.
+    K = min(_CHAINS, n_samples) chains start from seeded random visible
+    configurations and advance together.  Each sweep resamples every chain's
+    hidden layer given its visible one, P(h_j = +1 | s) =
+    logistic(2 (W^T s + b)_j), and then its visible layer given the hidden
+    one, P(s_i = +1 | h) = logistic(2 (W h + a)_i), from one (K, m + n)
+    block of uniforms.  After ``burn_in`` sweeps, every ``thin``-th sweep
+    emits each chain's visible configuration.  Returns an (n_samples,
+    n_visible) array of +1/-1 spins, chain-major (chain 0's samples in sweep
+    order, then chain 1's, ...) and truncated to ``n_samples``; identical
+    seeds give identical output.
     """
     # Imported here so that importing the package does not load scipy.
     from scipy.special import expit
@@ -213,29 +219,21 @@ def gibbs_sample(
     if n_samples < 1 or thin < 1 or burn_in < 0:
         raise ValueError("need n_samples >= 1, thin >= 1, burn_in >= 0")
     n, m = params.n_visible, params.n_hidden
+    chains = min(_CHAINS, n_samples)
+    per_chain = -(-n_samples // chains)
     rng = np.random.default_rng(seed)
-    s = (rng.integers(0, 2, size=n) * 2 - 1).astype(float)
+    s = (rng.integers(0, 2, size=(chains, n)) * 2 - 1).astype(float)
     w = params.weights
     a = params.visible_bias
     b = params.hidden_bias
-    out = np.empty((n_samples, n), dtype=np.int8)
-    total = burn_in + n_samples * thin
-    chunk = 8192
-    uniforms = np.empty((0, m + n))
-    ptr = 0
-    emitted = 0
-    for t in range(total):
-        if ptr == uniforms.shape[0]:
-            uniforms = rng.random((min(chunk, total - t), m + n))
-            ptr = 0
-        u = uniforms[ptr]
-        ptr += 1
-        h = np.where(u[:m] < expit(2.0 * (s @ w + b)), 1.0, -1.0)
-        s = np.where(u[m:] < expit(2.0 * (w @ h + a)), 1.0, -1.0)
+    out = np.empty((per_chain, chains, n), dtype=np.int8)
+    for t in range(burn_in + per_chain * thin):
+        u = rng.random((chains, m + n))
+        h = np.where(u[:, :m] < expit(2.0 * (s @ w + b)), 1.0, -1.0)
+        s = np.where(u[:, m:] < expit(2.0 * (h @ w.T + a)), 1.0, -1.0)
         if t >= burn_in and (t - burn_in + 1) % thin == 0:
-            out[emitted] = s
-            emitted += 1
-    return out
+            out[(t - burn_in) // thin] = s
+    return out.transpose(1, 0, 2).reshape(-1, n)[:n_samples]
 
 
 def join_parameters(amplitude, phase) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import measurement, rbm
+from . import measurement
 from .measurement import MeasurementDataset
 from .states import DensityMatrix, StateVector, eigendecompose, fidelity
 from .training import TrainConfig, train_next_eigenstate
@@ -46,7 +46,6 @@ class SpectralApprox:
     """Ordered low-rank approximation; weights sum to at most 1."""
 
     pairs: tuple[SpectralPair, ...]
-    normalized: bool = True
 
     def __post_init__(self):
         pairs = tuple(self.pairs)
@@ -253,8 +252,7 @@ def reconstruct(
             train_config, seed=train_config.seed + (step - 1) * STEP_SEED_STRIDE
         )
         previous = [pair.state for pair in pairs]
-        state, tlog = train_next_eigenstate(current, previous, config)
-        psi = rbm.to_state_vector(state)
+        psi, tlog = train_next_eigenstate(current, previous, config)
 
         if tlog.orthogonality_ok is False:
             notes.append(f"step {step} rejected: orthogonalization failed")

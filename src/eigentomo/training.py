@@ -12,19 +12,19 @@ call, and a restart that stops leaves the stack; each restart still takes
 exactly the steps it would take alone.  The best by final cost wins, ties
 broken by restart index.  ``train_next_eigenstate`` is
 the one entry point: with no previous states it is a plain pure-state fit.
+It returns the winning state vector and a compact log: each restart keeps
+one list of end-of-epoch costs, joined into one array at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 import numpy as np
 
 from . import rbm
 from .costs import CostEngine, CostSpec
 from .measurement import MeasurementDataset
-from .rbm import NqsState
 from .states import StateVector
 
 MAX_HALVINGS = 20
@@ -60,9 +60,14 @@ class TrainConfig:
 
 @dataclass
 class TrainingLog:
-    """Per-epoch rows (epoch, cost, grad_norm, learning_rate, restart)."""
+    """Cost log of one fit.
 
-    rows: list[tuple[int, float, float, float, int]]
+    ``rows`` is one (E, 3) float64 array of [epoch, cost, restart]: for every
+    restart in index order, its end-of-epoch costs for epochs 1..E_k, so E is
+    the total epoch count of the fit.
+    """
+
+    rows: np.ndarray
     winner_restart: int
     best_cost: float
     diagnostics: list[str] = field(default_factory=list)
@@ -71,16 +76,17 @@ class TrainingLog:
 
 @dataclass
 class _Restart:
-    """One restart of a fit: its running state and best parameters."""
+    """One restart of a fit: its running state, best parameters and the cost
+    at the end of each of its epochs so far."""
 
     restart: int
     lr: float
     theta: np.ndarray | None = None
     cost: float = np.inf
     error: str | None = None
-    epoch: int = 1
     stall: int = 0
     halvings: int = 0
+    costs: list[float] = field(default_factory=list)
 
 
 def _initial_parameters(n: int, seed: int) -> np.ndarray:
@@ -98,11 +104,8 @@ def _initial_parameters(n: int, seed: int) -> np.ndarray:
     )
 
 
-def _fit_restarts(
-    engine: CostEngine, config: TrainConfig
-) -> tuple[list[_Restart], list[tuple[int, float, float, float, int]]]:
-    """Run every restart of one fit in lockstep; return the restarts in order
-    and the log rows of all of them, restart by restart.
+def _fit_restarts(engine: CostEngine, config: TrainConfig) -> list[_Restart]:
+    """Run every restart of one fit in lockstep; return the restarts in order.
 
     Each tick scores one candidate per live restart in one stacked
     ``value_and_grad`` call; a restart that stops leaves the stack.  The
@@ -126,11 +129,6 @@ def _fit_restarts(
     for r, row in zip(live, theta):
         r.theta = row
     rates = np.full(len(live), config.learning_rate)
-    # The log is one list in tick order, stably sorted by restart at the end,
-    # so no per-restart lists are joined; its rows share one int object per
-    # epoch number across the restarts, which keeps its memory down.
-    rows: list[tuple[int, float, float, float, int]] = []
-    epochs: list[int] = []
     while live:
         # The gradient at the accepted point doubles as the next step's
         # direction, so the common path costs one evaluation per epoch.
@@ -147,7 +145,6 @@ def _fit_restarts(
             mask = np.array(accepted)[:, None]
             theta = np.where(mask, candidate, theta)
             grad = np.where(mask, new_grad, grad)
-        norms = np.sqrt(np.vecdot(grad, grad)).tolist()
         halved = False
         stopped = []
         for i, (r, ok, c) in enumerate(zip(live, accepted, new_costs)):
@@ -161,10 +158,8 @@ def _fit_restarts(
                 halved = True
                 if r.halvings <= MAX_HALVINGS:
                     continue
-            if r.epoch > len(epochs):
-                epochs.append(r.epoch)
-            rows.append((epochs[r.epoch - 1], r.cost, norms[i], r.lr, r.restart))
-            stop = not ok or r.epoch == config.max_epochs
+            r.costs.append(r.cost)
+            stop = not ok or len(r.costs) == config.max_epochs
             if ok:
                 if c < previous:
                     improvement = (previous - c) / max(previous, _COST_FLOOR)
@@ -173,7 +168,6 @@ def _fit_restarts(
                 else:
                     r.stall += 1
                 stop = stop or r.stall >= config.patience or c <= _COST_FLOOR
-            r.epoch += 1
             r.halvings = 0
             if stop:
                 stopped.append(i)
@@ -183,20 +177,19 @@ def _fit_restarts(
             theta, grad = theta[keep], grad[keep]
         if halved or stopped:
             rates = np.array([r.lr for r in live])
-    rows.sort(key=itemgetter(4))
-    return restarts, rows
+    return restarts
 
 
 def train_next_eigenstate(
     data: MeasurementDataset,
     previous: list[StateVector] | tuple[StateVector, ...],
     config: TrainConfig,
-) -> tuple[NqsState, TrainingLog]:
+) -> tuple[StateVector, TrainingLog]:
     """Fit a pure ansatz state to measurement statistics, orthogonal to
     previously extracted states.
 
     With an empty ``previous`` this is a plain pure-state fit.  Returns the
-    best state over all restarts together with the full training log;
+    state vector of the best restart together with the training log;
     identical inputs give bit-identical results.  If the trained state fails
     to reach the orthogonality tolerance, the failure is flagged in the log
     and the state is still returned.
@@ -205,7 +198,7 @@ def train_next_eigenstate(
     if data.n_records == 0 and not spec.orth_states:
         raise ValueError("dataset is empty and no orthogonality penalty is active")
     engine = CostEngine(spec, data)
-    results, rows = _fit_restarts(engine, config)
+    results = _fit_restarts(engine, config)
 
     diagnostics = [
         f"restart {r.restart} aborted: {r.error}" for r in results if r.error
@@ -215,15 +208,22 @@ def train_next_eigenstate(
         raise RuntimeError("all restarts failed: " + "; ".join(diagnostics))
     winner = min(survivors, key=lambda r: (r.cost, r.restart))
 
+    lengths = [len(r.costs) for r in results]
+    rows = np.column_stack(
+        [
+            np.concatenate([np.arange(1, k + 1) for k in lengths]),
+            np.concatenate([r.costs for r in results]),
+            np.repeat([r.restart for r in results], lengths),
+        ]
+    )
     log = TrainingLog(
         rows=rows,
         winner_restart=winner.restart,
         best_cost=winner.cost,
         diagnostics=diagnostics,
     )
-    state = rbm.unpack_parameters(winner.theta, engine.n_qubits)
+    psi = rbm.to_state_vector(rbm.unpack_parameters(winner.theta, engine.n_qubits))
     if previous:
-        psi = rbm.to_state_vector(state)
         total = float(
             sum(abs(prev.overlap(psi)) ** 2 for prev in previous)
         )
@@ -232,4 +232,4 @@ def train_next_eigenstate(
             log.diagnostics.append(
                 f"orthogonality not reached: total squared overlap {total:.3e}"
             )
-    return state, log
+    return psi, log

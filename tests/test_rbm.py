@@ -277,6 +277,16 @@ class TestGibbsSampling:
         assert np.array_equal(a, b)
         assert a.shape == (500, 2)
 
+    def test_sample_count_not_a_multiple_of_the_chains(self):
+        params = rbm.RbmParams.zeros(3)
+        n_samples = 2 * rbm._CHAINS + 5
+        samples = rbm.gibbs_sample(params, n_samples, burn_in=5, thin=2, seed=3)
+        assert samples.shape == (n_samples, 3)
+        assert set(np.unique(samples)) <= {-1, 1}
+        # Chain-major: chain 0's first samples do not depend on the count.
+        fewer = rbm.gibbs_sample(params, 2 * rbm._CHAINS, burn_in=5, thin=2, seed=3)
+        assert np.array_equal(samples[:2], fewer[:2])
+
     def test_thinned_chain_matches_exact_marginal(self):
         rng = np.random.default_rng(5)
         params = random_params(4, rng, scale=0.4)

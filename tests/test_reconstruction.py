@@ -296,6 +296,12 @@ class TestReconstruct:
             residual = data.probabilities[retained] - value * predicted[retained]
             assert residual.min() >= -1e-9
 
+    def test_pair_state_is_the_trained_state(self, bell_dataset):
+        config = quick_config(seed=23, max_epochs=400)
+        approx, _ = rc.reconstruct(bell_dataset, 1, config, floor=1e-2)
+        psi, _ = training.train_next_eigenstate(bell_dataset, [], config)
+        assert np.array_equal(approx.pairs[0].state.amplitudes, psi.amplitudes)
+
     def test_report_serializable(self):
         target = basis_vector(2, 0)
         data = ms.exact_dataset(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigentomo import costs, measurement as ms, rbm, training
+from eigentomo import costs, measurement as ms, training
 from eigentomo import states as st
 
 
@@ -33,8 +33,7 @@ class TestTrainPureState:
     def test_recovers_ground_state(self):
         target = st.StateVector.normalized([1, 0, 0, 0])
         data = ms.exact_dataset(st.DensityMatrix.from_pure(target), ["zz", "xx"])
-        state, log = training.train_next_eigenstate(data, [], quick_config(seed=1))
-        psi = rbm.to_state_vector(state)
+        psi, log = training.train_next_eigenstate(data, [], quick_config(seed=1))
         assert abs(target.overlap(psi)) ** 2 >= 0.999
         assert log.best_cost < 1e-3
 
@@ -43,16 +42,14 @@ class TestTrainPureState:
         data = ms.exact_dataset(
             st.DensityMatrix.from_pure(target), ms.generate_basis_set(2, "full")
         )
-        state, _ = training.train_next_eigenstate(
+        psi, _ = training.train_next_eigenstate(
             data, [], quick_config(seed=2, max_epochs=6000)
         )
-        psi = rbm.to_state_vector(state)
         assert abs(target.overlap(psi)) ** 2 >= 0.999
 
     def test_mixed_data_approaches_dominant_eigenstate(self, bell_rho, bell_dataset):
         config = quick_config(seed=3, max_epochs=30000, patience=400, tol_rel=1e-7)
-        state, _ = training.train_next_eigenstate(bell_dataset, [], config)
-        psi = rbm.to_state_vector(state)
+        psi, _ = training.train_next_eigenstate(bell_dataset, [], config)
         assert st.pure_fidelity(bell_rho, psi) >= 0.899
 
     def test_empty_dataset_rejected(self):
@@ -64,7 +61,7 @@ class TestTrainPureState:
         config = quick_config(seed=4, max_epochs=400, restarts=2)
         _, log_a = training.train_next_eigenstate(bell_dataset, [], config)
         _, log_b = training.train_next_eigenstate(bell_dataset, [], config)
-        assert log_a.rows == log_b.rows
+        assert np.array_equal(log_a.rows, log_b.rows)
         assert log_a.winner_restart == log_b.winner_restart
 
     def test_restart_seed_offsets(self, bell_dataset):
@@ -72,16 +69,28 @@ class TestTrainPureState:
         _, log_multi = training.train_next_eigenstate(bell_dataset, [], multi)
         single = quick_config(seed=11, max_epochs=150, restarts=1, patience=150)
         _, log_single = training.train_next_eigenstate(bell_dataset, [], single)
-        restart1 = [row for row in log_multi.rows if row[4] == 1]
-        assert [row[1] for row in restart1] == [row[1] for row in log_single.rows]
+        restart1 = log_multi.rows[log_multi.rows[:, 2] == 1]
+        assert np.array_equal(restart1[:, 1], log_single.rows[:, 1])
 
     def test_best_so_far_non_increasing(self, bell_dataset):
         _, log = training.train_next_eigenstate(
             bell_dataset, [], quick_config(seed=5, max_epochs=500, restarts=1)
         )
-        costs_logged = [row[1] for row in log.rows]
+        costs_logged = log.rows[:, 1]
         best = np.minimum.accumulate(costs_logged)
         assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
+
+    def test_log_layout(self, bell_dataset):
+        # Unbounded patience: every restart runs the full epoch budget.
+        config = quick_config(seed=6, max_epochs=200, restarts=3, patience=10**6)
+        _, log = training.train_next_eigenstate(bell_dataset, [], config)
+        rows = log.rows
+        assert rows.dtype == np.float64 and rows.shape == (3 * 200, 3)
+        restart = rows[:, 2]
+        assert np.all(np.diff(restart) >= 0)
+        for k in range(3):
+            assert np.array_equal(rows[restart == k, 0], np.arange(1, 201))
+        assert rows[restart == log.winner_restart, 1][-1] == log.best_cost
 
     def test_aborted_restart_leaves_the_others_unchanged(
         self, bell_dataset, monkeypatch
@@ -104,7 +113,7 @@ class TestTrainPureState:
         )
         _, log = training.train_next_eigenstate(bell_dataset, [], config)
         assert log.diagnostics == ["restart 1 aborted: non-finite initial cost"]
-        assert log.rows == [row for row in clean.rows if row[4] != 1]
+        assert np.array_equal(log.rows, clean.rows[clean.rows[:, 2] != 1])
         # One stacked call per tick: the survivors share each evaluation.
         assert stack_sizes[:2] == [3, 2]
         assert len(stack_sizes) < len(log.rows)
@@ -129,8 +138,7 @@ class TestTrainNextEigenstate:
             st.StateVector.normalized([0, 0, 1, 0]),
         ]
         config = quick_config(seed=12, max_epochs=6000, tol_rel=1e-9, patience=300)
-        state, log = training.train_next_eigenstate(data, previous, config)
-        psi = rbm.to_state_vector(state)
+        psi, log = training.train_next_eigenstate(data, previous, config)
         assert abs(psi.amplitudes[3]) ** 2 >= 0.99
         assert log.orthogonality_ok is True
 
@@ -140,8 +148,7 @@ class TestTrainNextEigenstate:
         config = quick_config(
             seed=13, max_epochs=8000, restarts=1, tol_rel=1e-9, patience=400
         )
-        state, log = training.train_next_eigenstate(data, previous, config)
-        psi = rbm.to_state_vector(state)
+        psi, log = training.train_next_eigenstate(data, previous, config)
         assert abs(previous[0].overlap(psi)) ** 2 <= 1e-4
 
     def test_second_bell_component(self, bell_rho, bell_dataset):
@@ -150,10 +157,9 @@ class TestTrainNextEigenstate:
         spectrum = st.eigendecompose(bell_rho)
         deflated = rc.deflate(bell_dataset, spectrum.eigenvectors[0], 0.9)
         config = quick_config(seed=14, max_epochs=30000, patience=400, tol_rel=1e-7)
-        state, log = training.train_next_eigenstate(
+        psi, log = training.train_next_eigenstate(
             deflated, [spectrum.eigenvectors[0]], config
         )
-        psi = rbm.to_state_vector(state)
         assert abs(spectrum.eigenvectors[1].overlap(psi)) ** 2 >= 0.999
         assert abs(spectrum.eigenvectors[0].overlap(psi)) ** 2 <= 1e-3
         assert log.orthogonality_ok is True
