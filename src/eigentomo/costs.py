@@ -5,8 +5,10 @@ with the ansatz probability q in the same basis/outcome, optionally plus a
 penalty on squared overlaps with previously extracted states.  Gradients in
 all network parameters are exact and analytic: the per-record sensitivities
 are pulled back through the transposed basis rotations (one adjoint pass of
-``measurement.BasisRotation``) and contracted against the RBM log-derivative
-tables [s | tanh | s (x) tanh] of both networks in one stacked matmul.
+``measurement.BasisRotation``) and contracted in one stacked matmul
+[1 | s]^T (c [1 | tanh]), which gives each network's (n + 1) x (n + 1) block
+[[sum c, db], [da, dW]]; one precomputed ``take`` puts the blocks in the
+[a, b, W] layout.
 ``CostEngine`` compiles one spec against one dataset and gives the cost and
 its gradient together, on the flat parameter vector or on a stack of them.
 """
@@ -66,12 +68,12 @@ def cost_terms_and_grads(
     if kind in ("l1", "l15"):
         diff = q - p
         size = np.abs(diff)
-        sign = np.sign(diff)
         if kind == "l1":
-            return size, sign
+            return size, np.sign(diff)
         root = np.sqrt(size)
-        sign *= 1.5 * root  # in place: no sixth record-length array alive at once
-        return size * root, sign
+        grad = np.copysign(root, diff)
+        grad *= 1.5
+        return size * root, grad
     terms = np.zeros(p.shape)
     grads = np.zeros(p.shape)
     if kind == "kl1":
@@ -105,7 +107,8 @@ class CostEngine:
     exact gradient in that layout, for one vector or for each row of an
     (R, P) stack.  The rotated amplitudes, q and the pulled-back product are
     written into buffers the engine owns (the product over the amplitudes,
-    which it no longer needs), sized for one stack chunk.
+    which it no longer needs), sized for one stack chunk, and so are the
+    [1 | tanh] tables, whose column of ones is written once.
     """
 
     def __init__(self, spec: CostSpec, data: MeasurementDataset):
@@ -113,7 +116,6 @@ class CostEngine:
         if spec.orth_states and any(s.n_qubits != n for s in spec.orth_states):
             raise ValueError("orth_states do not match the dataset qubit count")
         self.spins = rbm.exact_spin_table(n)
-        self._ones_spins = np.column_stack([np.ones(len(self.spins)), self.spins])
         self.spec = spec
         self.n_qubits = n
         self.rotation = measurement.BasisRotation(data.bases, n)
@@ -128,8 +130,18 @@ class CostEngine:
         self.data_probs = np.broadcast_to(probs, buffer_shape)
         self._rotated = np.empty(buffer_shape, dtype=np.complex128)
         self._q = np.empty(buffer_shape)
+        # [1 | tanh] of each member's two networks; column 0 stays one.
+        self._tanh = np.ones((self._chunk, 2, *self.spins.shape))
+        self._weighted = np.empty(self._tanh.shape)
+        # Flat index of the gradient [a, b, W] of both networks in their
+        # (n + 1) x (n + 1) blocks [[sum c, db], [da, dW]].
+        blocks = np.arange(2 * (n + 1) ** 2).reshape(2, n + 1, n + 1)
+        self._grad_order = np.concatenate(
+            [part for b in blocks for part in (b[1:, 0], b[0, 1:], b[1:, 1:].ravel())]
+        )
         if spec.orth_states:
             self.orth = np.stack([s.amplitudes for s in spec.orth_states])
+            self._orth_conj = self.orth.conj()
         else:
             self.orth = None
 
@@ -145,11 +157,14 @@ class CostEngine:
         """
         theta = np.asarray(theta, dtype=float)
         stack = theta.reshape(-1, theta.shape[-1])
-        costs = np.empty(len(stack))
-        grads = np.empty(stack.shape)
-        for start in range(0, len(stack), self._chunk):
-            rows = slice(start, start + self._chunk)
-            costs[rows], grads[rows] = self._evaluate(stack[rows])
+        if len(stack) <= self._chunk:
+            costs, grads = self._evaluate(stack)
+        else:
+            chunks = range(0, len(stack), self._chunk)
+            costs, grads = map(
+                np.concatenate,
+                zip(*(self._evaluate(stack[i : i + self._chunk]) for i in chunks)),
+            )
         if theta.ndim == 1:
             return float(costs[0]), grads[0]
         return costs, grads
@@ -157,39 +172,39 @@ class CostEngine:
     def _evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(m,) costs and (m, P) gradients of an (m, P) stack of one chunk."""
         members = len(theta)
-        psi, tanh = rbm.wavefunction(theta, self.spins)
+        tanh = self._tanh[:members]
+        psi, _ = rbm.wavefunction(theta, self.spins, out=tanh)
         probs = self.data_probs[:members]
-        total = np.zeros(members)
-        pulled = 0.0
-        beta = np.zeros(members)
-        if probs.size:
+        if not probs.size:
+            total, beta, pulled = np.zeros(members), np.zeros(members), 0.0
+        else:
             rotated = self.rotation.forward(
                 psi[:, :, None], out=self._rotated[:members]
             )
             q = self._q[:members]
             q = np.square(np.abs(rotated, out=q), out=q)
             terms, g = cost_terms_and_grads(self.spec.kind, probs, q, DENOM_FLOOR)
-            total += terms.reshape(members, -1).sum(axis=1)
+            total = terms.reshape(members, -1).sum(axis=1)
             # Plain transpose: record sensitivities are pulled back through U^T.
             # The product g conj(U psi) overwrites the rotated amplitudes.
             product = np.multiply(g, np.conjugate(rotated, out=rotated), out=rotated)
             pulled = self.rotation.adjoint(product)
-            beta += (g * q).reshape(members, -1).sum(axis=1)
+            beta = np.vecdot(g.reshape(members, -1), q.reshape(members, -1))
         if self.orth is not None:
-            overlaps = (self.orth.conj() @ psi[:, :, None])[:, :, 0]
-            sq = (np.abs(overlaps) ** 2).sum(axis=1)
+            overlaps = self._orth_conj @ psi[:, :, None]
+            sq = np.vecdot(overlaps[:, :, 0], overlaps[:, :, 0]).real
             total += sq
-            pulled = pulled + np.conj(self.orth.T @ overlaps[:, :, None])[:, :, 0]
+            pulled = pulled + np.conj(self.orth.T @ overlaps)[:, :, 0]
             beta += sq
 
         # Per network, d cost / d [a, b, W] = c @ [s | tanh | s (x) tanh] for
-        # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi:
-        # c @ s is the a part and [1 | s]^T (c tanh) the b row above W.  The
-        # rows of c are the real and imaginary floats of conj(u - beta |psi|^2).
-        c = ((np.conj(pulled) - beta[:, None] * psi) * np.conj(psi)).view(np.float64)
+        # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi.
+        # The rows of c are the real and imaginary floats of
+        # conj(u - beta |psi|^2), and [1 | s]^T (c [1 | tanh]) is the block
+        # [[sum c, db], [da, dW]] of each network, in one matmul.
+        beta_psi = (psi.view(np.float64) * beta[:, None]).view(np.complex128)
+        c = ((np.conj(pulled) - beta_psi) * np.conj(psi)).view(np.float64)
         c = c.reshape(members, -1, 2).transpose(0, 2, 1)
-        bias_weights = self._ones_spins.T @ (c[..., None] * tanh)
-        grads = np.concatenate(
-            [c @ self.spins, bias_weights.reshape(members, 2, -1)], axis=-1
-        )
-        return total, grads.reshape(members, -1)
+        weighted = np.multiply(c[..., None], tanh, out=self._weighted[:members])
+        blocks = self.spins.T @ weighted
+        return total, blocks.reshape(members, -1).take(self._grad_order, axis=1)

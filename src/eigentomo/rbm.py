@@ -7,7 +7,10 @@ registers every normalization is computed exactly by exhaustive summation
 inside ``wavefunction``, the one evaluator of the ansatz, which evaluates
 both networks as one stacked (2, ...) pass, and the 2R networks of R
 parameter vectors as one (R, 2, ...) pass; block Gibbs sampling is
-available for the amplitude marginal beyond that.
+available for the amplitude marginal beyond that.  The flat layout
+[a, b, W] of each network holds [b; W] as one (n + 1) x n block, so the
+hidden layer W^T s + b of every configuration is one matmul with the
+table [1 | s].
 """
 
 from __future__ import annotations
@@ -96,29 +99,40 @@ def _spins(sigma, n: int) -> np.ndarray:
 
 
 def exact_spin_table(n_qubits: int) -> np.ndarray:
-    """Float (2^n, n) spin table for exhaustive sums, within the exact-mode cap."""
+    """Float (2^n, n + 1) table [1 | s] of every spin configuration s, within
+    the exact-mode cap.
+
+    The leading column of ones carries the hidden bias through the hidden
+    layer's matmul and gives the bias sums of the gradient contraction.
+    """
     if n_qubits > EXACT_MODE_MAX_QUBITS:
         raise ValueError(
             f"exact mode is capped at {EXACT_MODE_MAX_QUBITS} qubits "
             f"(got {n_qubits}); use gibbs_sample for larger registers"
         )
-    return measurement.spin_table(n_qubits).astype(float)
+    spins = measurement.spin_table(n_qubits)
+    return np.column_stack([np.ones(len(spins)), spins])
 
 
-def _log_marginal(spins: np.ndarray, a, b, w) -> tuple[np.ndarray, np.ndarray]:
-    """(a.s + sum_j log 2cosh(W^T s + b)_j, W^T s + b) for every row of ``spins``.
+def _log_marginal(spins: np.ndarray, a, bw) -> tuple[np.ndarray, np.ndarray]:
+    """(a.s + sum_j log 2cosh(W^T s + b)_j, W^T s + b) for every row [1 | s]
+    of ``spins``.
 
-    For a stack of networks, ``a`` is (..., n), ``b`` (..., 1, n) and ``w``
-    (..., n, n), and both outputs carry the leading stack axes.
+    ``bw`` is the (n + 1, n) block [b; W], so that W^T s + b is the one
+    matmul [1 | s] [b; W].  For a stack of networks, ``a`` is (..., n) and
+    ``bw`` (..., n + 1, n), and both outputs carry the leading stack axes.
     """
-    theta = spins @ w + b
-    return a @ spins.T + log_two_cosh(theta).sum(axis=-1), theta
+    theta = spins @ bw
+    return a @ spins[:, 1:].T + log_two_cosh(theta).sum(axis=-1), theta
 
 
 def log_marginal_table(params: RbmParams, spins: np.ndarray) -> np.ndarray:
-    """Log marginal of the visible layer for every row of ``spins``."""
+    """Log marginal of the visible layer for every row of the (k, n) ``spins``."""
+    spins = np.asarray(spins, dtype=float)
     return _log_marginal(
-        spins, params.visible_bias, params.hidden_bias, params.weights
+        np.column_stack([np.ones(len(spins)), spins]),
+        params.visible_bias,
+        np.vstack([params.hidden_bias, params.weights]),
     )[0]
 
 
@@ -165,26 +179,35 @@ class NqsState:
         )
 
 
-def wavefunction(theta: np.ndarray, spins: np.ndarray):
+def wavefunction(theta: np.ndarray, spins: np.ndarray, out=None):
     """Amplitudes and hidden-unit tanh tables of flat parameters ``theta``.
 
-    ``spins`` is the float (2^n, n) spin table.  Returns the normalized
-    amplitude vector in computational-index order together with the
-    (2, 2^n, n) stack of tanh(W^T s + b), amplitude network first, for every
-    row of ``spins``; the tanh tables are the log-derivative factors of the
-    analytic cost gradients.  An (R, P) stack of parameter vectors gives
-    (R, 2^n) amplitudes and (R, 2, 2^n, n) tables, member r with the bits of
-    ``theta[r]`` alone.  All 2R networks go through one stacked
-    ``_log_marginal``.  Works on raw arrays, because the trainer calls it on
-    every cost evaluation.
+    ``spins`` is the (2^n, n + 1) table [1 | s] of ``exact_spin_table``.
+    Returns the normalized amplitude vector in computational-index order
+    together with the (2, 2^n, n) stack of tanh(W^T s + b), amplitude network
+    first, for every configuration s; the tanh tables are the log-derivative
+    factors of the analytic cost gradients.  An (R, P) stack of parameter
+    vectors gives (R, 2^n) amplitudes and (R, 2, 2^n, n) tables, member r with
+    the bits of ``theta[r]`` alone.  All 2R networks go through one stacked
+    ``_log_marginal``.  psi is exp(log p / 2 - peak + i phase / 2) over its
+    norm, with the peak the row maximum of log p / 2, so no exponent exceeds
+    zero.  ``out``, if given, is a (..., 2, 2^n, n + 1) float array whose
+    columns 1..n receive the tanh tables (the returned view), so that column 0
+    can hold the ones of [1 | tanh].  Works on raw arrays, because the trainer
+    calls it on every cost evaluation.
     """
-    n = spins.shape[1]
-    nets = _network_rows(theta, n)
-    a, b, w = nets[..., :n], nets[..., None, n : 2 * n], nets[..., 2 * n :]
-    log_m, hidden = _log_marginal(spins, a, b, w.reshape(w.shape[:-1] + (n, n)))
-    log_p, phase = log_m[..., 0, :], log_m[..., 1, :]
-    psi = np.exp(0.5 * (log_p - log_sum_exp(log_p)[..., None]) + 0.5j * phase)
-    return psi, np.tanh(hidden)
+    nets = _network_blocks(theta, spins.shape[1] - 1)
+    log_m, hidden = _log_marginal(spins, nets[..., 0, :], nets[..., 1:, :])
+    log_p = log_m[..., 0, :]
+    log_p -= log_p.max(axis=-1, keepdims=True)
+    # (log p, phase) / 2 interleaved: read as complex, the exponent of psi.
+    exponent = np.multiply(log_m.swapaxes(-1, -2), 0.5, order="C")
+    psi = np.exp(exponent.view(np.complex128)[..., 0])
+    floats = psi.view(np.float64)
+    floats /= np.sqrt(np.vecdot(floats, floats))[..., None]
+    if out is None:
+        return psi, np.tanh(hidden)
+    return psi, np.tanh(hidden, out=out[..., 1:])
 
 
 def to_state_vector(state: NqsState) -> StateVector:
@@ -258,14 +281,14 @@ def n_parameters(n_qubits: int) -> int:
     return 2 * (n_qubits * n_qubits + 2 * n_qubits)
 
 
-def _network_rows(theta: np.ndarray, n_qubits: int) -> np.ndarray:
-    """A flat parameter vector as a (2, n_parameters / 2) view: one row
-    [a, b, W] per network, amplitude first.  An (R, P) stack gives (R, 2, P / 2)."""
+def _network_blocks(theta: np.ndarray, n_qubits: int) -> np.ndarray:
+    """A flat parameter vector as a (2, n + 2, n) view: one block [a; b; W]
+    per network, amplitude first.  An (R, P) stack gives (R, 2, n + 2, n)."""
     theta = np.asarray(theta, dtype=float)
     n = n_parameters(n_qubits)
     if theta.ndim not in (1, 2) or theta.shape[-1] != n:
         raise ValueError(f"expected {n} parameters, got {theta.shape}")
-    return theta.reshape(theta.shape[:-1] + (2, n // 2))
+    return theta.reshape(theta.shape[:-1] + (2, n_qubits + 2, n_qubits))
 
 
 def split_parameters(theta: np.ndarray, n_qubits: int):
@@ -273,10 +296,8 @@ def split_parameters(theta: np.ndarray, n_qubits: int):
 
     The layout is the one ``join_parameters`` writes.
     """
-    n = n_qubits
     return tuple(
-        (row[:n], row[n : 2 * n], row[2 * n :].reshape(n, n))
-        for row in _network_rows(theta, n)
+        (block[0], block[1], block[2:]) for block in _network_blocks(theta, n_qubits)
     )
 
 

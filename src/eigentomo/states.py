@@ -265,8 +265,13 @@ def _fix_phase(column: np.ndarray) -> np.ndarray:
     return column * (pivot.conj() / abs(pivot))
 
 
-def _lex_key(column: np.ndarray):
-    return tuple(x for c in column for x in (c.real, c.imag))
+def _lex_order(vectors: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of the rows of a complex (k, d) array: by
+    the real part of component 0, then its imaginary part, then component 1,
+    and so on."""
+    floats = np.ascontiguousarray(vectors).view(np.float64)
+    # lexsort sorts by its last key first.
+    return np.lexsort(floats.T[::-1])
 
 
 def eigendecompose(rho: DensityMatrix) -> Spectrum:
@@ -278,21 +283,20 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
     lexicographic value of their phase-fixed eigenvectors.
     """
     vals, vecs = np.linalg.eigh(rho.entries)
-    order = np.arange(vals.size)[::-1]
-    pairs = [(float(vals[i]), _fix_phase(vecs[:, i])) for i in order]
-
+    vals = vals[::-1]
+    rows = np.array([_fix_phase(column) for column in vecs.T[::-1]])
+    tied = (vals[:-1] - vals[1:] < DEGENERACY_GAP).tolist()
+    order = np.arange(vals.size)
     start = 0
-    ordered: list[tuple[float, np.ndarray]] = []
-    while start < len(pairs):
+    while start < vals.size:
         stop = start + 1
-        while stop < len(pairs) and pairs[stop - 1][0] - pairs[stop][0] < DEGENERACY_GAP:
+        while stop < vals.size and tied[stop - 1]:
             stop += 1
-        ordered.extend(sorted(pairs[start:stop], key=lambda pv: _lex_key(pv[1])))
+        if stop - start > 1:
+            order[start:stop] = start + _lex_order(rows[start:stop])
         start = stop
-
-    values = np.array([pv[0] for pv in ordered])
-    vectors = tuple(StateVector.normalized(pv[1]) for pv in ordered)
-    return Spectrum(values, vectors)
+    vectors = tuple(StateVector.normalized(rows[i]) for i in order)
+    return Spectrum(vals[order], vectors)
 
 
 def optimal_rank_r(rho: DensityMatrix, r: int) -> DensityMatrix:

@@ -18,6 +18,7 @@ one list of end-of-epoch costs, joined into one array at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,17 +129,19 @@ def _fit_restarts(engine: CostEngine, config: TrainConfig) -> list[_Restart]:
     # its last improving step: a row view of that tick's stack, never written.
     for r, row in zip(live, theta):
         r.theta = row
-    rates = np.full(len(live), config.learning_rate)
+    rates = np.full((len(live), 1), config.learning_rate)
     while live:
         # The gradient at the accepted point doubles as the next step's
         # direction, so the common path costs one evaluation per epoch.
-        candidate = theta - rates[:, None] * grad
+        candidate = theta - rates * grad
         new_cost, new_grad = engine.value_and_grad(candidate)
-        finite = (np.isfinite(new_cost) & np.isfinite(new_grad).all(axis=1)).tolist()
         new_costs = new_cost.tolist()
-        accepted = [
-            ok and c <= r.cost for ok, c, r in zip(finite, new_costs, live)
-        ]
+        # A NaN or infinite cost fails the comparison; rows with a non-finite
+        # gradient are looked up only when the stack has one.
+        accepted = [-math.inf < c <= r.cost for c, r in zip(new_costs, live)]
+        if not np.isfinite(new_grad).all():
+            finite = np.isfinite(new_grad).all(axis=1).tolist()
+            accepted = [ok and f for ok, f in zip(accepted, finite)]
         if all(accepted):
             theta, grad = candidate, new_grad
         else:
@@ -176,7 +179,7 @@ def _fit_restarts(engine: CostEngine, config: TrainConfig) -> list[_Restart]:
             live = [live[i] for i in keep]
             theta, grad = theta[keep], grad[keep]
         if halved or stopped:
-            rates = np.array([r.lr for r in live])
+            rates = np.array([[r.lr] for r in live])
     return restarts
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from eigentomo import measurement as ms
 from eigentomo import propositions as pr
+from eigentomo import rbm
 from eigentomo import states as st
 
 #: One line per acceptance criterion, echoed in the terminal summary.
@@ -33,6 +34,21 @@ def dense_rotation(basis: str) -> np.ndarray:
     for axis in basis:
         dense = np.kron(dense, ms.local_rotation(axis))
     return dense
+
+
+def reference_wavefunction(theta: np.ndarray, n: int):
+    """Amplitudes and (2, 2^n, n) tanh tables of flat RBM parameters, one
+    network at a time: W^T s + b as a matmul plus the bias, and psi normalized
+    through ``rbm.log_sum_exp`` of the amplitude log-marginal."""
+    spins = ms.spin_table(n).astype(float)
+    log_m, tanh = [], []
+    for a, b, w in rbm.split_parameters(theta, n):
+        hidden = spins @ w + b
+        log_m.append(a @ spins.T + rbm.log_two_cosh(hidden).sum(axis=1))
+        tanh.append(np.tanh(hidden))
+    log_p, phase = log_m
+    psi = np.exp(0.5 * (log_p - rbm.log_sum_exp(log_p)) + 0.5j * phase)
+    return psi, np.array(tanh)
 
 
 def dense_probabilities(mat: np.ndarray, basis: str) -> np.ndarray:
@@ -92,6 +108,40 @@ MALFORMED_DATASETS = {
         "invalid outcome '0': expected 1 characters",
     ),
     "record_not_object": (_HEADER + '["z", "+", 1.0]\n', "not a JSON object"),
+    "object_split_across_lines": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-",\n'
+        + '"p": 0.5, "shots": null}\n',
+        "Expecting property name enclosed in double quotes",
+    ),
+    "string_split_across_lines": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null, "note": "a\n'
+        + 'b"}\n',
+        "Invalid control character",
+    ),
+    "two_objects_on_one_line": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}, '
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
+        "Extra data",
+    ),
+    "split_and_doubled_in_one_block": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}, '
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null, "x": [1\n'
+        + '2]}\n',
+        "Extra data",
+    ),
+    "duplicate_before_bad_json": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome" "-", "p": 0.5, "shots": null}\n',
+        "duplicate record",
+    ),
     "basis_not_string": (
         _HEADER + '{"basis": ["z"], "outcome": "+", "p": 1.0, "shots": null}\n',
         "is not a length-1 string",

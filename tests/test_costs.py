@@ -4,7 +4,7 @@ import pytest
 from eigentomo import costs, figures, measurement as ms, rbm
 from eigentomo import states as st
 
-from conftest import random_pure
+from conftest import dense_rotation, random_pure, reference_wavefunction
 
 
 def finite_difference_gradient(engine, theta, step=1e-5):
@@ -24,6 +24,40 @@ def random_state(n, seed):
 
 def value_and_grad(spec, state, data):
     return costs.CostEngine(spec, data).value_and_grad(rbm.pack_parameters(state))
+
+
+def reference_value_and_grad(spec, data, theta):
+    """Cost, gradient and gradient scale through dense per-basis unitaries,
+    with each network's gradient assembled from two matmuls: c @ s for a, and
+    [1 | s]^T (c tanh) for the b row above W.  The scale, the sum over s of
+    |u psi| + |beta| |psi|^2 for the two terms of c = conj(u psi) - beta |psi|^2,
+    bounds every gradient entry and the terms it cancels."""
+    n = data.n_qubits
+    psi, tanh = reference_wavefunction(theta, n)
+    total, pulled, beta = 0.0, np.zeros(2**n, dtype=complex), 0.0
+    if data.bases:
+        dense = np.array([dense_rotation(basis) for basis in data.bases])
+        rotated = dense @ psi
+        q = np.abs(rotated) ** 2
+        terms, g = costs.cost_terms_and_grads(
+            spec.kind, data.probabilities, q, costs.DENOM_FLOOR
+        )
+        total, beta = terms.sum(), (g * q).sum()
+        pulled += np.einsum("bji,bj->i", dense, g * np.conj(rotated))
+    for state in spec.orth_states:
+        overlap = np.vdot(state.amplitudes, psi)
+        total += abs(overlap) ** 2
+        beta += abs(overlap) ** 2
+        pulled += np.conj(state.amplitudes * overlap)
+    c = (np.conj(pulled) - beta * psi) * np.conj(psi)
+    spins = ms.spin_table(n).astype(float)
+    ones_spins = np.column_stack([np.ones(2**n), spins])
+    grads = [
+        np.concatenate([row @ spins, (ones_spins.T @ (row[:, None] * t)).ravel()])
+        for row, t in zip((c.real, c.imag), tanh)
+    ]
+    scale = np.sum(np.abs(pulled * psi) + abs(beta) * np.abs(psi) ** 2)
+    return total, np.concatenate(grads), scale
 
 
 class TestCostSpec:
@@ -169,6 +203,32 @@ class TestStackedEvaluation:
 
 
 class TestCostGradient:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_two_matmul_reference(self, n):
+        # The one-contraction gradient and the split-0 rotation against the
+        # two-matmul assembly over dense unitaries, for every cost kind, with
+        # and without the penalty; the last draw has log p / 2 spanning more
+        # than 1400.
+        rng = np.random.default_rng(700 + n)
+        mode = "full" if n <= 3 else "compressed"
+        target = rbm.to_state_vector(random_state(n, seed=700 + n))
+        data = ms.exact_dataset(
+            st.DensityMatrix.from_pure(target), ms.generate_basis_set(n, mode, seed=n)
+        )
+        orth = (rbm.to_state_vector(random_state(n, seed=800 + n)),)
+        thetas = rng.uniform(-0.5, 0.5, (3, rbm.n_parameters(n)))
+        thetas[-1, :n] = 1500.0 * rng.choice([-1.0, 1.0], n) / n
+        for kind in costs.COST_KINDS:
+            for penalty in ((), orth):
+                spec = costs.CostSpec(kind, penalty)
+                values, grads = costs.CostEngine(spec, data).value_and_grad(thetas)
+                for theta, value, grad in zip(thetas, values, grads):
+                    want, want_grad, scale = reference_value_and_grad(
+                        spec, data, theta
+                    )
+                    assert abs(value - want) <= 1e-12 * abs(want)
+                    assert np.abs(grad - want_grad).max() <= 1e-12 * scale
+
     def test_gradient_zero_at_smooth_minimum(self):
         state = random_state(2, seed=7)
         vec = rbm.to_state_vector(state)

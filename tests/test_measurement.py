@@ -555,6 +555,85 @@ class TestDatasetContainer:
             ms.MeasurementDataset.load_jsonl(path)
 
 
+class TestRecordValues:
+    """``_record_values`` gives the values, and the first error, of one
+    ``json.loads`` per non-blank line, whether a block goes through the
+    one-array parse or line by line."""
+
+    GOOD = [
+        '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n',
+        '{"a": "}\\n,{"}\n',
+        '{}\n',
+        '  {"basis": "z", "outcome": "-", "p": 0.5}\n',
+        '{"x": [1, 2], "y": {"z": "}"}}\n',
+        "[1, 2]\n",
+        "7\n",
+        "\n",
+        "  \t\n",
+    ]
+    BAD = [
+        '{"a": 1\n',
+        '"b": 2}\n',
+        '{"a": 1}, {"b": 2}\n',
+        '{"a": 1}}\n',
+        '{"a" 1}\n',
+        '{"a": "x\n',
+        '2]}\n',
+        '{"a": [1\n',
+    ]
+
+    @staticmethod
+    def parse(lines):
+        try:
+            return list(ms._record_values(iter(lines)))
+        except ValueError as err:
+            return str(err)
+
+    @staticmethod
+    def line_by_line(lines):
+        try:
+            return [jsonio.loads(line) for line in lines if line.strip()]
+        except ValueError as err:
+            return str(err)
+
+    def test_matches_line_by_line_parse(self):
+        rng = np.random.default_rng(22)
+        for trial in range(400):
+            pool = self.GOOD + (self.BAD if trial % 2 else [])
+            lines = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 9))]
+            if trial % 3 == 0 and lines[-1] != "\n":
+                lines[-1] = lines[-1].rstrip("\n")  # a last line may lack it
+            assert self.parse(lines) == self.line_by_line(lines), lines
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # An object run on over a join, made up for by two on one line.
+            ['{"a": 1\n', '"b": 2}\n', '{"c": 1}, {"d": 2}\n'],
+            ['{"x": [{"a": 1}\n', '{"b": 2}]}\n'],
+            # A second value before the first line's object or after the last.
+            ['5, {"a": 1}\n', '{"b": 2}\n'],
+            ['{"b": 2}\n', '{"a": 1}, 5'],
+            ['{"b": 2}\n', '{"a": 1}, 5\n'],
+        ],
+    )
+    def test_values_run_over_lines_rejected(self, lines):
+        assert isinstance(self.line_by_line(lines), str)
+        assert self.parse(lines) == self.line_by_line(lines)
+
+    def test_blocks_of_save_jsonl_lines(self, tmp_path, bell_rho):
+        # More than one block of 1024 lines, the last one short, with a bad
+        # line in the second block: the error is the line's own.
+        data = ms.exact_dataset(bell_rho, ms.generate_basis_set(2, "full"))
+        path = tmp_path / "data.jsonl"
+        data.save_jsonl(path)
+        records = path.read_text().splitlines(keepends=True)[1:] * 60
+        assert self.parse(records) == self.line_by_line(records)
+        records[1500] = records[1500].replace('"p":', '"p"')
+        assert "Expecting ':' delimiter" in self.parse(records)
+        assert self.parse(records) == self.line_by_line(records)
+
+
 class TestWMixture:
     def test_requested_spectrum_reproduced(self, w4_rho):
         spectrum = st.eigendecompose(w4_rho)

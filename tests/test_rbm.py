@@ -9,7 +9,7 @@ from eigentomo import measurement as ms
 from eigentomo import rbm
 from eigentomo import states as st
 
-from conftest import dense_rotation
+from conftest import dense_rotation, reference_wavefunction
 
 
 def brute_force_marginal(params: rbm.RbmParams, sigma) -> float:
@@ -98,8 +98,9 @@ class TestLogMarginal:
 
 
 def exact_log_normalizer(params: rbm.RbmParams) -> float:
-    """Log of the visible-layer normalization, as ``rbm.wavefunction`` sums it."""
-    spins = rbm.exact_spin_table(params.n_visible)
+    """Log of the visible-layer normalization, a ``log_sum_exp`` over every
+    configuration."""
+    spins = ms.spin_table(params.n_visible).astype(float)
     return rbm.log_sum_exp(rbm.log_marginal_table(params, spins))
 
 
@@ -198,10 +199,11 @@ class TestFusedEvaluator:
             # A layout that read W transposed would then give other tables.
             assert not np.allclose(amp_net.weights, amp_net.weights.T)
             assert not np.allclose(phase_net.weights, phase_net.weights.T)
-        spins = rbm.exact_spin_table(n)
         psi, tanh = rbm.wavefunction(
-            rbm.pack_parameters(rbm.NqsState(amp_net, phase_net)), spins
+            rbm.pack_parameters(rbm.NqsState(amp_net, phase_net)),
+            rbm.exact_spin_table(n),
         )
+        spins = ms.spin_table(n).astype(float)
         assert psi.shape == (2**n,) and tanh.shape == (2, 2**n, n)
         log_p = rbm.log_marginal_table(amp_net, spins)
         phase = rbm.log_marginal_table(phase_net, spins)
@@ -220,6 +222,31 @@ class TestFusedEvaluator:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 16 parameters"):
             rbm.wavefunction(np.zeros(15), rbm.exact_spin_table(2))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_log_sum_exp_reference(self, n):
+        # The hidden layer as one [1 | s] [b; W] matmul and psi shifted by the
+        # peak of log p / 2 and divided by its norm, against W^T s + b and a
+        # log_sum_exp normalization, for stacks and single vectors.  The last
+        # draw has log p / 2 spanning more than 1400, where an unshifted exp
+        # overflows.
+        rng = np.random.default_rng(600 + n)
+        thetas = rng.uniform(-1.0, 1.0, (4, rbm.n_parameters(n)))
+        thetas[-1, :n] = 1500.0 * rng.choice([-1.0, 1.0], n) / n
+        spins = ms.spin_table(n).astype(float)
+        amp_net = rbm.unpack_parameters(thetas[-1], n).amplitude_net
+        log_p = rbm.log_marginal_table(amp_net, spins)
+        assert 0.5 * (log_p.max() - log_p.min()) > 1400
+        table = rbm.exact_spin_table(n)
+        out = np.ones((len(thetas), 2, 2**n, n + 1))
+        stacked, tanh = rbm.wavefunction(thetas, table, out=out)
+        assert np.all(out[..., 0] == 1.0)
+        for k, theta in enumerate(thetas):
+            want, want_tanh = reference_wavefunction(theta, n)
+            single = rbm.wavefunction(theta, table)
+            for got, got_tanh in (single, (stacked[k], tanh[k])):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.abs(got_tanh - want_tanh).max() <= 1e-12
 
 
 class TestRotatedProbability:

@@ -234,6 +234,24 @@ class TestEigendecompose:
         )
         assert np.abs(rebuilt.entries - rho.entries).max() <= 1e-9
 
+    def test_lex_order_equals_tuple_sort(self):
+        # The order of a degenerate block is the stable sort by the tuple
+        # (re v_0, im v_0, re v_1, ...), on blocks with repeated rows, shared
+        # prefixes and both signed zeros (-0.0 ties with 0.0).
+        rng = np.random.default_rng(17)
+        entries = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+        for _ in range(200):
+            k, d = rng.integers(1, 12), rng.integers(1, 5)
+            block = np.empty((k, d), dtype=complex)
+            block.real = rng.choice(entries, (k, d))
+            block.imag = rng.choice(entries, (k, d))
+            block[rng.integers(k)] = block[0]
+            want = sorted(
+                range(k),
+                key=lambda i: tuple(x for c in block[i] for x in (c.real, c.imag)),
+            )
+            assert st._lex_order(block).tolist() == want
+
 
 class TestOptimalRankR:
     def test_bell_rank_one(self, bell_rho):
