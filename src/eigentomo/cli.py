@@ -185,7 +185,6 @@ def cmd_reconstruct(args) -> int:
     target = load_state_vector(args.target) if args.target else None
     config = TrainConfig(
         cost=CostSpec(kind=args.cost),
-        learning_rate=args.lr,
         max_epochs=args.epochs,
         seed=args.seed,
         restarts=args.restarts,
@@ -361,6 +360,19 @@ POSITIVE_FLOAT = _bounded(float, strict=True)
 NONNEGATIVE_FLOAT = _bounded(float, strict=False)
 
 
+def _restarts(text: str) -> int:
+    """Argument type: a positive restart count that keeps each step's restart
+    seeds apart from the next step's (at most
+    ``reconstruction.STEP_SEED_STRIDE``)."""
+    value = POSITIVE_INT(text)
+    if value > reconstruction.STEP_SEED_STRIDE:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exceeds {reconstruction.STEP_SEED_STRIDE}, the seed "
+            "offset between steps"
+        )
+    return value
+
+
 def _dims(text: str) -> str:
     """Argument type: comma-separated positive integers, kept as given.
 
@@ -430,9 +442,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="denominator floor for the eigenvalue estimate",
     )
     p_rec.add_argument("--cost", choices=COST_KINDS, default="l15")
-    p_rec.add_argument("--lr", type=POSITIVE_FLOAT, default=0.05)
-    p_rec.add_argument("--epochs", type=POSITIVE_INT, default=20000)
-    p_rec.add_argument("--restarts", type=POSITIVE_INT, default=3)
+    p_rec.add_argument(
+        "--lr",
+        type=POSITIVE_FLOAT,
+        default=0.05,
+        help="ignored: the L-BFGS fit has no learning rate; still parsed so "
+        "that older command lines run",
+    )
+    p_rec.add_argument(
+        "--epochs",
+        type=POSITIVE_INT,
+        default=20000,
+        help="cost evaluations per restart of each step, the initial one included",
+    )
+    p_rec.add_argument(
+        "--restarts",
+        type=_restarts,
+        default=3,
+        help="fits per step from different seeds; the lowest cost wins",
+    )
     p_rec.set_defaults(func=cmd_reconstruct, parser=p_rec)
 
     p_ver = sub.add_parser(

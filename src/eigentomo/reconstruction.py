@@ -2,14 +2,15 @@
 
 Each step trains a pure state on the current statistics (orthogonal to the
 states already found), estimates its eigenvalue as the nonnegativity-safe
-minimum ratio of measured to predicted projector probability, subtracts the
-pair from the statistics, and renormalizes.  From the second step on, a
-step is kept only if it strictly improves the data likelihood of the
-assembled approximation.
+minimum ratio of measured to predicted projector probability (leaving out
+the records that earlier steps deflated to zero), subtracts the pair from the
+statistics, and renormalizes.  From the second step on, a step is kept only
+if it strictly improves the data likelihood of the assembled approximation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ DEFAULT_FLOOR = 1e-6
 DEFLATION_NEG_TOL = 1e-9
 #: Pairwise squared overlap allowed between extracted eigenstates.
 PAIR_OVERLAP_TOL = 1e-3
-#: Seed offset between consecutive extraction steps (must exceed restarts).
+#: Seed offset between consecutive extraction steps; restarts may not exceed it.
 STEP_SEED_STRIDE = 10_000
 
 
@@ -110,6 +111,9 @@ class StepRecord:
     orthogonality_ok: bool | None
     eigenstate_fidelity: float | None = None
     accuracy_gap: float | None = None
+    #: Flat record indices left out of this step's minimum ratio: each earlier
+    #: kept step's argmin and the records its deflation drove to zero.
+    excluded_records: tuple[int, ...] = ()
 
 
 @dataclass
@@ -130,22 +134,39 @@ def _predicted_probabilities(data: MeasurementDataset, psi: StateVector) -> np.n
     return measurement.basis_probabilities(psi.amplitudes, data.bases)
 
 
+def _guarded(
+    predicted: np.ndarray, floor: float | None, excluded: Sequence[int] | None
+) -> np.ndarray:
+    """Mask of the records that bound an eigenvalue: predicted probability at
+    least ``floor`` (every record when it is None), minus the flat record
+    indices in ``excluded``."""
+    mask = np.ones(predicted.shape, bool) if floor is None else predicted >= floor
+    if excluded:
+        mask.flat[list(excluded)] = False
+    return mask
+
+
 def estimate_dominant_eigenvalue(
-    data: MeasurementDataset, psi: StateVector, floor: float = DEFAULT_FLOOR
+    data: MeasurementDataset,
+    psi: StateVector,
+    floor: float = DEFAULT_FLOOR,
+    excluded: Sequence[int] | None = None,
 ) -> tuple[float, int]:
     """Nonnegativity-safe eigenvalue estimate for a trained eigenstate.
 
-    Minimum over all records (with predicted probability at least ``floor``)
-    of the ratio measured/predicted, clamped into [0, 1].  Returns the value
-    and the index of the minimizing record; ties go to the smallest index.
+    Minimum over all records (with predicted probability at least ``floor``,
+    and not among the flat record indices ``excluded``) of the ratio
+    measured/predicted, clamped into [0, 1].  Returns the value and the flat
+    index of the minimizing record; ties go to the smallest index.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
     predicted = _predicted_probabilities(data, psi)
-    mask = predicted >= floor
+    mask = _guarded(predicted, floor, excluded)
     if not mask.any():
+        detail = f" outside the excluded records {sorted(excluded)}" if excluded else ""
         raise ValueError(
-            f"no record has predicted probability >= {floor}; floor too high"
+            f"no record has predicted probability >= {floor}{detail}; floor too high"
         )
     ratios = np.full(predicted.shape, np.inf)
     ratios[mask] = data.probabilities[mask] / predicted[mask]
@@ -159,21 +180,23 @@ def deflate(
     psi: StateVector,
     p_hat: float,
     floor: float | None = None,
+    excluded: Sequence[int] | None = None,
 ) -> MeasurementDataset:
     """Subtract a weighted eigenstate contribution from the statistics.
 
     Record-wise (p - p_hat q) / (1 - p_hat); values in [-1e-9, 0) are clamped
     to zero, anything lower signals an overestimated eigenvalue and raises.
-    When the eigenvalue came from a floored estimate, pass the same ``floor``:
-    records below it carried no nonnegativity guarantee, so they are clamped
-    at zero without triggering the overestimation error.  Per-basis rows are
-    renormalized to sum to one afterwards.
+    When the eigenvalue came from a floored estimate, pass the same ``floor``
+    and ``excluded``: records below the floor or excluded from the estimate
+    carried no nonnegativity guarantee, so they are clamped at zero without
+    triggering the overestimation error.  Per-basis rows are renormalized to
+    sum to one afterwards.
     """
     if not 0 <= p_hat < 1:
         raise ValueError(f"p_hat must lie in [0, 1), got {p_hat}")
     predicted = _predicted_probabilities(data, psi)
     deflated = (data.probabilities - p_hat * predicted) / (1.0 - p_hat)
-    guarded = deflated if floor is None else deflated[predicted >= floor]
+    guarded = deflated[_guarded(predicted, floor, excluded)]
     low = float(guarded.min()) if guarded.size else 0.0
     if low < -DEFLATION_NEG_TOL:
         raise ValueError(
@@ -232,11 +255,19 @@ def reconstruct(
 
     The first step is always kept.  Later steps are kept only while each
     strictly improves the data likelihood; the first rejected step ends the
-    iteration.  When the true state is supplied (synthetic runs), per-step
-    eigenstate fidelities and the residual accuracy gap are reported.
+    iteration.  From the second step on, the eigenvalue estimate leaves out
+    every kept step's argmin record and the records its deflation drove to
+    zero: they say nothing about the residual.  When the true state is
+    supplied (synthetic runs), per-step eigenstate fidelities and the
+    residual accuracy gap are reported.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
+    if train_config.restarts > STEP_SEED_STRIDE:
+        raise ValueError(
+            f"restarts ({train_config.restarts}) may not exceed the step seed "
+            f"stride {STEP_SEED_STRIDE}: later steps would reuse seeds"
+        )
     truth = eigendecompose(true_rho) if true_rho is not None else None
 
     current = data
@@ -244,6 +275,7 @@ def reconstruct(
     steps: list[StepRecord] = []
     notes: list[str] = []
     remaining = 1.0
+    excluded: tuple[int, ...] = ()
     # Log-likelihood of ``pairs``: the ``after`` of the last kept step.
     kept_likelihood = None
 
@@ -257,11 +289,16 @@ def reconstruct(
         if tlog.orthogonality_ok is False:
             notes.append(f"step {step} rejected: orthogonalization failed")
             steps.append(
-                StepRecord(step, 0.0, 0.0, -1, 0, None, None, False, False)
+                StepRecord(
+                    step, 0.0, 0.0, -1, 0, None, None, False, False,
+                    excluded_records=excluded,
+                )
             )
             break
 
-        weight_raw, argmin_record = estimate_dominant_eigenvalue(current, psi, floor)
+        weight_raw, argmin_record = estimate_dominant_eigenvalue(
+            current, psi, floor, excluded
+        )
         discarded = int((_predicted_probabilities(current, psi) < floor).sum())
         weight = weight_raw * remaining
         if step == 1 and weight_raw <= 0.0:
@@ -305,6 +342,7 @@ def reconstruct(
                 tlog.orthogonality_ok,
                 eig_fid,
                 gap,
+                excluded,
             )
         )
         if not accepted:
@@ -321,7 +359,12 @@ def reconstruct(
         if 1.0 - weight_raw < 1e-9:
             notes.append(f"step {step} exhausted the statistics; stopping early")
             break
-        current = deflate(current, psi, weight_raw, floor=floor)
+        deflated = deflate(current, psi, weight_raw, floor=floor, excluded=excluded)
+        zeroed = (deflated.probabilities == 0) & (current.probabilities > 0)
+        excluded = tuple(
+            sorted({*excluded, argmin_record, *np.flatnonzero(zeroed).tolist()})
+        )
+        current = deflated
         remaining *= 1.0 - weight_raw
 
     return SpectralApprox(tuple(pairs)), IterationReport(steps, notes)

@@ -23,11 +23,8 @@ RECON_FLOOR = 1e-2
 def recon_config(seed=3, **overrides):
     base = dict(
         cost=costs.CostSpec("l15"),
-        learning_rate=0.5,
         max_epochs=30000,
         seed=seed,
-        patience=400,
-        tol_rel=1e-7,
         restarts=3,
     )
     base.update(overrides)

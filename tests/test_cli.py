@@ -170,6 +170,7 @@ class TestReconstructCommand:
         [
             ("--epochs", 0),
             ("--restarts", 0),
+            ("--restarts", 10_001),
             ("--max-rank", -1),
             ("--lr", 0),
             ("--lr", "nan"),

@@ -22,11 +22,8 @@ def diag_mixture(values):
 def quick_config(seed=0, **overrides):
     base = dict(
         cost=costs.CostSpec("l15"),
-        learning_rate=0.5,
         max_epochs=3000,
         seed=seed,
-        patience=150,
-        tol_rel=1e-6,
         restarts=2,
     )
     base.update(overrides)
@@ -109,6 +106,19 @@ class TestEstimateDominantEigenvalue:
         _, record = rc.estimate_dominant_eigenvalue(data, psi, 1e-6)
         assert record == 0
 
+    def test_excluded_records_are_skipped(self):
+        rho = st.DensityMatrix.maximally_mixed(1)
+        data = ms.exact_dataset(rho, ["z", "x"])
+        psi = st.StateVector.normalized([1.0, 1.0])
+        # Records x+, x-, z+, z-: ratios 0.5 / 1, none (q = 0), then the
+        # tied 1 and 1.
+        cases = [(None, 0.5, 0), ([0], 1.0, 2), ([2, 0], 1.0, 3)]
+        for excluded, value, record in cases:
+            found = rc.estimate_dominant_eigenvalue(data, psi, 1e-6, excluded)
+            assert found == (pytest.approx(value), record)
+        with pytest.raises(ValueError, match=r"excluded records \[0, 2, 3\]"):
+            rc.estimate_dominant_eigenvalue(data, psi, 1e-6, [3, 0, 2])
+
     def test_no_overestimation_with_exact_eigenstate(self):
         rng = np.random.default_rng(40)
         for _ in range(20):
@@ -161,6 +171,21 @@ class TestDeflate:
         value, _ = rc.estimate_dominant_eigenvalue(data, psi, floor=1e-2)
         deflated = rc.deflate(data, psi, value, floor=1e-2)
         assert deflated.probabilities.min() >= 0.0
+
+
+    def test_excluded_records_exempt_from_negativity_check(self):
+        rho = diag_mixture([0.6, 0.4])
+        data = ms.exact_dataset(rho, ["z", "x"])
+        psi = st.StateVector.normalized([1.0, 0.5])
+        # Ratios 0.5 / 0.9 and 5 in x, 0.75 and 2 in z: leaving out record 0
+        # raises the estimate to 0.75, which overshoots that record.
+        value, record = rc.estimate_dominant_eigenvalue(data, psi, 1e-6, [0])
+        assert (value, record) == (pytest.approx(0.75), 2)
+        with pytest.raises(ValueError, match="overestimated"):
+            rc.deflate(data, psi, value, floor=1e-6)
+        deflated = rc.deflate(data, psi, value, floor=1e-6, excluded=[0])
+        assert deflated.probabilities[0, 0] == 0.0
+        assert np.allclose(deflated.probabilities.sum(axis=1), 1.0)
 
 
 class TestLogLikelihood:
@@ -301,6 +326,23 @@ class TestReconstruct:
         approx, _ = rc.reconstruct(bell_dataset, 1, config, floor=1e-2)
         psi, _ = training.train_next_eigenstate(bell_dataset, [], config)
         assert np.array_equal(approx.pairs[0].state.amplitudes, psi.amplitudes)
+
+    def test_restarts_above_seed_stride_rejected(self, bell_dataset):
+        config = quick_config(restarts=rc.STEP_SEED_STRIDE + 1)
+        with pytest.raises(ValueError, match="seed"):
+            rc.reconstruct(bell_dataset, 2, config)
+
+    def test_later_steps_exclude_earlier_argmin_records(self, w4_rho):
+        # Criterion 2's run: step 1's argmin record is deflated to (about)
+        # zero, and would otherwise pin step 2's minimum ratio near 0.
+        data = ms.exact_dataset(w4_rho, ms.generate_basis_set(4, "compressed", 7))
+        config = quick_config(seed=3, max_epochs=30000, restarts=3)
+        _, report = rc.reconstruct(data, 2, config, floor=1e-2)
+        first, second = report.steps
+        assert first.excluded_records == ()
+        assert first.argmin_record in second.excluded_records
+        assert second.argmin_record not in second.excluded_records
+        assert second.weight_raw > 0
 
     def test_report_serializable(self):
         target = basis_vector(2, 0)

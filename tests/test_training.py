@@ -8,11 +8,8 @@ from eigentomo import states as st
 def quick_config(seed=0, **overrides):
     base = dict(
         cost=costs.CostSpec("l15"),
-        learning_rate=0.5,
         max_epochs=3000,
         seed=seed,
-        patience=150,
-        tol_rel=1e-6,
         restarts=2,
     )
     base.update(overrides)
@@ -22,9 +19,7 @@ def quick_config(seed=0, **overrides):
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            quick_config(learning_rate=-1.0)
-        with pytest.raises(ValueError):
-            quick_config(tol_rel=1.5)
+            quick_config(max_epochs=0)
         with pytest.raises(ValueError):
             quick_config(restarts=0)
 
@@ -48,7 +43,7 @@ class TestTrainPureState:
         assert abs(target.overlap(psi)) ** 2 >= 0.999
 
     def test_mixed_data_approaches_dominant_eigenstate(self, bell_rho, bell_dataset):
-        config = quick_config(seed=3, max_epochs=30000, patience=400, tol_rel=1e-7)
+        config = quick_config(seed=3, max_epochs=30000)
         psi, _ = training.train_next_eigenstate(bell_dataset, [], config)
         assert st.pure_fidelity(bell_rho, psi) >= 0.899
 
@@ -65,12 +60,16 @@ class TestTrainPureState:
         assert log_a.winner_restart == log_b.winner_restart
 
     def test_restart_seed_offsets(self, bell_dataset):
-        multi = quick_config(seed=10, max_epochs=150, restarts=3, patience=150)
-        _, log_multi = training.train_next_eigenstate(bell_dataset, [], multi)
-        single = quick_config(seed=11, max_epochs=150, restarts=1, patience=150)
-        _, log_single = training.train_next_eigenstate(bell_dataset, [], single)
-        restart1 = log_multi.rows[log_multi.rows[:, 2] == 1]
-        assert np.array_equal(restart1[:, 1], log_single.rows[:, 1])
+        # Restart k of a lockstep fit is, bit for bit, a lone fit seeded
+        # base + k: same iterates, same costs, same final parameters.
+        engine = costs.CostEngine(costs.CostSpec("l15"), bell_dataset)
+        multi = quick_config(seed=10, max_epochs=150, restarts=3)
+        fits = training._fit_restarts(engine, multi)
+        for k, fit in enumerate(fits):
+            single = quick_config(seed=10 + k, max_epochs=150, restarts=1)
+            (alone,) = training._fit_restarts(engine, single)
+            assert fit.costs == alone.costs and fit.cost == alone.cost
+            assert fit.theta.tobytes() == alone.theta.tobytes()
 
     def test_best_so_far_non_increasing(self, bell_dataset):
         _, log = training.train_next_eigenstate(
@@ -81,15 +80,17 @@ class TestTrainPureState:
         assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
 
     def test_log_layout(self, bell_dataset):
-        # Unbounded patience: every restart runs the full epoch budget.
-        config = quick_config(seed=6, max_epochs=200, restarts=3, patience=10**6)
+        # One row per accepted iteration, grouped by restart, numbered from 1.
+        config = quick_config(seed=6, max_epochs=200, restarts=3)
         _, log = training.train_next_eigenstate(bell_dataset, [], config)
         rows = log.rows
-        assert rows.dtype == np.float64 and rows.shape == (3 * 200, 3)
+        assert rows.dtype == np.float64 and rows.shape[1] == 3
         restart = rows[:, 2]
         assert np.all(np.diff(restart) >= 0)
         for k in range(3):
-            assert np.array_equal(rows[restart == k, 0], np.arange(1, 201))
+            iterations = rows[restart == k, 0]
+            assert len(iterations) > 0
+            assert np.array_equal(iterations, np.arange(1, len(iterations) + 1))
         assert rows[restart == log.winner_restart, 1][-1] == log.best_cost
 
     def test_aborted_restart_leaves_the_others_unchanged(
@@ -120,11 +121,86 @@ class TestTrainPureState:
 
     def test_all_restarts_failing_raises(self, bell_dataset, monkeypatch):
         def broken(self, theta):
-            return np.nan, np.full(theta.shape, np.nan)
+            return np.full(len(theta), np.nan), np.full(theta.shape, np.nan)
 
         monkeypatch.setattr(costs.CostEngine, "value_and_grad", broken)
         with pytest.raises(RuntimeError, match="all restarts failed"):
             training.train_next_eigenstate(bell_dataset, [], quick_config(seed=7))
+
+
+def _recording_engine(monkeypatch):
+    """Patch ``CostEngine.value_and_grad`` to record every stacked call as a
+    list of (theta, cost, grad) members."""
+    evaluate = costs.CostEngine.value_and_grad
+    calls = []
+
+    def recorded(self, theta):
+        cost, grad = evaluate(self, theta)
+        calls.append(list(zip(theta.copy(), cost.tolist(), grad.copy())))
+        return cost, grad
+
+    monkeypatch.setattr(costs.CostEngine, "value_and_grad", recorded)
+    return calls
+
+
+class TestLbfgs:
+    def test_accepted_steps_meet_strong_wolfe(self, bell_dataset, monkeypatch):
+        calls = _recording_engine(monkeypatch)
+        _, log = training.train_next_eigenstate(
+            bell_dataset, [], quick_config(seed=8, max_epochs=400, restarts=1)
+        )
+        points = [member for call in calls for member in call]
+        # The iterates: the initial point, then each accepted trial in turn.
+        accepted = [points[0]]
+        remaining = iter(points[1:])
+        for cost in log.rows[:, 1]:
+            accepted.append(next(p for p in remaining if p[1] == cost))
+        assert len(accepted) > 10
+        for (x0, f0, g0), (x1, f1, g1) in zip(accepted, accepted[1:]):
+            slope = float(g0 @ (x1 - x0))
+            assert slope < 0
+            assert f1 <= f0 + training.WOLFE_C1 * slope + 1e-12 * abs(f0)
+            assert abs(float(g1 @ (x1 - x0))) <= -training.WOLFE_C2 * slope * (
+                1 + 1e-9
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bell_fit_reaches_scipy_lbfgsb_cost(self, bell_dataset, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        engine = costs.CostEngine(costs.CostSpec("l15"), bell_dataset)
+        start = training._initial_parameters(2, seed)
+        reference = optimize.minimize(
+            engine.value_and_grad, start, jac=True, method="L-BFGS-B",
+            options={"maxfun": 30000, "maxiter": 30000},
+        )
+        _, log = training.train_next_eigenstate(
+            bell_dataset, [], quick_config(seed=seed, max_epochs=30000, restarts=1)
+        )
+        assert log.best_cost == pytest.approx(reference.fun, rel=1e-6)
+
+    @pytest.mark.parametrize("max_epochs", [1, 2, 25])
+    def test_evaluations_capped_per_restart(
+        self, bell_dataset, monkeypatch, max_epochs
+    ):
+        calls = _recording_engine(monkeypatch)
+        config = quick_config(seed=9, max_epochs=max_epochs, restarts=3)
+        _, log = training.train_next_eigenstate(bell_dataset, [], config)
+        # A restart is a member of every tick until it stops, so the tick
+        # count is the largest number of points any restart scored.
+        assert len(calls) == max_epochs
+        assert len(log.rows) <= 3 * (max_epochs - 1)
+
+    def test_nonsmooth_l1_fit_stops_cleanly(self, bell_dataset):
+        engine = costs.CostEngine(costs.CostSpec("l1"), bell_dataset)
+        config = quick_config(
+            cost=costs.CostSpec("l1"), seed=15, max_epochs=30000, restarts=2
+        )
+        fits = training._fit_restarts(engine, config)
+        for fit in fits:
+            initial = engine.value(training._initial_parameters(2, 15 + fit.restart))
+            assert fit.error is None
+            assert fit.cost <= initial
+            assert fit.costs == sorted(fit.costs, reverse=True)
 
 
 class TestTrainNextEigenstate:
@@ -137,7 +213,7 @@ class TestTrainNextEigenstate:
             st.StateVector.normalized([0, 1, 0, 0]),
             st.StateVector.normalized([0, 0, 1, 0]),
         ]
-        config = quick_config(seed=12, max_epochs=6000, tol_rel=1e-9, patience=300)
+        config = quick_config(seed=12, max_epochs=6000)
         psi, log = training.train_next_eigenstate(data, previous, config)
         assert abs(psi.amplitudes[3]) ** 2 >= 0.99
         assert log.orthogonality_ok is True
@@ -145,9 +221,7 @@ class TestTrainNextEigenstate:
     def test_penalty_alone_drives_overlap_down(self):
         data = ms.MeasurementDataset(2, (), np.zeros((0, 4)), None, "exact")
         previous = [st.StateVector.normalized([1, 0, 0, 0])]
-        config = quick_config(
-            seed=13, max_epochs=8000, restarts=1, tol_rel=1e-9, patience=400
-        )
+        config = quick_config(seed=13, max_epochs=8000, restarts=1)
         psi, log = training.train_next_eigenstate(data, previous, config)
         assert abs(previous[0].overlap(psi)) ** 2 <= 1e-4
 
@@ -156,7 +230,7 @@ class TestTrainNextEigenstate:
 
         spectrum = st.eigendecompose(bell_rho)
         deflated = rc.deflate(bell_dataset, spectrum.eigenvectors[0], 0.9)
-        config = quick_config(seed=14, max_epochs=30000, patience=400, tol_rel=1e-7)
+        config = quick_config(seed=14, max_epochs=30000)
         psi, log = training.train_next_eigenstate(
             deflated, [spectrum.eigenvectors[0]], config
         )
