@@ -5,12 +5,11 @@ with the ansatz probability q in the same basis/outcome, optionally plus a
 penalty on squared overlaps with previously extracted states.  Gradients in
 all network parameters are exact and analytic: the per-record sensitivities
 are pulled back through the transposed basis rotations (one adjoint pass of
-``measurement.BasisRotation``) and contracted in one stacked matmul
-[1 | s]^T (c [1 | tanh]), which gives each network's (n + 1) x (n + 1) block
-[[sum c, db], [da, dW]]; one precomputed ``take`` puts the blocks in the
-[a, b, W] layout.
-``CostEngine`` compiles one spec against one dataset and gives the cost and
-its gradient together, on the flat parameter vector or on a stack of them.
+``measurement.BasisRotation``) into the derivative of the cost in the
+amplitudes, which ``rbm.Ansatz.gradient`` contracts into the [a, b, W]
+layout.  ``CostEngine`` compiles one spec against one dataset and gives the
+cost and its gradient together, on the flat parameter vector or on a stack
+of them.
 """
 
 from __future__ import annotations
@@ -21,12 +20,9 @@ import numpy as np
 
 from . import measurement, rbm
 from .measurement import MeasurementDataset
-from .states import StateVector
+from .states import ORTHOGONALITY_TOL, StateVector
 
 COST_KINDS = ("l1", "l15", "kl1", "kl2")
-
-#: Squared-overlap tolerance for the orthonormality of penalty states.
-ORTH_STATES_ATOL = 1e-8
 
 #: Floor on the probability inside a divergence's logarithm (kl1, kl2).
 DENOM_FLOOR = 1e-12
@@ -37,7 +33,8 @@ class CostSpec:
     """Choice of per-record distance plus the states the penalty keeps away.
 
     The penalty is the total squared overlap with ``orth_states``, at unit
-    weight.
+    weight.  No two of those states may have a squared overlap above
+    ``states.ORTHOGONALITY_TOL``, the bound the fit itself accepts.
     """
 
     kind: str
@@ -47,11 +44,11 @@ class CostSpec:
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}; expected {COST_KINDS}")
         states = tuple(self.orth_states)
-        if states:
+        if len(states) > 1:
             basis = np.column_stack([s.amplitudes for s in states])
-            gram = basis.conj().T @ basis
-            if np.abs(gram - np.eye(len(states))).max() > ORTH_STATES_ATOL:
-                raise ValueError("orth_states must be pairwise orthonormal")
+            overlaps = np.abs(basis.conj().T @ basis)
+            if np.triu(overlaps, 1).max() ** 2 > ORTHOGONALITY_TOL:
+                raise ValueError("orth_states must be pairwise orthogonal")
         object.__setattr__(self, "orth_states", states)
 
 
@@ -105,17 +102,17 @@ class CostEngine:
     Works on the flat parameter vector of ``rbm.pack_parameters``, the one
     the trainer descends on; ``value_and_grad`` gives the total cost and its
     exact gradient in that layout, for one vector or for each row of an
-    (R, P) stack.  The rotated amplitudes, q and the pulled-back product are
-    written into buffers the engine owns (the product over the amplitudes,
-    which it no longer needs), sized for one stack chunk, and so are the
-    [1 | tanh] tables, whose column of ones is written once.
+    (R, P) stack.  ``ansatz`` evaluates the amplitudes and finishes the
+    gradient; the engine owns the rotation, the cost and the penalty.  The
+    rotated amplitudes, q and the pulled-back product are written into
+    buffers the engine owns (the product over the amplitudes, which it no
+    longer needs), sized for one stack chunk.
     """
 
     def __init__(self, spec: CostSpec, data: MeasurementDataset):
         n = data.n_qubits
         if spec.orth_states and any(s.n_qubits != n for s in spec.orth_states):
             raise ValueError("orth_states do not match the dataset qubit count")
-        self.spins = rbm.exact_spin_table(n)
         self.spec = spec
         self.n_qubits = n
         self.rotation = measurement.BasisRotation(data.bases, n)
@@ -130,15 +127,7 @@ class CostEngine:
         self.data_probs = np.broadcast_to(probs, buffer_shape)
         self._rotated = np.empty(buffer_shape, dtype=np.complex128)
         self._q = np.empty(buffer_shape)
-        # [1 | tanh] of each member's two networks; column 0 stays one.
-        self._tanh = np.ones((self._chunk, 2, *self.spins.shape))
-        self._weighted = np.empty(self._tanh.shape)
-        # Flat index of the gradient [a, b, W] of both networks in their
-        # (n + 1) x (n + 1) blocks [[sum c, db], [da, dW]].
-        blocks = np.arange(2 * (n + 1) ** 2).reshape(2, n + 1, n + 1)
-        self._grad_order = np.concatenate(
-            [part for b in blocks for part in (b[1:, 0], b[0, 1:], b[1:, 1:].ravel())]
-        )
+        self.ansatz = rbm.Ansatz(n, self._chunk)
         if spec.orth_states:
             self.orth = np.stack([s.amplitudes for s in spec.orth_states])
             self._orth_conj = self.orth.conj()
@@ -172,8 +161,7 @@ class CostEngine:
     def _evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(m,) costs and (m, P) gradients of an (m, P) stack of one chunk."""
         members = len(theta)
-        tanh = self._tanh[:members]
-        psi, _ = rbm.wavefunction(theta, self.spins, out=tanh)
+        psi = self.ansatz.wavefunction(theta)
         probs = self.data_probs[:members]
         if not probs.size:
             total, beta, pulled = np.zeros(members), np.zeros(members), 0.0
@@ -196,15 +184,4 @@ class CostEngine:
             total += sq
             pulled = pulled + np.conj(self.orth.T @ overlaps)[:, :, 0]
             beta += sq
-
-        # Per network, d cost / d [a, b, W] = c @ [s | tanh | s (x) tanh] for
-        # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi.
-        # The rows of c are the real and imaginary floats of
-        # conj(u - beta |psi|^2), and [1 | s]^T (c [1 | tanh]) is the block
-        # [[sum c, db], [da, dW]] of each network, in one matmul.
-        beta_psi = (psi.view(np.float64) * beta[:, None]).view(np.complex128)
-        c = ((np.conj(pulled) - beta_psi) * np.conj(psi)).view(np.float64)
-        c = c.reshape(members, -1, 2).transpose(0, 2, 1)
-        weighted = np.multiply(c[..., None], tanh, out=self._weighted[:members])
-        blocks = self.spins.T @ weighted
-        return total, blocks.reshape(members, -1).take(self._grad_order, axis=1)
+        return total, self.ansatz.gradient(psi, pulled, beta)

@@ -445,7 +445,9 @@ class MeasurementDataset:
         ``n_qubits`` must be an integer up to the exact-mode cap, each record
         must be an object, each (basis, outcome) pair must appear exactly
         once, and each outcome must be ``n_qubits`` characters over
-        ``+``/``-``; anything else raises ValueError.
+        ``+``/``-``.  The header's ``seed`` and each record's ``shots`` must
+        be integers or null, and each ``p`` a JSON number; booleans count as
+        none of these.  Anything else raises ValueError.
         """
         with open(path, "r", encoding="utf-8") as fh:
             header = next((jsonio.loads(line) for line in fh if line.strip()), None)
@@ -458,6 +460,9 @@ class MeasurementDataset:
                     f"header n_qubits must be an integer in 1..{EXACT_MODE_MAX_QUBITS}, "
                     f"got {n_qubits!r}"
                 )
+            seed = header.get("seed")
+            if seed is not None and type(seed) is not int:
+                raise ValueError(f"header seed must be an integer, got {seed!r}")
             dim = 2**n_qubits
             index_of = {s: i for i, s in enumerate(outcome_strings(n_qubits))}
             # basis -> (probabilities, shot counts, outcome indices seen)
@@ -489,9 +494,14 @@ class MeasurementDataset:
                         f"duplicate record for basis {basis!r}, outcome {outcome!r}"
                     )
                 seen.add(i)
-                probs[i] = doc["p"]
+                p = doc["p"]
+                if type(p) is not float and type(p) is not int:
+                    raise ValueError(f"record p must be a number, got {p!r}")
+                probs[i] = p
                 shots = doc.get("shots")
                 if shots is not None:
+                    if type(shots) is not int:
+                        raise ValueError(f"shots must be an integer, got {shots!r}")
                     counts[i] = shots
                     have_counts = True
         bases = sorted(rows)
@@ -505,14 +515,13 @@ class MeasurementDataset:
         counts = None
         if have_counts:
             counts = np.array([rows[basis][1] for basis in bases])
-        seed = header.get("seed")
         return cls(
             n_qubits,
             tuple(bases),
             probs,
             counts,
             header.get("mode", "exact"),
-            int(seed) if seed is not None else None,
+            seed,
         )
 
 

@@ -11,6 +11,10 @@ available for the amplitude marginal beyond that.  The flat layout
 [a, b, W] of each network holds [b; W] as one (n + 1) x n block, so the
 hidden layer W^T s + b of every configuration is one matmul with the
 table [1 | s].
+
+This module alone knows that layout: ``pack_parameters`` writes it,
+``initial_parameters`` draws it, and ``Ansatz`` evaluates stacks of it and
+turns a cost's derivative in the amplitudes into the gradient in it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .states import StateVector
 
 #: Most Gibbs chains advanced together by ``gibbs_sample``.
 _CHAINS = 256
+#: Half-widths of the initial draw.  The phase network starts wider: with
+#: near-zero phases everywhere, descent cannot build sign structure.
+INIT_SCALE, PHASE_INIT_SCALE = 0.01, 0.5
 
 
 def log_sum_exp(values: np.ndarray):
@@ -66,10 +73,6 @@ class RbmParams:
     @property
     def n_hidden(self) -> int:
         return self.hidden_bias.size
-
-    @property
-    def n_parameters(self) -> int:
-        return self.weights.size + self.visible_bias.size + self.hidden_bias.size
 
     @classmethod
     def zeros(cls, n: int) -> "RbmParams":
@@ -259,22 +262,13 @@ def gibbs_sample(
     return out.transpose(1, 0, 2).reshape(-1, n)[:n_samples]
 
 
-def join_parameters(amplitude, phase) -> np.ndarray:
-    """Flat vector [a, b, W] of the amplitude then the phase (a, b, W) triple.
-
-    The inverse of ``split_parameters``.
-    """
-    (a, b, w), (pa, pb, pw) = amplitude, phase
-    return np.concatenate([a, b, w.ravel(), pa, pb, pw.ravel()])
-
-
 def pack_parameters(state: NqsState) -> np.ndarray:
     """Flatten both networks as [a, b, W] for amplitude then phase."""
-    amp, phase = state.amplitude_net, state.phase_net
-    return join_parameters(
-        (amp.visible_bias, amp.hidden_bias, amp.weights),
-        (phase.visible_bias, phase.hidden_bias, phase.weights),
-    )
+    blocks = [
+        np.vstack([net.visible_bias, net.hidden_bias, net.weights])
+        for net in (state.amplitude_net, state.phase_net)
+    ]
+    return np.concatenate(blocks, axis=None)
 
 
 def n_parameters(n_qubits: int) -> int:
@@ -291,18 +285,57 @@ def _network_blocks(theta: np.ndarray, n_qubits: int) -> np.ndarray:
     return theta.reshape(theta.shape[:-1] + (2, n_qubits + 2, n_qubits))
 
 
-def split_parameters(theta: np.ndarray, n_qubits: int):
-    """Views ((a, b, W) amplitude, (a, b, W) phase) into a flat vector.
-
-    The layout is the one ``join_parameters`` writes.
-    """
-    return tuple(
-        (block[0], block[1], block[2:]) for block in _network_blocks(theta, n_qubits)
+def initial_parameters(n_qubits: int, seed: int) -> np.ndarray:
+    """The seeded initial draw of one fit restart: per network one uniform
+    block of n (n + 2) values, the same values as draws of a, b and W in turn,
+    within +-``INIT_SCALE`` (amplitude) and then +-``PHASE_INIT_SCALE``."""
+    rng = np.random.default_rng(seed)
+    size = n_qubits * (n_qubits + 2)
+    return np.concatenate(
+        [rng.uniform(-scale, scale, size) for scale in (INIT_SCALE, PHASE_INIT_SCALE)]
     )
 
 
-def unpack_parameters(theta: np.ndarray, n_qubits: int) -> NqsState:
-    amplitude_net, phase_net = (
-        RbmParams(w, a, b) for a, b, w in split_parameters(theta, n_qubits)
-    )
-    return NqsState(amplitude_net, phase_net)
+class Ansatz:
+    """Exact-mode evaluation of stacks of up to ``members`` flat parameter
+    vectors, and the last step of their gradient.  The table [1 | s], the
+    buffers and the gradient's block order are built once; ``wavefunction``
+    keeps the tanh tables of its stack for the following ``gradient``."""
+
+    def __init__(self, n_qubits: int, members: int):
+        self.spins = exact_spin_table(n_qubits)
+        # [1 | tanh] of each member's two networks; column 0 stays one.
+        self._tanh = np.ones((members, 2, *self.spins.shape))
+        self._weighted = np.empty(self._tanh.shape)
+        # Flat index of the gradient [a, b, W] of both networks in their
+        # (n + 1) x (n + 1) blocks [[sum c, db], [da, dW]].
+        blocks = np.arange(2 * (n_qubits + 1) ** 2).reshape(2, n_qubits + 1, -1)
+        self._order = np.concatenate(
+            [part for b in blocks for part in (b[1:, 0], b[0, 1:], b[1:, 1:].ravel())]
+        )
+
+    def wavefunction(self, theta: np.ndarray) -> np.ndarray:
+        """(m, 2^n) normalized amplitudes of an (m, P) stack, m <= members."""
+        return wavefunction(theta, self.spins, out=self._tanh[: len(theta)])[0]
+
+    def gradient(self, psi: np.ndarray, pulled, beta: np.ndarray) -> np.ndarray:
+        """(m, P) gradient in the [a, b, W] layout of a cost C(psi) of the
+        stack last passed to ``wavefunction``, whose amplitudes are ``psi``.
+
+        ``pulled`` is the conjugate of dC/dpsi* and ``beta`` the real
+        psi . pulled, which the normalization of psi subtracts.
+        """
+        # Per network, d cost / d [a, b, W] = c @ [s | tanh | s (x) tanh] for
+        # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi.
+        # The rows of c are the real and imaginary floats of
+        # conj(u - beta |psi|^2), and [1 | s]^T (c [1 | tanh]) is the block
+        # [[sum c, db], [da, dW]] of each network, in one matmul.
+        members = len(psi)
+        beta_psi = (psi.view(np.float64) * beta[:, None]).view(np.complex128)
+        c = ((np.conj(pulled) - beta_psi) * np.conj(psi)).view(np.float64)
+        c = c.reshape(members, -1, 2).transpose(0, 2, 1)
+        weighted = np.multiply(
+            c[..., None], self._tanh[:members], out=self._weighted[:members]
+        )
+        blocks = self.spins.T @ weighted
+        return blocks.reshape(members, -1).take(self._order, axis=1)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import measurement
 from .measurement import MeasurementDataset
+from .states import ORTHOGONALITY_TOL
 from .states import DensityMatrix, StateVector, eigendecompose, fidelity
 from .training import TrainConfig, train_next_eigenstate
 
@@ -24,8 +25,6 @@ from .training import TrainConfig, train_next_eigenstate
 DEFAULT_FLOOR = 1e-6
 #: Deflated record probabilities may undershoot zero by at most this much.
 DEFLATION_NEG_TOL = 1e-9
-#: Pairwise squared overlap allowed between extracted eigenstates.
-PAIR_OVERLAP_TOL = 1e-3
 #: Seed offset between consecutive extraction steps; restarts may not exceed it.
 STEP_SEED_STRIDE = 10_000
 
@@ -58,7 +57,7 @@ class SpectralApprox:
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 sq = abs(pairs[i].state.overlap(pairs[j].state)) ** 2
-                if sq > PAIR_OVERLAP_TOL + 1e-12:
+                if sq > ORTHOGONALITY_TOL + 1e-12:
                     raise ValueError(
                         f"pairs {i} and {j} overlap too strongly ({sq:.3e})"
                     )

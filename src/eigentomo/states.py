@@ -22,6 +22,10 @@ EIGVAL_FLOOR = -1e-10
 FIDELITY_PSD_FLOOR = -1e-8
 #: Eigenvalue gaps below this are treated as degenerate when ordering.
 DEGENERACY_GAP = 1e-10
+#: Squared overlap up to which states count as orthogonal: the bound on a
+#: fitted eigenstate's total squared overlap with the earlier ones, and on
+#: each pair of the states a penalty or an approximation holds.
+ORTHOGONALITY_TOL = 1e-3
 
 
 def qubit_count(dim: int) -> int:

@@ -11,8 +11,8 @@ non-finite cost or gradient counts as a step too long.  A restart stops when
 an iteration lowers the cost by at most ``FTOL`` relative, when the line
 search finds no step that meets both Wolfe conditions (or the direction
 does not descend), or when it has used ``max_epochs`` cost evaluations, the
-initial one included.  Restart k draws its initial parameters from seed
-``base_seed + k``.
+initial one included.  Restart k starts from ``rbm.initial_parameters`` at
+seed ``base_seed + k``.
 
 The restarts of one fit run in lockstep: each restart is a generator that
 yields its next trial point and receives that point's cost and gradient,
@@ -35,14 +35,8 @@ import numpy as np
 from . import rbm
 from .costs import CostEngine, CostSpec
 from .measurement import MeasurementDataset
-from .states import StateVector
+from .states import ORTHOGONALITY_TOL, StateVector
 
-INIT_SCALE = 0.01
-#: The phase network starts wider: with near-zero phases everywhere, descent
-#: cannot build sign structure and stalls on nonnegative-amplitude states.
-PHASE_INIT_SCALE = 0.5
-#: Total squared overlap with previous states counted as orthogonal.
-ORTHOGONALITY_TOL = 1e-3
 #: (s, y) pairs kept by the L-BFGS history.
 MEMORY = 10
 #: Sufficient-decrease and curvature constants of the strong Wolfe conditions.
@@ -155,21 +149,6 @@ class _History:
         self.k = k + 1
 
 
-def _initial_parameters(n: int, seed: int) -> np.ndarray:
-    """The seeded initial draw of one restart, in the flat parameter layout."""
-    rng = np.random.default_rng(seed)
-    return rbm.join_parameters(
-        *(
-            (
-                rng.uniform(-scale, scale, size=n),
-                rng.uniform(-scale, scale, size=n),
-                rng.uniform(-scale, scale, size=(n, n)),
-            )
-            for scale in (INIT_SCALE, PHASE_INIT_SCALE)
-        )
-    )
-
-
 def _interpolate(lo: tuple, hi: tuple) -> float:
     """Next zoom trial between (step, cost, slope) brackets ``lo`` and ``hi``:
     the minimizer of the cubic through both (Nocedal & Wright, eq. 3.59), or
@@ -267,7 +246,7 @@ def _fit_restarts(engine: CostEngine, config: TrainConfig) -> list[_Restart]:
     n = engine.n_qubits
     restarts = [_Restart(k) for k in range(config.restarts)]
     live = [
-        _lbfgs(r, _initial_parameters(n, config.seed + r.restart), config.max_epochs)
+        _lbfgs(r, rbm.initial_parameters(n, config.seed + r.restart), config.max_epochs)
         for r in restarts
     ]
     trials = [next(fit) for fit in live]
@@ -327,11 +306,9 @@ def train_next_eigenstate(
         best_cost=winner.cost,
         diagnostics=diagnostics,
     )
-    psi = rbm.to_state_vector(rbm.unpack_parameters(winner.theta, engine.n_qubits))
+    psi = StateVector.normalized(engine.ansatz.wavefunction(winner.theta[None])[0])
     if previous:
-        total = float(
-            sum(abs(prev.overlap(psi)) ** 2 for prev in previous)
-        )
+        total = float(sum(abs(prev.overlap(psi)) ** 2 for prev in previous))
         log.orthogonality_ok = total <= ORTHOGONALITY_TOL
         if not log.orthogonality_ok:
             log.diagnostics.append(

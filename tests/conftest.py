@@ -36,13 +36,23 @@ def dense_rotation(basis: str) -> np.ndarray:
     return dense
 
 
+def network_parts(theta: np.ndarray, n: int):
+    """((a, b, W) amplitude, (a, b, W) phase): slices of a flat parameter
+    vector in the [a, b, W] layout, one network after the other."""
+    size = n * (n + 2)
+    return tuple(
+        (net[:n], net[n : 2 * n], net[2 * n :].reshape(n, n))
+        for net in (theta[:size], theta[size : 2 * size])
+    )
+
+
 def reference_wavefunction(theta: np.ndarray, n: int):
     """Amplitudes and (2, 2^n, n) tanh tables of flat RBM parameters, one
     network at a time: W^T s + b as a matmul plus the bias, and psi normalized
     through ``rbm.log_sum_exp`` of the amplitude log-marginal."""
     spins = ms.spin_table(n).astype(float)
     log_m, tanh = [], []
-    for a, b, w in rbm.split_parameters(theta, n):
+    for a, b, w in network_parts(theta, n):
         hidden = spins @ w + b
         log_m.append(a @ spins.T + rbm.log_two_cosh(hidden).sum(axis=1))
         tanh.append(np.tanh(hidden))
@@ -172,5 +182,41 @@ MALFORMED_DATASETS = {
         '{"n_qubits": 1.5, "mode": "exact", "seed": null}\n'
         + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n',
         "header n_qubits must be an integer in 1..12, got 1.5",
+    ),
+    "seed_list": (
+        '{"n_qubits": 1, "mode": "exact", "seed": [1]}\n'
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n',
+        "header seed must be an integer, got \\[1\\]",
+    ),
+    "seed_float": (
+        '{"n_qubits": 1, "mode": "exact", "seed": 1.7}\n'
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n',
+        "header seed must be an integer, got 1.7",
+    ),
+    "seed_bool": (
+        '{"n_qubits": 1, "mode": "exact", "seed": true}\n'
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n',
+        "header seed must be an integer, got True",
+    ),
+    "p_string": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": "0.5", "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
+        "p must be a number, got '0.5'",
+    ),
+    "p_bool": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": true, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0, "shots": null}\n',
+        "p must be a number, got True",
+    ),
+    "shots_not_integer": (
+        _SAMPLED_HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": 2.5}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": 2}\n',
+        "shots must be an integer, got 2.5",
     ),
 }

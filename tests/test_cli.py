@@ -160,6 +160,19 @@ class TestReconstructCommand:
         psi = doc["pairs"][0]["state"]
         assert len(psi["re"]) == 4 and psi["n_qubits"] == 2
 
+    def test_max_rank_three_runs_three_steps(self, tmp_path):
+        synth_dir = tmp_path / "synth"
+        run_cli("synth", "--preset", "bell-mixture", "--out-dir", synth_dir)
+        proc = run_cli(
+            "reconstruct", "--dataset", synth_dir / "dataset.jsonl",
+            "--max-rank", 3, "--floor", 1e-2, "--restarts", 3, "--seed", 3,
+            "--out-dir", tmp_path / "rec", check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "rec" / "result.json").read_text())
+        assert len(doc["pairs"]) == 3
+        assert [step["accepted"] for step in doc["report"]] == [True, True, True]
+
     def test_missing_dataset_flag_usage_error(self, tmp_path):
         proc = run_cli("reconstruct", "--out-dir", tmp_path, check=False)
         assert proc.returncode == 2

@@ -4,7 +4,12 @@ import pytest
 from eigentomo import costs, figures, measurement as ms, rbm
 from eigentomo import states as st
 
-from conftest import dense_rotation, random_pure, reference_wavefunction
+from conftest import (
+    dense_rotation,
+    network_parts,
+    random_pure,
+    reference_wavefunction,
+)
 
 
 def finite_difference_gradient(engine, theta, step=1e-5):
@@ -70,6 +75,20 @@ class TestCostSpec:
         b = st.StateVector.normalized([0.9, 0.1])
         with pytest.raises(ValueError):
             costs.CostSpec("l15", orth_states=(a, b))
+
+    def test_orthogonality_bound_is_the_fits(self):
+        # States that the fit accepts as orthogonal (squared overlap up to
+        # states.ORTHOGONALITY_TOL) are valid penalty states; above it, not.
+        a = st.StateVector.normalized([1.0, 0.0, 0.0, 0.0])
+        c = st.StateVector.normalized([0.0, 1.0, 0.0, 0.0])
+        for sq, ok in ((1e-4, True), (0.99e-3, True), (1.01e-3, False)):
+            b = st.StateVector.normalized([np.sqrt(sq), 0.0, np.sqrt(1 - sq), 0.0])
+            if ok:
+                spec = costs.CostSpec("l15", orth_states=(a, b, c))
+                assert len(spec.orth_states) == 3
+            else:
+                with pytest.raises(ValueError, match="pairwise orthogonal"):
+                    costs.CostSpec("l15", orth_states=(c, a, b))
 
 
 class TestCostTerms:
@@ -277,7 +296,7 @@ class TestCostGradient:
             costs.CostSpec("l15"), random_state(2, seed=11), bell_dataset
         )
         assert grad.shape == (rbm.n_parameters(2),)
-        (a, b, w), (pa, pb, pw) = rbm.split_parameters(grad, 2)
+        (a, b, w), (pa, pb, pw) = network_parts(grad, 2)
         assert w.shape == pw.shape == (2, 2)
         assert a.shape == b.shape == pa.shape == pb.shape == (2,)
 

@@ -9,7 +9,7 @@ from eigentomo import measurement as ms
 from eigentomo import rbm
 from eigentomo import states as st
 
-from conftest import dense_rotation, reference_wavefunction
+from conftest import dense_rotation, network_parts, reference_wavefunction
 
 
 def brute_force_marginal(params: rbm.RbmParams, sigma) -> float:
@@ -234,7 +234,8 @@ class TestFusedEvaluator:
         thetas = rng.uniform(-1.0, 1.0, (4, rbm.n_parameters(n)))
         thetas[-1, :n] = 1500.0 * rng.choice([-1.0, 1.0], n) / n
         spins = ms.spin_table(n).astype(float)
-        amp_net = rbm.unpack_parameters(thetas[-1], n).amplitude_net
+        a, b, w = network_parts(thetas[-1], n)[0]
+        amp_net = rbm.RbmParams(w, a, b)
         log_p = rbm.log_marginal_table(amp_net, spins)
         assert 0.5 * (log_p.max() - log_p.min()) > 1400
         table = rbm.exact_spin_table(n)
@@ -326,9 +327,34 @@ class TestGibbsSampling:
 
 class TestParameterPacking:
     def test_round_trip(self):
+        # Packed, then read back through the [a, b, W] slices of the layout.
         state = rbm.NqsState.uniform_init(3, seed=1, scale=0.2, phase_scale=0.7)
         theta = rbm.pack_parameters(state)
         assert theta.shape == (rbm.n_parameters(3),)
-        back = rbm.unpack_parameters(theta, 3)
-        assert np.array_equal(back.amplitude_net.weights, state.amplitude_net.weights)
-        assert np.array_equal(back.phase_net.hidden_bias, state.phase_net.hidden_bias)
+        for (a, b, w), net in zip(
+            network_parts(theta, 3), (state.amplitude_net, state.phase_net)
+        ):
+            assert np.array_equal(a, net.visible_bias)
+            assert np.array_equal(b, net.hidden_bias)
+            assert np.array_equal(w, net.weights)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    def test_initial_parameters_pinned_to_per_part_draw(self, n):
+        # Each network's block is the draw of a, b and then W, the amplitude
+        # network within +-0.01 and then the phase network within +-0.5.
+        for seed in (0, 3, 7, 10003, 20004):
+            rng = np.random.default_rng(seed)
+            want = np.concatenate(
+                [
+                    part
+                    for scale in (0.01, 0.5)
+                    for part in (
+                        rng.uniform(-scale, scale, size=n),
+                        rng.uniform(-scale, scale, size=n),
+                        rng.uniform(-scale, scale, size=(n, n)).ravel(),
+                    )
+                ]
+            )
+            got = rbm.initial_parameters(n, seed)
+            assert got.shape == (rbm.n_parameters(n),)
+            assert np.array_equal(got, want)

@@ -344,6 +344,18 @@ class TestReconstruct:
         assert second.argmin_record not in second.excluded_records
         assert second.weight_raw > 0
 
+    def test_bell_rank_three_runs_three_steps(self, bell_rho, bell_dataset):
+        # Step 3's penalty holds two fitted states whose squared overlap is
+        # small but not zero; the penalty accepts what the fit accepted.
+        config = quick_config(seed=3, max_epochs=30000, restarts=3)
+        approx, report = rc.reconstruct(
+            bell_dataset, 3, config, floor=1e-2, true_rho=bell_rho
+        )
+        assert approx.rank == 3
+        assert [step.accepted for step in report.steps] == [True, True, True]
+        assert approx.pairs[2].weight == pytest.approx(0.009, abs=2e-3)
+        assert report.steps[2].eigenstate_fidelity >= 0.999
+
     def test_report_serializable(self):
         target = basis_vector(2, 0)
         data = ms.exact_dataset(

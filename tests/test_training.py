@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigentomo import costs, measurement as ms, training
+from eigentomo import costs, measurement as ms, rbm, training
 from eigentomo import states as st
 
 
@@ -168,7 +168,7 @@ class TestLbfgs:
     def test_bell_fit_reaches_scipy_lbfgsb_cost(self, bell_dataset, seed):
         optimize = pytest.importorskip("scipy.optimize")
         engine = costs.CostEngine(costs.CostSpec("l15"), bell_dataset)
-        start = training._initial_parameters(2, seed)
+        start = rbm.initial_parameters(2, seed)
         reference = optimize.minimize(
             engine.value_and_grad, start, jac=True, method="L-BFGS-B",
             options={"maxfun": 30000, "maxiter": 30000},
@@ -197,7 +197,7 @@ class TestLbfgs:
         )
         fits = training._fit_restarts(engine, config)
         for fit in fits:
-            initial = engine.value(training._initial_parameters(2, 15 + fit.restart))
+            initial = engine.value(rbm.initial_parameters(2, 15 + fit.restart))
             assert fit.error is None
             assert fit.cost <= initial
             assert fit.costs == sorted(fit.costs, reverse=True)
