@@ -58,7 +58,7 @@ def cost_comparison_grid(
     unperturbed copies of the dominant eigenstate.
     """
     spectrum = eigendecompose(rho)
-    dominant = spectrum.eigenvectors[0].amplitudes
+    dominant = spectrum.vectors[:, 0]
     p1 = float(spectrum.eigenvalues[0])
     data = measurement.exact_dataset(rho, bases)
     rng = np.random.default_rng(seed)
@@ -128,9 +128,9 @@ def entropy_tables(rho: DensityMatrix, bases) -> tuple[list[tuple], list[tuple]]
     entropy_mixed, entropy_pure); probability rows are (basis, outcome
     string, p_mixed, p_pure).
     """
-    psi = eigendecompose(rho).eigenvectors[0]
+    psi = eigendecompose(rho).vectors[:, 0]
     mixed = measurement.density_probabilities(rho, bases)
-    pure = measurement.basis_probabilities(psi.amplitudes, bases)
+    pure = measurement.basis_probabilities(psi, bases)
     outcomes = measurement.outcome_strings(rho.n_qubits)
     probability_rows = [
         (basis, outcome, m, p)

@@ -447,7 +447,8 @@ class MeasurementDataset:
         once, and each outcome must be ``n_qubits`` characters over
         ``+``/``-``.  The header's ``seed`` and each record's ``shots`` must
         be integers or null, and each ``p`` a JSON number; booleans count as
-        none of these.  Anything else raises ValueError.
+        none of these, and ``shots`` must fit int64 and ``p`` float64.
+        Anything else raises ValueError.
         """
         with open(path, "r", encoding="utf-8") as fh:
             header = next((jsonio.loads(line) for line in fh if line.strip()), None)
@@ -468,42 +469,47 @@ class MeasurementDataset:
             # basis -> (probabilities, shot counts, outcome indices seen)
             rows: dict[str, tuple[np.ndarray, np.ndarray, set]] = {}
             have_counts = False
-            for doc in _record_values(fh):
-                if not isinstance(doc, dict):
-                    raise ValueError(f"record {doc!r} is not a JSON object")
-                outcome = doc.get("outcome")
-                i = index_of.get(outcome) if isinstance(outcome, str) else None
-                if i is None:
-                    raise ValueError(
-                        f"invalid outcome {outcome!r}: expected {n_qubits} "
-                        "characters over +, -"
-                    )
-                basis = doc["basis"]
-                try:
-                    row = rows[basis]
-                except (KeyError, TypeError):
-                    validate_basis(basis, n_qubits)
-                    row = rows[basis] = (
-                        np.zeros(dim),
-                        np.zeros(dim, dtype=np.int64),
-                        set(),
-                    )
-                probs, counts, seen = row
-                if i in seen:
-                    raise ValueError(
-                        f"duplicate record for basis {basis!r}, outcome {outcome!r}"
-                    )
-                seen.add(i)
-                p = doc["p"]
-                if type(p) is not float and type(p) is not int:
-                    raise ValueError(f"record p must be a number, got {p!r}")
-                probs[i] = p
-                shots = doc.get("shots")
-                if shots is not None:
-                    if type(shots) is not int:
-                        raise ValueError(f"shots must be an integer, got {shots!r}")
-                    counts[i] = shots
-                    have_counts = True
+            # An integer p beyond float64 or shots beyond int64 fails in the
+            # numpy store.
+            try:
+                for doc in _record_values(fh):
+                    if not isinstance(doc, dict):
+                        raise ValueError(f"record {doc!r} is not a JSON object")
+                    outcome = doc.get("outcome")
+                    i = index_of.get(outcome) if isinstance(outcome, str) else None
+                    if i is None:
+                        raise ValueError(
+                            f"invalid outcome {outcome!r}: expected {n_qubits} "
+                            "characters over +, -"
+                        )
+                    basis = doc["basis"]
+                    try:
+                        row = rows[basis]
+                    except (KeyError, TypeError):
+                        validate_basis(basis, n_qubits)
+                        row = rows[basis] = (
+                            np.zeros(dim),
+                            np.zeros(dim, dtype=np.int64),
+                            set(),
+                        )
+                    probs, counts, seen = row
+                    if i in seen:
+                        raise ValueError(
+                            f"duplicate record for basis {basis!r}, outcome {outcome!r}"
+                        )
+                    seen.add(i)
+                    p = doc["p"]
+                    if type(p) is not float and type(p) is not int:
+                        raise ValueError(f"record p must be a number, got {p!r}")
+                    probs[i] = p
+                    shots = doc.get("shots")
+                    if shots is not None:
+                        if type(shots) is not int:
+                            raise ValueError(f"shots must be an integer, got {shots!r}")
+                        counts[i] = shots
+                        have_counts = True
+            except OverflowError as exc:
+                raise ValueError(f"record value out of range: {exc}") from None
         bases = sorted(rows)
         for basis in bases:
             listed = len(rows[basis][2])

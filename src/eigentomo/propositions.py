@@ -35,6 +35,8 @@ from .states import pure_fidelity as _default_pure_fidelity
 
 DEFAULT_TOL = 1e-10
 RANK_FIDELITY_TOL = 1e-9
+#: Rank of the rank-r checks that ``run_corpus`` runs on each state.
+CORPUS_RANK = 2
 
 
 @dataclass
@@ -46,7 +48,6 @@ class PropositionReport:
     max_violation: float
     passed: bool
     note: str = ""
-    witness: dict | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -92,21 +93,7 @@ def _rank_r_challengers(
     return frames, weights
 
 
-def _witness(rho: np.ndarray, challenger: np.ndarray) -> dict:
-    return {
-        "rho_re": rho.real.tolist(),
-        "rho_im": rho.imag.tolist(),
-        "challenger_re": challenger.real.tolist(),
-        "challenger_im": challenger.imag.tolist(),
-    }
-
-
-def check_prop1(
-    rho,
-    n_challengers: int,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-) -> PropositionReport:
+def check_prop1(rho, n_challengers: int, seed: int) -> PropositionReport:
     """Haar-random pure states never exceed fidelity p_1 with rho."""
     mat = matrix_of(rho)
     vals, vecs = _sorted_spectrum(mat)
@@ -119,13 +106,11 @@ def check_prop1(
     fids = _default_pure_fidelity(mat, challengers)
     violation = float(max(0.0, fids.max() - vals[0]))
     attain_err = float(abs(_default_pure_fidelity(mat, vecs[:, 0]) - vals[0]))
-    worst = challengers[int(np.argmax(fids))]
     return PropositionReport(
         1,
         n_challengers,
         max(violation, attain_err),
-        max(violation, attain_err) <= tol,
-        witness=_witness(mat, np.outer(worst, worst.conj())) if violation > tol else None,
+        max(violation, attain_err) <= DEFAULT_TOL,
         extras={
             "p1": float(vals[0]),
             "max_challenger_fidelity": float(fids.max()),
@@ -134,9 +119,7 @@ def check_prop1(
     )
 
 
-def check_prop2(
-    rho, n_challengers: int, seed: int, tol: float = DEFAULT_TOL
-) -> PropositionReport:
+def check_prop2(rho, n_challengers: int, seed: int) -> PropositionReport:
     """Pure-state trace distances stay within [1 - p_1, 1 - p_n].
 
     The dominant eigenvector attains the lower bound.
@@ -163,7 +146,7 @@ def check_prop2(
         2,
         n_challengers,
         violation,
-        violation <= tol,
+        violation <= DEFAULT_TOL,
         extras={
             "lower": lower,
             "upper": upper,
@@ -173,13 +156,7 @@ def check_prop2(
     )
 
 
-def check_prop3(
-    rho,
-    r: int,
-    n_challengers: int,
-    seed: int,
-    tol: float = RANK_FIDELITY_TOL,
-) -> PropositionReport:
+def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport:
     """Random rank-r states never exceed fidelity kappa(r); truncation attains it.
 
     For every challenger, the projector D onto its support and the
@@ -198,7 +175,6 @@ def check_prop3(
     adjoints = frames.conj().swapaxes(1, 2)
     taus = (frames * weights[:, None, :]) @ adjoints
     fids = _default_fidelity(mat, taus)
-    best = int(np.argmax(fids))
     projs = frames @ adjoints
     captured = (np.abs(adjoints @ vecs) ** 2).sum(axis=1)
     lhs = np.real(np.trace(projs @ mat @ projs, axis1=1, axis2=2))
@@ -206,14 +182,17 @@ def check_prop3(
 
     truncated = (vecs[:, :r] * (vals[:r] / kappa)) @ vecs[:, :r].conj().T
     attain_err = float(abs(_default_fidelity(mat, truncated) - kappa))
-    violation = max(0.0, float(fids[best]) - kappa)
-    passed = violation <= tol and attain_err <= tol and b13_err <= DEFAULT_TOL * 10
+    violation = max(0.0, float(fids.max()) - kappa)
+    passed = (
+        violation <= RANK_FIDELITY_TOL
+        and attain_err <= RANK_FIDELITY_TOL
+        and b13_err <= DEFAULT_TOL * 10
+    )
     return PropositionReport(
         3,
         n_challengers,
         float(max(violation, attain_err)),
         passed,
-        witness=_witness(mat, taus[best]) if violation > tol else None,
         extras={
             "kappa": kappa,
             "attainment_error": attain_err,
@@ -222,9 +201,7 @@ def check_prop3(
     )
 
 
-def check_prop4(
-    rho, r: int, n_family: int, seed: int, tol: float = DEFAULT_TOL
-) -> PropositionReport:
+def check_prop4(rho, r: int, n_family: int, seed: int) -> PropositionReport:
     """A whole family of rank-r states attains trace distance 1 - kappa(r).
 
     Members use the top-r eigenvectors of rho with weights q_i >= p_i summing
@@ -254,7 +231,7 @@ def check_prop4(
         4,
         n_family,
         worst,
-        worst <= tol,
+        worst <= DEFAULT_TOL,
         extras={
             "kappa": kappa,
             "trace_conjecture_min_gap": probe_best - (1.0 - kappa),
@@ -286,9 +263,7 @@ def _weyl_violation(q_mat: np.ndarray, p_mat: np.ndarray) -> float:
     return worst
 
 
-def check_weyl(
-    q_matrix, p_matrix, n_trials: int, seed: int, tol: float = DEFAULT_TOL
-) -> WeylReport:
+def check_weyl(q_matrix, p_matrix, n_trials: int, seed: int) -> WeylReport:
     """Weyl's eigenvalue inequality for the given pair plus random pairs."""
     q_mat = matrix_of(q_matrix)
     p_mat = matrix_of(p_matrix)
@@ -301,7 +276,7 @@ def check_weyl(
         worst = max(
             worst, _weyl_violation(random_hermitian(dim, rng), random_hermitian(dim, rng))
         )
-    return WeylReport(n_trials + 1, float(worst), worst <= tol)
+    return WeylReport(n_trials + 1, float(worst), worst <= DEFAULT_TOL)
 
 
 @dataclass
@@ -336,13 +311,9 @@ def default_corpus(
     return corpus
 
 
-def run_corpus(
-    corpus=None,
-    trials: int = 500,
-    rank: int = 2,
-    seed: int = 0,
-) -> CorpusResult:
-    """Run every proposition check plus the Weyl check over a state corpus."""
+def run_corpus(corpus=None, trials: int = 500, seed: int = 0) -> CorpusResult:
+    """Run every proposition check plus the Weyl check over a state corpus,
+    the rank-r checks at r = min(``CORPUS_RANK``, dim)."""
     if corpus is None:
         corpus = default_corpus(seed)
     reports: dict[str, list] = {"prop1": [], "prop2": [], "prop3": [], "prop4": [], "weyl": []}
@@ -351,7 +322,7 @@ def run_corpus(
     for index, (_, mat) in enumerate(corpus):
         base = seed + 1000 * index
         dim = mat.shape[0]
-        r = min(rank, dim)
+        r = min(CORPUS_RANK, dim)
         p1 = check_prop1(mat, trials, base)
         p2 = check_prop2(mat, trials, base + 1)
         p3 = check_prop3(mat, r, max(trials // 5, 20), base + 2)

@@ -78,14 +78,6 @@ class RbmParams:
     def zeros(cls, n: int) -> "RbmParams":
         return cls(np.zeros((n, n)), np.zeros(n), np.zeros(n))
 
-    @classmethod
-    def uniform_init(cls, n: int, rng: np.random.Generator, scale: float = 0.01):
-        return cls(
-            rng.uniform(-scale, scale, size=(n, n)),
-            rng.uniform(-scale, scale, size=n),
-            rng.uniform(-scale, scale, size=n),
-        )
-
 
 def log_two_cosh(x: np.ndarray) -> np.ndarray:
     """log(2 cosh x) without overflow: log(e^x + e^-x) as |x| + log1p(e^-2|x|)."""
@@ -172,13 +164,19 @@ class NqsState:
 
         A wider phase initialization breaks the zero-phase symmetry of the
         ansatz, without which gradient descent cannot develop sign structure.
+        One generator draws W, then a, then b, amplitude network first.
         """
         rng = np.random.default_rng(seed)
+        n = n_qubits
         return cls(
-            RbmParams.uniform_init(n_qubits, rng, scale),
-            RbmParams.uniform_init(
-                n_qubits, rng, scale if phase_scale is None else phase_scale
-            ),
+            *(
+                RbmParams(
+                    rng.uniform(-half, half, (n, n)),
+                    rng.uniform(-half, half, n),
+                    rng.uniform(-half, half, n),
+                )
+                for half in (scale, scale if phase_scale is None else phase_scale)
+            )
         )
 
 

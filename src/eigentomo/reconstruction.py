@@ -25,6 +25,8 @@ from .training import TrainConfig, train_next_eigenstate
 DEFAULT_FLOOR = 1e-6
 #: Deflated record probabilities may undershoot zero by at most this much.
 DEFLATION_NEG_TOL = 1e-9
+#: Predicted probabilities are floored here before the log of the likelihood.
+LIKELIHOOD_FLOOR = 1e-12
 #: Seed offset between consecutive extraction steps; restarts may not exceed it.
 STEP_SEED_STRIDE = 10_000
 
@@ -89,7 +91,7 @@ class SpectralApprox:
         """Exact truncation of a known state, mainly for tests and baselines."""
         spectrum = eigendecompose(rho)
         pairs = tuple(
-            SpectralPair(float(spectrum.eigenvalues[i]), spectrum.eigenvectors[i])
+            SpectralPair(float(spectrum.eigenvalues[i]), spectrum.eigenvector(i))
             for i in range(r)
         )
         return cls(pairs)
@@ -211,9 +213,7 @@ def deflate(
     )
 
 
-def log_likelihood(
-    approx: SpectralApprox, data: MeasurementDataset, floor: float = 1e-12
-) -> float:
+def log_likelihood(approx: SpectralApprox, data: MeasurementDataset) -> float:
     """Data log-likelihood of the normalized approximation; higher is better.
 
     Records are weighted by shot counts when present, by their probabilities
@@ -233,7 +233,7 @@ def log_likelihood(
     weights = (
         data.counts.astype(float) if data.counts is not None else data.probabilities
     )
-    return float((weights * np.log(np.maximum(q, floor))).sum())
+    return float((weights * np.log(np.maximum(q, LIKELIHOOD_FLOOR))).sum())
 
 
 def relative_fidelity(rho: DensityMatrix, approx: SpectralApprox) -> float:
@@ -315,9 +315,9 @@ def reconstruct(
         eig_fid = None
         gap = None
         if truth is not None and step <= truth.dim:
-            reference = truth.eigenvectors[step - 1]
-            eig_fid = float(abs(reference.overlap(psi)) ** 2)
+            reference = truth.eigenvector(step - 1)
             phase = reference.overlap(psi)
+            eig_fid = float(abs(phase) ** 2)
             aligned = psi.amplitudes * (
                 np.conj(phase) / abs(phase) if abs(phase) > 0 else 1.0
             )

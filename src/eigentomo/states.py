@@ -128,40 +128,45 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending eigenvalues of a density matrix with matching eigenvectors."""
+    """Descending eigenvalues of a density matrix and, as the columns of one
+    read-only (d, d) matrix ``vectors``, their eigenvectors: column k belongs
+    to eigenvalue k."""
 
     eigenvalues: np.ndarray
-    eigenvectors: tuple[StateVector, ...]
+    vectors: np.ndarray
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=float)
-        if vals.ndim != 1 or vals.size != len(self.eigenvectors):
-            raise ValueError("eigenvalues and eigenvectors disagree in length")
+        vecs = np.array(self.vectors, dtype=np.complex128)
+        if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
+            raise ValueError("eigenvalues and eigenvector columns disagree in length")
         if np.any(np.diff(vals) > DEGENERACY_GAP):
             raise ValueError("eigenvalues must be sorted in descending order")
         if abs(vals.sum() - 1.0) > 1e-10:
             raise ValueError("eigenvalues must sum to 1")
         if vals.min() < -1e-10 or vals.max() > 1 + 1e-10:
             raise ValueError("eigenvalues must lie in [0, 1]")
-        basis = np.column_stack([v.amplitudes for v in self.eigenvectors])
-        gram = basis.conj().T @ basis
+        gram = vecs.conj().T @ vecs
         if np.abs(gram - np.eye(vals.size)).max() > 1e-10:
             raise ValueError("eigenvectors are not orthonormal within tolerance")
         vals.setflags(write=False)
+        vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "vectors", vecs)
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    def eigenvector(self, k: int) -> StateVector:
+        """The eigenvector of eigenvalue ``k`` (column k) as a state."""
+        return StateVector(self.vectors[:, k], qubit_count(self.dim))
 
     def leading_weight(self, r: int) -> float:
         """Sum of the ``r`` largest eigenvalues: the best fidelity any rank-r state can reach."""
         if not 1 <= r <= self.dim:
             raise ValueError(f"rank {r} out of range 1..{self.dim}")
         return float(self.eigenvalues[:r].sum())
-
-    def basis_matrix(self) -> np.ndarray:
-        return np.column_stack([v.amplitudes for v in self.eigenvectors])
 
 
 def matrix_of(obj) -> np.ndarray:
@@ -260,15 +265,6 @@ def trace_distance(rho, sigma) -> float:
     return float(half_trace_norm(diff))
 
 
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest component is real positive."""
-    j = int(np.argmax(np.abs(column)))
-    pivot = column[j]
-    if abs(pivot) == 0.0:
-        return column
-    return column * (pivot.conj() / abs(pivot))
-
-
 def _lex_order(vectors: np.ndarray) -> np.ndarray:
     """Stable lexicographic order of the rows of a complex (k, d) array: by
     the real part of component 0, then its imaginary part, then component 1,
@@ -288,30 +284,30 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
     """
     vals, vecs = np.linalg.eigh(rho.entries)
     vals = vals[::-1]
-    rows = np.array([_fix_phase(column) for column in vecs.T[::-1]])
-    tied = (vals[:-1] - vals[1:] < DEGENERACY_GAP).tolist()
-    order = np.arange(vals.size)
-    start = 0
-    while start < vals.size:
-        stop = start + 1
-        while stop < vals.size and tied[stop - 1]:
-            stop += 1
+    # Row k is the eigenvector of eigenvalue k.  Each has unit norm, so its
+    # pivot (largest-modulus component) is nonzero.  np.hypot rounds as the
+    # scalar abs of one pivot does; np.abs of the complex array may not.
+    rows = vecs.T[::-1]
+    dim = vals.size
+    pivots = rows[np.arange(dim), np.argmax(np.abs(rows), axis=1)]
+    rows = rows * (pivots.conj() / np.hypot(pivots.real, pivots.imag))[:, None]
+    order = np.arange(dim)
+    starts = np.flatnonzero(np.r_[True, vals[:-1] - vals[1:] >= DEGENERACY_GAP])
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [dim]):
         if stop - start > 1:
             order[start:stop] = start + _lex_order(rows[start:stop])
-        start = stop
-    vectors = tuple(StateVector.normalized(rows[i]) for i in order)
-    return Spectrum(vals[order], vectors)
+    rows = rows[order]
+    rows /= np.array([np.linalg.norm(row) for row in rows])[:, None]
+    # The transpose keeps each eigenvector contiguous, as a column.
+    return Spectrum(vals[order], rows.T)
 
 
 def optimal_rank_r(rho: DensityMatrix, r: int) -> DensityMatrix:
     """Renormalized truncation of the spectrum to its ``r`` largest eigenvalues."""
     spectrum = eigendecompose(rho)
-    if not 1 <= r <= spectrum.dim:
-        raise ValueError(f"rank {r} out of range 1..{spectrum.dim}")
     kappa = spectrum.leading_weight(r)
     weights = spectrum.eigenvalues[:r] / kappa
-    basis = spectrum.basis_matrix()[:, :r]
-    return DensityMatrix.from_eigensystem(weights, basis)
+    return DensityMatrix.from_eigensystem(weights, spectrum.vectors[:, :r])
 
 
 def save_state_vector(path, psi: StateVector) -> None:
@@ -325,10 +321,28 @@ def save_state_vector(path, psi: StateVector) -> None:
     )
 
 
-def load_state_vector(path) -> StateVector:
+def _load_state_doc(path) -> tuple[np.ndarray, int]:
+    """Entries re + i im and ``n_qubits`` of a file written by
+    ``save_state_vector`` or ``save_density_matrix``; ValueError unless the
+    file holds an object with an integer ``n_qubits`` (booleans are not)
+    that matches the leading dimension of the entries."""
     doc = jsonio.load(path)
-    amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    return StateVector(amps, int(doc["n_qubits"]))
+    if not isinstance(doc, dict):
+        raise ValueError(f"state file {path} does not hold a JSON object")
+    n_qubits = doc.get("n_qubits")
+    if type(n_qubits) is not int:
+        raise ValueError(f"state file n_qubits must be an integer, got {n_qubits!r}")
+    entries = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    # Checked before a constructor forms 2**n_qubits, which never ends for a
+    # huge n_qubits.
+    dim = entries.shape[0] if entries.ndim else 0
+    if n_qubits != dim.bit_length() - 1:
+        raise ValueError(f"state file n_qubits {n_qubits} does not match dimension {dim}")
+    return entries, n_qubits
+
+
+def load_state_vector(path) -> StateVector:
+    return StateVector(*_load_state_doc(path))
 
 
 def save_density_matrix(path, rho: DensityMatrix) -> None:
@@ -343,6 +357,4 @@ def save_density_matrix(path, rho: DensityMatrix) -> None:
 
 
 def load_density_matrix(path) -> DensityMatrix:
-    doc = jsonio.load(path)
-    mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    return DensityMatrix(mat, int(doc["n_qubits"]))
+    return DensityMatrix(*_load_state_doc(path))

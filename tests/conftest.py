@@ -219,4 +219,38 @@ MALFORMED_DATASETS = {
         + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": 2}\n',
         "shots must be an integer, got 2.5",
     ),
+    "shots_beyond_int64": (
+        _SAMPLED_HEADER
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": 99999999999999999999}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": 0}\n',
+        "record value out of range",
+    ),
+    "p_beyond_float64": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 1' + "0" * 400 + ', "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n',
+        "record value out of range",
+    ),
+}
+
+#: State files (``--truth``, ``--target``, ``figdata --state``) the loaders
+#: must reject: name -> (file text, error pattern).
+MALFORMED_STATE_FILES = {
+    "n_qubits_null": (
+        '{"n_qubits": null, "re": [1.0, 0.0], "im": [0.0, 0.0]}',
+        "n_qubits must be an integer, got None",
+    ),
+    "n_qubits_list": (
+        '{"n_qubits": [2], "re": [1.0, 0.0], "im": [0.0, 0.0]}',
+        "n_qubits must be an integer, got \\[2\\]",
+    ),
+    "n_qubits_bool": (
+        '{"n_qubits": true, "re": [1.0, 0.0], "im": [0.0, 0.0]}',
+        "n_qubits must be an integer, got True",
+    ),
+    "top_level_list": ("[1.0, 0.0]", "does not hold a JSON object"),
+    "n_qubits_huge": (
+        '{"n_qubits": 1000000000000, "re": [1.0, 0.0], "im": [0.0, 0.0]}',
+        "n_qubits 1000000000000 does not match dimension 2",
+    ),
 }

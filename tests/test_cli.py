@@ -12,7 +12,7 @@ from eigentomo import cli
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
-from conftest import MALFORMED_DATASETS
+from conftest import MALFORMED_DATASETS, MALFORMED_STATE_FILES
 
 
 def run_cli(*args, check=True):
@@ -222,6 +222,25 @@ class TestReconstructCommand:
         assert proc.returncode == 1
         assert re.search(f"^error: .*{match}", proc.stderr, re.MULTILINE)
 
+    @pytest.mark.parametrize("flag", ["--truth", "--target"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STATE_FILES))
+    def test_malformed_state_file_runtime_error(self, tmp_path, flag, name):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(
+            '{"n_qubits": 1, "mode": "exact", "seed": null}\n'
+            '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n'
+            '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n'
+        )
+        text, match = MALFORMED_STATE_FILES[name]
+        state = tmp_path / f"{name}.json"
+        state.write_text(text)
+        proc = run_cli(
+            "reconstruct", "--dataset", dataset, flag, state,
+            "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 1
+        assert re.fullmatch(f"error: .*{match}.*\n", proc.stderr)
+
     def test_nonexistent_dataset_runtime_error(self, tmp_path):
         proc = run_cli(
             "reconstruct", "--dataset", tmp_path / "missing.jsonl",
@@ -317,6 +336,18 @@ class TestFigdataCommand:
         )
         assert proc.returncode == 2
         assert flag in proc.stderr
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STATE_FILES))
+    def test_malformed_state_file_runtime_error(self, tmp_path, name):
+        text, match = MALFORMED_STATE_FILES[name]
+        state = tmp_path / f"{name}.json"
+        state.write_text(text)
+        proc = run_cli(
+            "figdata", "--mode", "fig4", "--state", state, "--out-dir", tmp_path,
+            check=False,
+        )
+        assert proc.returncode == 1
+        assert re.fullmatch(f"error: .*{match}.*\n", proc.stderr)
 
     def test_fig3_summary_spearman(self, tmp_path, w4_state_file):
         run_cli(

@@ -656,7 +656,7 @@ class TestWMixture:
 
     def test_dominant_close_to_w(self, w4_rho):
         spectrum = st.eigendecompose(w4_rho)
-        overlap = abs(spectrum.eigenvectors[0].overlap(ms.w_state(4))) ** 2
+        overlap = abs(spectrum.eigenvector(0).overlap(ms.w_state(4))) ** 2
         assert 0.9 < overlap < 1.0
 
     def test_invalid_spectra(self):

@@ -79,7 +79,7 @@ class TestProp4:
 
     def test_explicit_member(self, bell_rho):
         spectrum = st.eigendecompose(bell_rho)
-        basis = spectrum.basis_matrix()[:, :2]
+        basis = spectrum.vectors[:, :2]
         tau = (basis * np.array([0.91, 0.09])) @ basis.conj().T
         assert st.trace_distance(bell_rho, tau) == pytest.approx(0.01, abs=1e-10)
 

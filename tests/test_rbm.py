@@ -358,3 +358,30 @@ class TestParameterPacking:
             got = rbm.initial_parameters(n, seed)
             assert got.shape == (rbm.n_parameters(n),)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_uniform_init_pinned_to_per_part_draw(self, n):
+        # One generator draws W, a and then b of the amplitude network within
+        # +-scale, then those of the phase network within +-phase_scale
+        # (+-scale when it is None): the draws criterion 4's targets come from.
+        for seed, scale, phase_scale in ((0, 0.01, None), (5, 0.4, 0.9), (11, 0.3, 1.0)):
+            rng = np.random.default_rng(seed)
+            want = [
+                (
+                    rng.uniform(-half, half, size=(n, n)),
+                    rng.uniform(-half, half, size=n),
+                    rng.uniform(-half, half, size=n),
+                )
+                for half in (scale, scale if phase_scale is None else phase_scale)
+            ]
+            state = rbm.NqsState.uniform_init(
+                n, seed=seed, scale=scale, phase_scale=phase_scale
+            )
+            for (w, a, b), net in zip(want, (state.amplitude_net, state.phase_net)):
+                assert np.array_equal(net.weights, w)
+                assert np.array_equal(net.visible_bias, a)
+                assert np.array_equal(net.hidden_bias, b)
+        # Criterion 4's first target: the first and the last value drawn.
+        target = rbm.NqsState.uniform_init(2, seed=300, scale=0.4, phase_scale=0.8)
+        assert target.amplitude_net.weights[0, 0] == 0.13629607093500273
+        assert target.phase_net.hidden_bias[1] == -0.13311080762994043

@@ -83,7 +83,7 @@ class TestEstimateDominantEigenvalue:
         assert value == pytest.approx(0.6, abs=1e-10)
 
     def test_bell_mixture_with_exact_eigenstate(self, bell_rho, bell_dataset):
-        dominant = st.eigendecompose(bell_rho).eigenvectors[0]
+        dominant = st.eigendecompose(bell_rho).eigenvector(0)
         value, _ = rc.estimate_dominant_eigenvalue(bell_dataset, dominant, 1e-3)
         assert value == pytest.approx(0.901, abs=1e-9)
 
@@ -126,7 +126,7 @@ class TestEstimateDominantEigenvalue:
             spectrum = st.eigendecompose(rho)
             data = ms.exact_dataset(rho, ms.generate_basis_set(2, "full"))
             value, _ = rc.estimate_dominant_eigenvalue(
-                data, spectrum.eigenvectors[0], 1e-8
+                data, spectrum.eigenvector(0), 1e-8
             )
             assert value >= spectrum.eigenvalues[0] - 1e-10
             assert value <= 1.0

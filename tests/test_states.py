@@ -7,13 +7,38 @@ from hypothesis import strategies as hst
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
-from conftest import random_density_matrix, random_pure
+from conftest import MALFORMED_STATE_FILES, random_density_matrix, random_pure
 
 
 def naive_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Independent implementation via Schur-based matrix square roots."""
     root = scipy.linalg.sqrtm(b)
     return float(np.real(np.trace(scipy.linalg.sqrtm(root @ a @ root)) ** 2))
+
+
+def reference_eigendecompose(rho: st.DensityMatrix):
+    """Descending eigenvalues and eigenvector columns, one vector at a time:
+    each column's phase fixed by the scalar ``abs`` of its largest-modulus
+    component, each run of tied eigenvalues put in ``st._lex_order`` and each
+    vector rescaled by ``StateVector.normalized``."""
+    vals, vecs = np.linalg.eigh(rho.entries)
+    vals = vals[::-1]
+    rows = []
+    for column in vecs.T[::-1]:
+        pivot = column[int(np.argmax(np.abs(column)))]
+        rows.append(column * (pivot.conj() / abs(pivot)))
+    rows = np.array(rows)
+    order = np.arange(vals.size)
+    start = 0
+    while start < vals.size:
+        stop = start + 1
+        while stop < vals.size and vals[stop - 1] - vals[stop] < st.DEGENERACY_GAP:
+            stop += 1
+        if stop - start > 1:
+            order[start:stop] = start + st._lex_order(rows[start:stop])
+        start = stop
+    columns = [st.StateVector.normalized(rows[i]).amplitudes for i in order]
+    return vals[order], np.column_stack(columns)
 
 
 class TestStateVector:
@@ -179,7 +204,7 @@ class TestEigendecompose:
         rho = st.DensityMatrix(np.diag([0.9, 0.1]).astype(complex), 1)
         spectrum = st.eigendecompose(rho)
         assert np.allclose(spectrum.eigenvalues, [0.9, 0.1])
-        assert abs(spectrum.eigenvectors[0].amplitudes[0]) == pytest.approx(1.0)
+        assert abs(spectrum.vectors[0, 0]) == pytest.approx(1.0)
 
     def test_bell_mixture_spectrum(self, bell_rho):
         spectrum = st.eigendecompose(bell_rho)
@@ -195,15 +220,15 @@ class TestEigendecompose:
             )
             spectrum = st.eigendecompose(rho)
             rebuilt = st.DensityMatrix.from_eigensystem(
-                spectrum.eigenvalues, spectrum.basis_matrix()
+                spectrum.eigenvalues, spectrum.vectors
             )
             assert np.abs(rebuilt.entries - rho.entries).max() <= 1e-9
 
     def test_phase_fix_largest_component_real_positive(self):
         rng = np.random.default_rng(14)
         rho = st.DensityMatrix(random_density_matrix(8, rng), 3)
-        for vec in st.eigendecompose(rho).eigenvectors:
-            pivot = vec.amplitudes[np.argmax(np.abs(vec.amplitudes))]
+        for vec in st.eigendecompose(rho).vectors.T:
+            pivot = vec[np.argmax(np.abs(vec))]
             assert pivot.imag == pytest.approx(0.0, abs=1e-12)
             assert pivot.real > 0
 
@@ -213,8 +238,7 @@ class TestEigendecompose:
         first = st.eigendecompose(rho)
         second = st.eigendecompose(rho)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
-        for a, b in zip(first.eigenvectors, second.eigenvectors):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(first.vectors, second.vectors)
 
     def test_degenerate_block_ordered_deterministically(self):
         # Rotate a spectrum with an exactly repeated eigenvalue into a
@@ -227,12 +251,50 @@ class TestEigendecompose:
         first = st.eigendecompose(rho)
         second = st.eigendecompose(rho)
         assert np.allclose(first.eigenvalues, values, atol=1e-12)
-        for a, b in zip(first.eigenvectors, second.eigenvectors):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(first.vectors, second.vectors)
         rebuilt = st.DensityMatrix.from_eigensystem(
-            first.eigenvalues, first.basis_matrix()
+            first.eigenvalues, first.vectors
         )
         assert np.abs(rebuilt.entries - rho.entries).max() <= 1e-9
+
+    def test_matches_per_vector_reference_bitwise(self, bell_rho, w4_rho):
+        rng = np.random.default_rng(18)
+        gauss = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        unitary, _ = np.linalg.qr(gauss)
+        degenerate = st.DensityMatrix.from_eigensystem(
+            [0.3, 0.2, 0.2, 0.2, 0.05, 0.05, 0.0, 0.0], unitary
+        )
+        w8 = ms.make_w_mixture(8, [0.80, 0.07, 0.04], seed=7)
+        states = [bell_rho, w4_rho, w8, degenerate] + [
+            st.DensityMatrix(random_density_matrix(2**n, rng), n)
+            for n in rng.integers(1, 6, size=20).tolist()
+        ]
+        # The W8 spectrum ends in one run of 253 tied eigenvalues.
+        tail = np.diff(st.eigendecompose(w8).eigenvalues[3:])
+        assert tail.size == 252 and np.all(tail > -st.DEGENERACY_GAP)
+        for rho in states:
+            spectrum = st.eigendecompose(rho)
+            values, vectors = reference_eigendecompose(rho)
+            assert np.array_equal(spectrum.eigenvalues, values)
+            assert np.array_equal(spectrum.vectors, vectors)
+            for k in range(spectrum.dim):
+                assert np.array_equal(
+                    spectrum.eigenvector(k).amplitudes, spectrum.vectors[:, k]
+                )
+
+    def test_spectrum_is_read_only(self, bell_rho):
+        spectrum = st.eigendecompose(bell_rho)
+        with pytest.raises(ValueError):
+            spectrum.vectors[0, 0] = 1.0
+
+    def test_spectrum_checks_its_matrix(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="disagree"):
+            st.Spectrum([0.5, 0.3, 0.2], eye)
+        with pytest.raises(ValueError, match="descending"):
+            st.Spectrum([0.3, 0.7], eye)
+        with pytest.raises(ValueError, match="orthonormal"):
+            st.Spectrum([0.7, 0.3], [[1.0, 1.0], [0.0, 1.0]])
 
     def test_lex_order_equals_tuple_sort(self):
         # The order of a degenerate block is the stable sort by the tuple
@@ -295,6 +357,15 @@ class TestStateFiles:
         st.save_state_vector(path, psi)
         loaded = st.load_state_vector(path)
         assert np.array_equal(loaded.amplitudes, psi.amplitudes)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STATE_FILES))
+    def test_malformed_state_files_rejected(self, tmp_path, name):
+        text, match = MALFORMED_STATE_FILES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for load in (st.load_state_vector, st.load_density_matrix):
+            with pytest.raises(ValueError, match=match):
+                load(path)
 
     def test_bytes_identical_rewrite(self, tmp_path, bell_rho):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

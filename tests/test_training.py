@@ -229,12 +229,12 @@ class TestTrainNextEigenstate:
         from eigentomo import reconstruction as rc
 
         spectrum = st.eigendecompose(bell_rho)
-        deflated = rc.deflate(bell_dataset, spectrum.eigenvectors[0], 0.9)
+        deflated = rc.deflate(bell_dataset, spectrum.eigenvector(0), 0.9)
         config = quick_config(seed=14, max_epochs=30000)
         psi, log = training.train_next_eigenstate(
-            deflated, [spectrum.eigenvectors[0]], config
+            deflated, [spectrum.eigenvector(0)], config
         )
-        assert abs(spectrum.eigenvectors[1].overlap(psi)) ** 2 >= 0.999
-        assert abs(spectrum.eigenvectors[0].overlap(psi)) ** 2 <= 1e-3
+        assert abs(spectrum.eigenvector(1).overlap(psi)) ** 2 >= 0.999
+        assert abs(spectrum.eigenvector(0).overlap(psi)) ** 2 <= 1e-3
         assert log.orthogonality_ok is True
 
