@@ -16,8 +16,13 @@ p_1 >= ... >= p_n and eigenvectors v_1, ..., v_n:
 
 All checks run on plain Hermitian matrices of any dimension.  Each check
 draws its random challengers as one stack and scores the whole stack with
-one fidelity or trace-norm call; the rank-r challengers of checks 3 and 4
-come from one draw, ``_rank_r_challengers``.
+one call; the rank-r challengers of checks 3 and 4 come from one draw,
+``_rank_r_challengers``.  Checks 2 and 3 score in each challenger's own
+small space: ``pure_trace_distance`` solves one secular equation per pure
+state, and ``frame_fidelity`` diagonalizes one r x r core per rank-r frame.
+Their attainment steps run the generic eigensolver paths
+(``half_trace_norm``, ``_default_fidelity``), so every state also
+cross-checks the fast scorers against a general eigensolver.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import bell_mixture, make_w_mixture
-# The checks look both fidelities up by these module names at call time, so a
+# The checks look their scorers up by these module names at call time, so a
 # caller can wrap or replace them.
 from .states import fidelity as _default_fidelity
-from .states import half_trace_norm, matrix_of
+from .states import frame_fidelity, half_trace_norm, matrix_of, pure_trace_distance
 from .states import pure_fidelity as _default_pure_fidelity
 
 DEFAULT_TOL = 1e-10
@@ -122,7 +127,9 @@ def check_prop1(rho, n_challengers: int, seed: int) -> PropositionReport:
 def check_prop2(rho, n_challengers: int, seed: int) -> PropositionReport:
     """Pure-state trace distances stay within [1 - p_1, 1 - p_n].
 
-    The dominant eigenvector attains the lower bound.
+    The challengers are scored by ``pure_trace_distance`` (one secular
+    solve each); the dominant eigenvector's distance, which attains the
+    lower bound, by ``half_trace_norm`` of the explicit difference.
     """
     mat = matrix_of(rho)
     vals, vecs = _sorted_spectrum(mat)
@@ -132,9 +139,7 @@ def check_prop2(rho, n_challengers: int, seed: int) -> PropositionReport:
         )
     rng = np.random.default_rng(seed)
     challengers = haar_states(mat.shape[0], n_challengers, rng)
-    # The difference overwrites the outer products: one (k, d, d) stack alive.
-    outer = np.einsum("ku,kv->kuv", challengers, challengers.conj())
-    dists = half_trace_norm(np.subtract(mat, outer, out=outer))
+    dists = pure_trace_distance(mat, challengers)
     lower, upper = 1.0 - vals[0], 1.0 - vals[-1]
     low_viol = float(max(0.0, (lower - dists).max()))
     high_viol = float(max(0.0, (dists - upper).max()))
@@ -159,9 +164,11 @@ def check_prop2(rho, n_challengers: int, seed: int) -> PropositionReport:
 def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport:
     """Random rank-r states never exceed fidelity kappa(r); truncation attains it.
 
-    For every challenger, the projector D onto its support and the
-    per-eigenvector captured weights k_j are also computed, and the identity
-    Tr(D rho D) = sum_j p_j k_j is verified.
+    The challengers are scored by ``frame_fidelity`` from their frames and
+    weights (one r x r core each); the truncation, by ``_default_fidelity``
+    on the assembled d x d state.  For every challenger, the projector D
+    onto its support and the per-eigenvector captured weights k_j are also
+    computed, and the identity Tr(D rho D) = sum_j p_j k_j is verified.
     """
     mat = matrix_of(rho)
     dim = mat.shape[0]
@@ -173,8 +180,7 @@ def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport
 
     frames, weights = _rank_r_challengers(rng, dim, r, n_challengers)
     adjoints = frames.conj().swapaxes(1, 2)
-    taus = (frames * weights[:, None, :]) @ adjoints
-    fids = _default_fidelity(mat, taus)
+    fids = frame_fidelity(mat, frames, weights)
     projs = frames @ adjoints
     captured = (np.abs(adjoints @ vecs) ** 2).sum(axis=1)
     lhs = np.real(np.trace(projs @ mat @ projs, axis1=1, axis2=2))
@@ -195,6 +201,7 @@ def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport
         passed,
         extras={
             "kappa": kappa,
+            "max_challenger_fidelity": float(fids.max()),
             "attainment_error": attain_err,
             "b13_max_error": b13_err,
         },
@@ -252,15 +259,11 @@ def _weyl_violation(q_mat: np.ndarray, p_mat: np.ndarray) -> float:
     pair_sums = q[:, None] + p[None, :]
     idx = np.arange(1, n + 1)
     index_sum = idx[:, None] + idx[None, :]
-    worst = 0.0
-    for i in range(1, n + 1):
-        lower_mask = index_sum - n >= i
-        if lower_mask.any():
-            worst = max(worst, float(pair_sums[lower_mask].max() - m[i - 1]))
-        upper_mask = index_sum - 1 <= i
-        if upper_mask.any():
-            worst = max(worst, float(m[i - 1] - pair_sums[upper_mask].min()))
-    return worst
+    # Axis 0 is i; an empty mask leaves -inf or +inf, so that row adds a -inf term.
+    i = idx[:, None, None]
+    lower = np.where(index_sum - n >= i, pair_sums, -np.inf).max(axis=(1, 2)) - m
+    upper = m - np.where(index_sum - 1 <= i, pair_sums, np.inf).min(axis=(1, 2))
+    return float(max(0.0, lower.max(), upper.max()))
 
 
 def check_weyl(q_matrix, p_matrix, n_trials: int, seed: int) -> WeylReport:

@@ -84,9 +84,13 @@ def w4_rho() -> st.DensityMatrix:
 
 @pytest.fixture
 def inflated_fidelities(monkeypatch):
-    """Make the proposition checks see both fidelities 0.02 too high."""
+    """Make the proposition checks see every fidelity 0.02 too high: the
+    generic and pure ones and the rank-r challengers' ``frame_fidelity``."""
     monkeypatch.setattr(
         pr, "_default_fidelity", lambda a, b: st.fidelity(a, b) + 0.02
+    )
+    monkeypatch.setattr(
+        pr, "frame_fidelity", lambda a, q, w: st.frame_fidelity(a, q, w) + 0.02
     )
     monkeypatch.setattr(
         pr, "_default_pure_fidelity", lambda a, b: st.pure_fidelity(a, b) + 0.02

@@ -48,6 +48,16 @@ class TestProp2:
         assert report.passed
         assert report.extras["min_distance"] >= -1e-12
 
+    def test_faulty_trace_distance_detected(self, monkeypatch):
+        # A qubit: the nearest of 1000 challengers lies within 0.02 of 1 - p_1.
+        monkeypatch.setattr(
+            pr, "pure_trace_distance", lambda a, v: st.pure_trace_distance(a, v) - 0.02
+        )
+        report = pr.check_prop2(np.diag([0.8, 0.2]).astype(complex), 1000, seed=22)
+        assert not report.passed
+        assert report.extras["min_distance"] < report.extras["lower"] - 1e-3
+        assert report.extras["attainment_error"] <= 1e-12
+
 
 class TestProp3:
     def test_bell_mixture_rank_two(self, bell_rho):
@@ -69,6 +79,14 @@ class TestProp3:
     def test_faulty_fidelity_detected(self, bell_rho, inflated_fidelities):
         report = pr.check_prop3(bell_rho.entries, 2, 200, seed=13)
         assert not report.passed
+
+    def test_faulty_challenger_fidelity_detected(self, inflated_fidelities):
+        # Rank 1 on a qubit: the best of 200 challengers lies within 0.02 of
+        # kappa, so the challenger path breaks the bound, not only attainment.
+        rho = np.diag([0.8, 0.2]).astype(complex)
+        report = pr.check_prop3(rho, 1, 200, seed=13)
+        assert not report.passed
+        assert report.extras["max_challenger_fidelity"] > report.extras["kappa"]
 
 
 class TestProp4:
@@ -97,9 +115,14 @@ class TestProp4:
 class TestScoringCalls:
     def test_one_stacked_call_per_check_plus_attainment(self, bell_rho, monkeypatch):
         calls = []
-        for name in ("_default_fidelity", "_default_pure_fidelity", "half_trace_norm"):
+        names = (
+            "_default_fidelity", "_default_pure_fidelity", "half_trace_norm",
+            "pure_trace_distance", "frame_fidelity",
+        )
+        for name in names:
+            # Records the challenger argument: the one after rho, or the only one.
             def wrapped(*args, _name=name, _inner=getattr(pr, name)):
-                calls.append((_name, np.shape(args[-1])))
+                calls.append((_name, np.shape(args[1] if len(args) > 1 else args[0])))
                 return _inner(*args)
 
             monkeypatch.setattr(pr, name, wrapped)
@@ -110,11 +133,11 @@ class TestScoringCalls:
                 ("_default_pure_fidelity", (4,)),
             ]),
             (lambda: pr.check_prop2(mat, 100, seed=2), [
-                ("half_trace_norm", (100, 4, 4)),
+                ("pure_trace_distance", (100, 4)),
                 ("half_trace_norm", (4, 4)),
             ]),
             (lambda: pr.check_prop3(mat, 2, 50, seed=3), [
-                ("_default_fidelity", (50, 4, 4)),
+                ("frame_fidelity", (50, 4, 2)),
                 ("_default_fidelity", (4, 4)),
             ]),
             # The family, then the conjecture probe (capped at 200 challengers).
@@ -156,6 +179,56 @@ class TestWeyl:
         )
         assert report.passed
         assert report.max_violation <= 1e-10
+
+
+def looped_weyl_violation(q_mat: np.ndarray, p_mat: np.ndarray) -> float:
+    """``_weyl_violation`` as one loop over i, one mask pair per i."""
+    n = q_mat.shape[0]
+    q = np.linalg.eigvalsh(q_mat)[::-1]
+    p = np.linalg.eigvalsh(p_mat)[::-1]
+    m = np.linalg.eigvalsh(q_mat + p_mat)[::-1]
+    pair_sums = q[:, None] + p[None, :]
+    idx = np.arange(1, n + 1)
+    index_sum = idx[:, None] + idx[None, :]
+    worst = 0.0
+    for i in range(1, n + 1):
+        lower_mask = index_sum - n >= i
+        if lower_mask.any():
+            worst = max(worst, float(pair_sums[lower_mask].max() - m[i - 1]))
+        upper_mask = index_sum - 1 <= i
+        if upper_mask.any():
+            worst = max(worst, float(m[i - 1] - pair_sums[upper_mask].min()))
+    return worst
+
+
+class TestWeylViolation:
+    def test_matches_loop_bitwise(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 33):
+            phi = pr.haar_states(n, 1, rng)[0]
+            pairs = [
+                (pr.random_hermitian(n, rng), pr.random_hermitian(n, rng)),
+                (-np.outer(phi, phi.conj()), random_density_matrix(n, rng)),
+            ]
+            for q_mat, p_mat in pairs:
+                assert pr._weyl_violation(q_mat, p_mat) == looped_weyl_violation(q_mat, p_mat)
+
+    def test_matches_loop_on_unrelated_spectra(self, monkeypatch):
+        # True spectra satisfy the sandwich, so both versions read 0.  Unrelated
+        # sorted spectra for Q, P and a wider one for Q + P give positive terms.
+        def violation(check, n):
+            rng = np.random.default_rng(n)
+            scales = iter((1.0, 1.0, 5.0))
+            monkeypatch.setattr(
+                np.linalg, "eigvalsh",
+                lambda mat: np.sort(rng.normal(size=mat.shape[0]) * next(scales)),
+            )
+            return check(np.eye(n), np.eye(n))
+
+        for n in range(1, 33):
+            got = violation(pr._weyl_violation, n)
+            assert got > 0.0
+            assert got == violation(looped_weyl_violation, n)
 
 
 class TestCorpus:

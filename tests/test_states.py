@@ -199,6 +199,153 @@ class TestTraceDistance:
             assert 0.0 <= st.trace_distance(a, b) <= 1.0
 
 
+def reference_states(dim: int, rng: np.random.Generator) -> dict:
+    """Density matrices of every spectrum shape the small-space scorers must
+    handle: pure, rank 2 (dim >= 2), maximally mixed (fully degenerate),
+    random full rank, and the Bell mixture at dim 4."""
+    v = random_pure(dim, rng)
+    states = {
+        "pure": np.outer(v, v.conj()),
+        "mixed": np.eye(dim, dtype=complex) / dim,
+        "random": random_density_matrix(dim, rng),
+    }
+    if dim >= 2:
+        pair, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+        states["rank2"] = (pair * [0.7, 0.3]) @ pair.conj().T
+    if dim == 4:
+        states["bell"] = ms.bell_mixture().entries
+    return states
+
+
+def explicit_trace_distances(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    return st.half_trace_norm(rho - np.einsum("ku,kv->kuv", psi, psi.conj()))
+
+
+def assembled_fidelities(rho: np.ndarray, frames: np.ndarray, weights: np.ndarray):
+    return st.fidelity(rho, (frames * weights[:, None, :]) @ frames.conj().swapaxes(1, 2))
+
+
+def random_frames(dim: int, r: int, count: int, rng: np.random.Generator):
+    g = rng.normal(size=(count, dim, r)) + 1j * rng.normal(size=(count, dim, r))
+    frames, _ = np.linalg.qr(g)
+    weights = rng.exponential(size=(count, r))
+    return frames, weights / weights.sum(axis=1, keepdims=True)
+
+
+DIMS = (1, 2, 3, 4, 8, 16, 32)
+
+
+class TestPureTraceDistance:
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_explicit_difference(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for name, rho in reference_states(dim, rng).items():
+            eigvecs = np.linalg.eigh(rho)[1].T
+            # Eigenvector challengers put exact zeros into the weights |V^dag psi|^2.
+            psi = np.concatenate([
+                np.array([random_pure(dim, rng) for _ in range(50)]), eigvecs,
+            ])
+            got = st.pure_trace_distance(rho, psi)
+            assert got.shape == (psi.shape[0],)
+            np.testing.assert_allclose(
+                got, explicit_trace_distances(rho, psi), rtol=0, atol=1e-12, err_msg=name
+            )
+
+    def test_own_eigenvectors_of_degenerate_states(self):
+        # Exact one-hot weights on a fully degenerate or rank-deficient spectrum.
+        for dim in (2, 4, 8):
+            basis = np.eye(dim, dtype=complex)
+            mixed = basis / dim
+            assert st.pure_trace_distance(mixed, basis) == pytest.approx(
+                np.full(dim, 1 - 1 / dim), abs=1e-15
+            )
+            pure = np.diag(np.r_[1.0, np.zeros(dim - 1)]).astype(complex)
+            np.testing.assert_allclose(
+                st.pure_trace_distance(pure, basis), np.r_[0.0, np.ones(dim - 1)],
+                rtol=0, atol=1e-15,
+            )
+
+    def test_bell_mixture_dominant_state(self, bell_rho):
+        psi = ms.bell_states()[0].amplitudes[None]
+        assert st.pure_trace_distance(bell_rho, psi)[0] == pytest.approx(0.1, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(0, 2**32 - 1), hst.sampled_from(DIMS))
+    def test_agrees_with_eigensolver(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(dim, rng)
+        psi = np.array([random_pure(dim, rng) for _ in range(8)])
+        np.testing.assert_allclose(
+            st.pure_trace_distance(rho, psi), explicit_trace_distances(rho, psi),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_invalid_inputs_rejected(self, bell_rho):
+        psi = ms.bell_states()[1].amplitudes[None]
+        with pytest.raises(ValueError, match="trace"):
+            st.pure_trace_distance(2 * bell_rho.entries, psi)
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            st.pure_trace_distance(np.diag([1.5, -0.5]).astype(complex), np.eye(2))
+        with pytest.raises(ValueError, match="unit norm"):
+            st.pure_trace_distance(bell_rho, np.array([psi[0], 1.01 * psi[0]]))
+        with pytest.raises(ValueError):
+            st.pure_trace_distance(bell_rho, psi[0])
+        with pytest.raises(ValueError):
+            st.pure_trace_distance(bell_rho, np.eye(2))
+
+
+class TestFrameFidelity:
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_assembled_stack(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for name, rho in reference_states(dim, rng).items():
+            eigvecs = np.linalg.eigh(rho)[1]
+            for r in sorted({1, min(2, dim), dim}):
+                frames, weights = random_frames(dim, r, 20, rng)
+                # rho's own eigenvectors as a frame, once with a zero weight.
+                own = np.broadcast_to(eigvecs[:, :r], (2, dim, r))
+                own_weights = np.full((2, r), 1.0 / r)
+                if r > 1:
+                    own_weights[1] = np.r_[0.0, np.full(r - 1, 1.0 / (r - 1))]
+                frames = np.concatenate([frames, own])
+                weights = np.concatenate([weights, own_weights])
+                got = st.frame_fidelity(rho, frames, weights)
+                assert got.shape == (22,)
+                np.testing.assert_allclose(
+                    got, assembled_fidelities(rho, frames, weights), rtol=0, atol=1e-12,
+                    err_msg=f"{name} r={r}",
+                )
+
+    def test_bell_mixture_truncation_attains_kappa(self, bell_rho):
+        vecs = st.eigendecompose(bell_rho).vectors[:, :2]
+        value = st.frame_fidelity(bell_rho, vecs[None], np.array([[0.9, 0.09]]) / 0.99)
+        assert value[0] == pytest.approx(0.99, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(0, 2**32 - 1), hst.sampled_from(DIMS), hst.integers(1, 4))
+    def test_agrees_with_eigensolver(self, seed, dim, r):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(dim, rng)
+        frames, weights = random_frames(dim, min(r, dim), 8, rng)
+        np.testing.assert_allclose(
+            st.frame_fidelity(rho, frames, weights),
+            assembled_fidelities(rho, frames, weights), rtol=0, atol=1e-12,
+        )
+
+    def test_invalid_inputs_rejected(self, bell_rho):
+        rng = np.random.default_rng(61)
+        frames, weights = random_frames(4, 2, 3, rng)
+        with pytest.raises(ValueError, match="non-negative"):
+            st.frame_fidelity(bell_rho, frames, weights * [1.0, -1.0])
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+            st.frame_fidelity(bad, frames, weights)
+        with pytest.raises(ValueError):
+            st.frame_fidelity(bell_rho, frames, weights[:2])
+        with pytest.raises(ValueError):
+            st.frame_fidelity(bell_rho, frames[:, :2], weights)
+
+
 class TestEigendecompose:
     def test_diagonal(self):
         rho = st.DensityMatrix(np.diag([0.9, 0.1]).astype(complex), 1)
