@@ -1,15 +1,15 @@
 """Statistical distances between ansatz predictions and measurement data.
 
 Every cost is a sum of per-record terms comparing the dataset probability p
-with the ansatz probability q in the same basis/outcome, optionally plus a
-penalty on squared overlaps with previously extracted states.  Gradients in
-all network parameters are exact and analytic: the per-record sensitivities
-are pulled back through the transposed basis rotations (one adjoint pass of
+with the ansatz probability q in the same basis/outcome.  Gradients in all
+network parameters are exact and analytic: the per-record sensitivities are
+pulled back through the transposed basis rotations (one adjoint pass of
 ``measurement.BasisRotation``) into the derivative of the cost in the
 amplitudes, which ``rbm.Ansatz.gradient`` contracts into the [a, b, W]
 layout.  ``CostEngine`` compiles one spec against one dataset and gives the
 cost and its gradient together, on the flat parameter vector or on a stack
-of them.
+of them.  Orthogonality to previously extracted states is no term of the
+cost: the engine's ``rbm.Ansatz`` fits within their orthogonal complement.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import measurement, rbm
 from .measurement import MeasurementDataset
-from .states import ORTHOGONALITY_TOL, StateVector
 
 COST_KINDS = ("l1", "l15", "kl1", "kl2")
 
@@ -30,26 +29,13 @@ DENOM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Choice of per-record distance plus the states the penalty keeps away.
-
-    The penalty is the total squared overlap with ``orth_states``, at unit
-    weight.  No two of those states may have a squared overlap above
-    ``states.ORTHOGONALITY_TOL``, the bound the fit itself accepts.
-    """
+    """Choice of per-record distance."""
 
     kind: str
-    orth_states: tuple[StateVector, ...] = ()
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}; expected {COST_KINDS}")
-        states = tuple(self.orth_states)
-        if len(states) > 1:
-            basis = np.column_stack([s.amplitudes for s in states])
-            overlaps = np.abs(basis.conj().T @ basis)
-            if np.triu(overlaps, 1).max() ** 2 > ORTHOGONALITY_TOL:
-                raise ValueError("orth_states must be pairwise orthogonal")
-        object.__setattr__(self, "orth_states", states)
 
 
 def cost_terms_and_grads(
@@ -102,17 +88,19 @@ class CostEngine:
     Works on the flat parameter vector of ``rbm.pack_parameters``, the one
     the trainer descends on; ``value_and_grad`` gives the total cost and its
     exact gradient in that layout, for one vector or for each row of an
-    (R, P) stack.  ``ansatz`` evaluates the amplitudes and finishes the
-    gradient; the engine owns the rotation, the cost and the penalty.  The
-    rotated amplitudes, q and the pulled-back product are written into
-    buffers the engine owns (the product over the amplitudes, which it no
-    longer needs), sized for one stack chunk.
+    (R, P) stack.  ``ansatz`` evaluates the amplitudes, orthogonal to the
+    ``kept`` state vectors, and finishes the gradient; the engine owns the rotation
+    and the cost.  The rotated amplitudes, q and the pulled-back product are
+    written into buffers the engine owns (the product over the amplitudes,
+    which it no longer needs), sized for one stack chunk.
     """
 
-    def __init__(self, spec: CostSpec, data: MeasurementDataset):
+    def __init__(self, spec: CostSpec, data: MeasurementDataset, kept=()):
         n = data.n_qubits
-        if spec.orth_states and any(s.n_qubits != n for s in spec.orth_states):
-            raise ValueError("orth_states do not match the dataset qubit count")
+        if data.n_records == 0:
+            raise ValueError("dataset is empty: there is nothing to fit")
+        if any(s.n_qubits != n for s in kept):
+            raise ValueError("kept states do not match the dataset qubit count")
         self.spec = spec
         self.n_qubits = n
         self.rotation = measurement.BasisRotation(data.bases, n)
@@ -127,12 +115,9 @@ class CostEngine:
         self.data_probs = np.broadcast_to(probs, buffer_shape)
         self._rotated = np.empty(buffer_shape, dtype=np.complex128)
         self._q = np.empty(buffer_shape)
-        self.ansatz = rbm.Ansatz(n, self._chunk)
-        if spec.orth_states:
-            self.orth = np.stack([s.amplitudes for s in spec.orth_states])
-            self._orth_conj = self.orth.conj()
-        else:
-            self.orth = None
+        self.ansatz = rbm.Ansatz(
+            n, self._chunk, np.array([s.amplitudes for s in kept]).reshape(-1, 2**n)
+        )
 
     def value(self, theta: np.ndarray) -> float:
         return self.value_and_grad(theta)[0]
@@ -162,26 +147,16 @@ class CostEngine:
         """(m,) costs and (m, P) gradients of an (m, P) stack of one chunk."""
         members = len(theta)
         psi = self.ansatz.wavefunction(theta)
-        probs = self.data_probs[:members]
-        if not probs.size:
-            total, beta, pulled = np.zeros(members), np.zeros(members), 0.0
-        else:
-            rotated = self.rotation.forward(
-                psi[:, :, None], out=self._rotated[:members]
-            )
-            q = self._q[:members]
-            q = np.square(np.abs(rotated, out=q), out=q)
-            terms, g = cost_terms_and_grads(self.spec.kind, probs, q, DENOM_FLOOR)
-            total = terms.reshape(members, -1).sum(axis=1)
-            # Plain transpose: record sensitivities are pulled back through U^T.
-            # The product g conj(U psi) overwrites the rotated amplitudes.
-            product = np.multiply(g, np.conjugate(rotated, out=rotated), out=rotated)
-            pulled = self.rotation.adjoint(product)
-            beta = np.vecdot(g.reshape(members, -1), q.reshape(members, -1))
-        if self.orth is not None:
-            overlaps = self._orth_conj @ psi[:, :, None]
-            sq = np.vecdot(overlaps[:, :, 0], overlaps[:, :, 0]).real
-            total += sq
-            pulled = pulled + np.conj(self.orth.T @ overlaps)[:, :, 0]
-            beta += sq
+        rotated = self.rotation.forward(psi[:, :, None], out=self._rotated[:members])
+        q = self._q[:members]
+        q = np.square(np.abs(rotated, out=q), out=q)
+        terms, g = cost_terms_and_grads(
+            self.spec.kind, self.data_probs[:members], q, DENOM_FLOOR
+        )
+        total = terms.reshape(members, -1).sum(axis=1)
+        # Plain transpose: record sensitivities are pulled back through U^T.
+        # The product g conj(U psi) overwrites the rotated amplitudes.
+        product = np.multiply(g, np.conjugate(rotated, out=rotated), out=rotated)
+        pulled = self.rotation.adjoint(product)
+        beta = np.vecdot(g.reshape(members, -1), q.reshape(members, -1))
         return total, self.ansatz.gradient(psi, pulled, beta)

@@ -166,9 +166,9 @@ def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport
 
     The challengers are scored by ``frame_fidelity`` from their frames and
     weights (one r x r core each); the truncation, by ``_default_fidelity``
-    on the assembled d x d state.  For every challenger, the projector D
-    onto its support and the per-eigenvector captured weights k_j are also
-    computed, and the identity Tr(D rho D) = sum_j p_j k_j is verified.
+    on the assembled d x d state.  For every challenger frame Q, the
+    captured weights k_j are also computed, and the identity Tr(D rho D) =
+    sum_j p_j k_j is verified for D = Q Q^dag, as Tr(Q^dag rho Q).
     """
     mat = matrix_of(rho)
     dim = mat.shape[0]
@@ -181,9 +181,8 @@ def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport
     frames, weights = _rank_r_challengers(rng, dim, r, n_challengers)
     adjoints = frames.conj().swapaxes(1, 2)
     fids = frame_fidelity(mat, frames, weights)
-    projs = frames @ adjoints
     captured = (np.abs(adjoints @ vecs) ** 2).sum(axis=1)
-    lhs = np.real(np.trace(projs @ mat @ projs, axis1=1, axis2=2))
+    lhs = np.real(np.trace(adjoints @ mat @ frames, axis1=1, axis2=2))
     b13_err = float(np.abs(lhs - captured @ vals).max())
 
     truncated = (vecs[:, :r] * (vals[:r] / kappa)) @ vecs[:, :r].conj().T

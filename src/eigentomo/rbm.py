@@ -14,7 +14,8 @@ table [1 | s].
 
 This module alone knows that layout: ``pack_parameters`` writes it,
 ``initial_parameters`` draws it, and ``Ansatz`` evaluates stacks of it and
-turns a cost's derivative in the amplitudes into the gradient in it.
+turns a cost's derivative in the amplitudes into the gradient in it; with
+kept states it projects its state off them, orthogonal by construction.
 """
 
 from __future__ import annotations
@@ -25,13 +26,18 @@ import numpy as np
 
 from . import measurement
 from .measurement import EXACT_MODE_MAX_QUBITS
-from .states import StateVector
+from .states import NORM_ATOL, StateVector
 
 #: Most Gibbs chains advanced together by ``gibbs_sample``.
 _CHAINS = 256
 #: Half-widths of the initial draw.  The phase network starts wider: with
 #: near-zero phases everywhere, descent cannot build sign structure.
 INIT_SCALE, PHASE_INIT_SCALE = 0.01, 0.5
+#: Phase half-width of the draw of a projected fit.  The +-0.5 start is near
+#: uniform, and its projection can be a stationary point: on the Bell mixture
+#: it is exactly Psi+ once Phi+ is kept, and step 2 stayed at that third
+#: eigenvector (p2 0.008, truth 0.09) at nearly every scale up to +-1.
+PROJECTED_PHASE_INIT_SCALE = 1.5
 
 
 def log_sum_exp(values: np.ndarray):
@@ -283,14 +289,16 @@ def _network_blocks(theta: np.ndarray, n_qubits: int) -> np.ndarray:
     return theta.reshape(theta.shape[:-1] + (2, n_qubits + 2, n_qubits))
 
 
-def initial_parameters(n_qubits: int, seed: int) -> np.ndarray:
+def initial_parameters(
+    n_qubits: int, seed: int, phase_scale: float = PHASE_INIT_SCALE
+) -> np.ndarray:
     """The seeded initial draw of one fit restart: per network one uniform
     block of n (n + 2) values, the same values as draws of a, b and W in turn,
-    within +-``INIT_SCALE`` (amplitude) and then +-``PHASE_INIT_SCALE``."""
+    within +-``INIT_SCALE`` (amplitude) and then +-``phase_scale``."""
     rng = np.random.default_rng(seed)
     size = n_qubits * (n_qubits + 2)
     return np.concatenate(
-        [rng.uniform(-scale, scale, size) for scale in (INIT_SCALE, PHASE_INIT_SCALE)]
+        [rng.uniform(-scale, scale, size) for scale in (INIT_SCALE, phase_scale)]
     )
 
 
@@ -298,9 +306,14 @@ class Ansatz:
     """Exact-mode evaluation of stacks of up to ``members`` flat parameter
     vectors, and the last step of their gradient.  The table [1 | s], the
     buffers and the gradient's block order are built once; ``wavefunction``
-    keeps the tanh tables of its stack for the following ``gradient``."""
+    keeps the tanh tables of its stack for the following ``gradient``.
 
-    def __init__(self, n_qubits: int, members: int):
+    ``kept`` is a (k, 2^n) matrix V of k < 2^n orthonormal states, empty for
+    a plain fit.  With k > 0 the ansatz state is psi = P phi / |P phi|,
+    P = I - V V^dagger, for the RBM state phi: orthogonal to every kept state.
+    """
+
+    def __init__(self, n_qubits: int, members: int, kept: np.ndarray):
         self.spins = exact_spin_table(n_qubits)
         # [1 | tanh] of each member's two networks; column 0 stays one.
         self._tanh = np.ones((members, 2, *self.spins.shape))
@@ -311,10 +324,35 @@ class Ansatz:
         self._order = np.concatenate(
             [part for b in blocks for part in (b[1:, 0], b[0, 1:], b[1:, 1:].ravel())]
         )
+        self.kept = np.asarray(kept, dtype=np.complex128)
+        gram = self.kept.conj() @ self.kept.T
+        if len(self.kept) >= len(self.spins) or not np.allclose(
+            gram, np.eye(len(self.kept)), rtol=0, atol=NORM_ATOL
+        ):
+            raise ValueError("kept states must be fewer than 2^n and orthonormal")
+
+    @staticmethod
+    def _project(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Rows x minus B^T conj(B) x, one matmul pair per member, so that each
+        member of a stack gets the bits of its own single-row call."""
+        stacked = rows[:, None, :]
+        return (stacked - (stacked @ basis.conj().T) @ basis)[:, 0]
+
+    def initial_parameters(self, seed: int) -> np.ndarray:
+        """The seeded initial draw of one restart; a projected fit draws its
+        phases within +-``PROJECTED_PHASE_INIT_SCALE``."""
+        phase = PROJECTED_PHASE_INIT_SCALE if len(self.kept) else PHASE_INIT_SCALE
+        return initial_parameters(self.spins.shape[1] - 1, seed, phase)
 
     def wavefunction(self, theta: np.ndarray) -> np.ndarray:
         """(m, 2^n) normalized amplitudes of an (m, P) stack, m <= members."""
-        return wavefunction(theta, self.spins, out=self._tanh[: len(theta)])[0]
+        phi = wavefunction(theta, self.spins, out=self._tanh[: len(theta)])[0]
+        if not len(self.kept):
+            return phi
+        projected = self._project(phi, self.kept)
+        floats = projected.view(np.float64)
+        self._phi, self._norm = phi, np.sqrt(np.vecdot(floats, floats))
+        return projected / self._norm[:, None]
 
     def gradient(self, psi: np.ndarray, pulled, beta: np.ndarray) -> np.ndarray:
         """(m, P) gradient in the [a, b, W] layout of a cost C(psi) of the
@@ -323,12 +361,20 @@ class Ansatz:
         ``pulled`` is the conjugate of dC/dpsi* and ``beta`` the real
         psi . pulled, which the normalization of psi subtracts.
         """
+        members = len(psi)
+        if len(self.kept):
+            # Through psi = P phi / |P phi|: dC/dphi* = (P G - beta psi) /
+            # |P phi| for G = dC/dpsi*, and phi's own normalization term,
+            # Re <dC/dphi*|phi>, is then zero.
+            pulled = self._project(pulled, self.kept.conj())
+            pulled -= np.conj(psi) * beta[:, None]
+            pulled /= self._norm[:, None]
+            psi, beta = self._phi, np.zeros(members)
         # Per network, d cost / d [a, b, W] = c @ [s | tanh | s (x) tanh] for
         # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi.
         # The rows of c are the real and imaginary floats of
         # conj(u - beta |psi|^2), and [1 | s]^T (c [1 | tanh]) is the block
         # [[sum c, db], [da, dW]] of each network, in one matmul.
-        members = len(psi)
         beta_psi = (psi.view(np.float64) * beta[:, None]).view(np.complex128)
         c = ((np.conj(pulled) - beta_psi) * np.conj(psi)).view(np.float64)
         c = c.reshape(members, -1, 2).transpose(0, 2, 1)

@@ -1,7 +1,8 @@
 """Iterative extraction of leading eigenvalue/eigenstate pairs.
 
-Each step trains a pure state on the current statistics (orthogonal to the
-states already found), estimates its eigenvalue as the nonnegativity-safe
+Each step trains a pure state on the current statistics within the
+orthogonal complement of the states already kept (``rbm.Ansatz`` projects
+its RBM state there), estimates its eigenvalue as the nonnegativity-safe
 minimum ratio of measured to predicted projector probability (leaving out
 the records that earlier steps deflated to zero), subtracts the pair from the
 statistics, and renormalizes.  From the second step on, a step is kept only
@@ -109,7 +110,6 @@ class StepRecord:
     likelihood_before: float | None
     likelihood_after: float | None
     accepted: bool
-    orthogonality_ok: bool | None
     eigenstate_fidelity: float | None = None
     accuracy_gap: float | None = None
     #: Flat record indices left out of this step's minimum ratio: each earlier
@@ -250,7 +250,8 @@ def reconstruct(
     floor: float = DEFAULT_FLOOR,
     true_rho: DensityMatrix | None = None,
 ) -> tuple[SpectralApprox, IterationReport]:
-    """Extract up to ``max_rank`` eigenpairs from measurement statistics.
+    """Extract up to ``max_rank`` eigenpairs from measurement statistics,
+    and never more than the 2^n that span the space.
 
     The first step is always kept.  Later steps are kept only while each
     strictly improves the data likelihood; the first rejected step ends the
@@ -268,6 +269,7 @@ def reconstruct(
             f"stride {STEP_SEED_STRIDE}: later steps would reuse seeds"
         )
     truth = eigendecompose(true_rho) if true_rho is not None else None
+    max_rank = min(max_rank, 2**data.n_qubits)
 
     current = data
     pairs: list[SpectralPair] = []
@@ -283,18 +285,7 @@ def reconstruct(
             train_config, seed=train_config.seed + (step - 1) * STEP_SEED_STRIDE
         )
         previous = [pair.state for pair in pairs]
-        psi, tlog = train_next_eigenstate(current, previous, config)
-
-        if tlog.orthogonality_ok is False:
-            notes.append(f"step {step} rejected: orthogonalization failed")
-            steps.append(
-                StepRecord(
-                    step, 0.0, 0.0, -1, 0, None, None, False, False,
-                    excluded_records=excluded,
-                )
-            )
-            break
-
+        psi, _ = train_next_eigenstate(current, previous, config)
         weight_raw, argmin_record = estimate_dominant_eigenvalue(
             current, psi, floor, excluded
         )
@@ -338,7 +329,6 @@ def reconstruct(
                 before,
                 after,
                 accepted,
-                tlog.orthogonality_ok,
                 eig_fid,
                 gap,
                 excluded,

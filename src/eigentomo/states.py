@@ -22,9 +22,8 @@ EIGVAL_FLOOR = -1e-10
 FIDELITY_PSD_FLOOR = -1e-8
 #: Eigenvalue gaps below this are treated as degenerate when ordering.
 DEGENERACY_GAP = 1e-10
-#: Squared overlap up to which states count as orthogonal: the bound on a
-#: fitted eigenstate's total squared overlap with the earlier ones, and on
-#: each pair of the states a penalty or an approximation holds.
+#: Squared overlap up to which the states of a ``SpectralApprox`` count as
+#: orthogonal.
 ORTHOGONALITY_TOL = 1e-3
 
 

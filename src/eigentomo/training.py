@@ -20,22 +20,23 @@ and each tick evaluates the pending trials of every live restart in one
 stacked cost call.  Stack members carry the bits of single calls, so each
 restart takes exactly the steps it would take alone.  The best by final
 cost wins, ties broken by restart index.  ``train_next_eigenstate`` is the
-one entry point: with no previous states it is a plain pure-state fit.  It
-returns the winning state vector and a compact log: each restart keeps one
-list of costs, one per accepted iteration, joined into one array at the end.
+one entry point; the engine's ``rbm.Ansatz`` fits within the orthogonal
+complement of the previous states, if any.  It returns the winning state
+vector and a compact log: each restart keeps one list of costs, one per
+accepted iteration, joined into one array at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rbm
 from .costs import CostEngine, CostSpec
 from .measurement import MeasurementDataset
-from .states import ORTHOGONALITY_TOL, StateVector
+from .states import StateVector
 
 #: (s, y) pairs kept by the L-BFGS history.
 MEMORY = 10
@@ -82,7 +83,6 @@ class TrainingLog:
     winner_restart: int
     best_cost: float
     diagnostics: list[str] = field(default_factory=list)
-    orthogonality_ok: bool | None = None
 
 
 @dataclass
@@ -243,11 +243,10 @@ def _fit_restarts(engine: CostEngine, config: TrainConfig) -> list[_Restart]:
     Each tick scores the pending trial of every live restart in one stacked
     ``value_and_grad`` call; a restart that stops leaves the stack.
     """
-    n = engine.n_qubits
     restarts = [_Restart(k) for k in range(config.restarts)]
+    draw = engine.ansatz.initial_parameters
     live = [
-        _lbfgs(r, rbm.initial_parameters(n, config.seed + r.restart), config.max_epochs)
-        for r in restarts
+        _lbfgs(r, draw(config.seed + r.restart), config.max_epochs) for r in restarts
     ]
     trials = [next(fit) for fit in live]
     while live:
@@ -272,16 +271,12 @@ def train_next_eigenstate(
     """Fit a pure ansatz state to measurement statistics, orthogonal to
     previously extracted states.
 
-    With an empty ``previous`` this is a plain pure-state fit.  Returns the
-    state vector of the best restart together with the training log;
-    identical inputs give bit-identical results.  If the trained state fails
-    to reach the orthogonality tolerance, the failure is flagged in the log
-    and the state is still returned.
+    ``previous`` must be orthonormal; with an empty ``previous`` this is a
+    plain pure-state fit.  Returns the state vector of the best restart
+    together with the training log; identical inputs give bit-identical
+    results.
     """
-    spec = replace(config.cost, orth_states=tuple(previous))
-    if data.n_records == 0 and not spec.orth_states:
-        raise ValueError("dataset is empty and no orthogonality penalty is active")
-    engine = CostEngine(spec, data)
+    engine = CostEngine(config.cost, data, previous)
     results = _fit_restarts(engine, config)
 
     diagnostics = [
@@ -307,11 +302,4 @@ def train_next_eigenstate(
         diagnostics=diagnostics,
     )
     psi = StateVector.normalized(engine.ansatz.wavefunction(winner.theta[None])[0])
-    if previous:
-        total = float(sum(abs(prev.overlap(psi)) ** 2 for prev in previous))
-        log.orthogonality_ok = total <= ORTHOGONALITY_TOL
-        if not log.orthogonality_ok:
-            log.diagnostics.append(
-                f"orthogonality not reached: total squared overlap {total:.3e}"
-            )
     return psi, log

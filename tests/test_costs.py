@@ -7,19 +7,18 @@ from eigentomo import states as st
 from conftest import (
     dense_rotation,
     network_parts,
-    random_pure,
     reference_wavefunction,
 )
 
 
 def finite_difference_gradient(engine, theta, step=1e-5):
+    """Fourth-order central differences: (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / 12h."""
     grad = np.empty_like(theta)
     for i in range(theta.size):
-        plus = theta.copy()
-        plus[i] += step
-        minus = theta.copy()
-        minus[i] -= step
-        grad[i] = (engine.value(plus) - engine.value(minus)) / (2 * step)
+        shifted = np.repeat(theta[None], 4, axis=0)
+        shifted[:, i] += step * np.array([-2.0, -1.0, 1.0, 2.0])
+        far_minus, minus, plus, far_plus = (engine.value(t) for t in shifted)
+        grad[i] = (far_minus - 8 * minus + 8 * plus - far_plus) / (12 * step)
     return grad
 
 
@@ -31,37 +30,47 @@ def value_and_grad(spec, state, data):
     return costs.CostEngine(spec, data).value_and_grad(rbm.pack_parameters(state))
 
 
-def reference_value_and_grad(spec, data, theta):
+def reference_value_and_grad(spec, data, theta, kept=()):
     """Cost, gradient and gradient scale through dense per-basis unitaries,
     with each network's gradient assembled from two matmuls: c @ s for a, and
-    [1 | s]^T (c tanh) for the b row above W.  The scale, the sum over s of
-    |u psi| + |beta| |psi|^2 for the two terms of c = conj(u psi) - beta |psi|^2,
-    bounds every gradient entry and the terms it cancels."""
+    [1 | s]^T (c tanh) for the b row above W.  With ``kept`` states the cost
+    is scored on psi = P phi / |P phi| for the dense projector P = I - V V^dag,
+    and its derivative G in psi is taken back to phi by the chain rule,
+    (P G - beta psi) / |P phi|.  The scale, the sum over s of |u phi| +
+    |beta| |phi|^2 for the two terms of c = conj(u phi) - beta |phi|^2, with
+    |u| bounded by the terms that P G and beta psi cancel, bounds every
+    gradient entry and the terms it cancels."""
     n = data.n_qubits
-    psi, tanh = reference_wavefunction(theta, n)
-    total, pulled, beta = 0.0, np.zeros(2**n, dtype=complex), 0.0
-    if data.bases:
-        dense = np.array([dense_rotation(basis) for basis in data.bases])
-        rotated = dense @ psi
-        q = np.abs(rotated) ** 2
-        terms, g = costs.cost_terms_and_grads(
-            spec.kind, data.probabilities, q, costs.DENOM_FLOOR
-        )
-        total, beta = terms.sum(), (g * q).sum()
-        pulled += np.einsum("bji,bj->i", dense, g * np.conj(rotated))
-    for state in spec.orth_states:
-        overlap = np.vdot(state.amplitudes, psi)
-        total += abs(overlap) ** 2
-        beta += abs(overlap) ** 2
-        pulled += np.conj(state.amplitudes * overlap)
-    c = (np.conj(pulled) - beta * psi) * np.conj(psi)
+    phi, tanh = reference_wavefunction(theta, n)
+    projector = np.eye(2**n) - sum(
+        np.outer(state.amplitudes, state.amplitudes.conj()) for state in kept
+    )
+    norm = np.linalg.norm(projector @ phi)
+    psi = projector @ phi / norm
+    dense = np.array([dense_rotation(basis) for basis in data.bases])
+    rotated = dense @ psi
+    q = np.abs(rotated) ** 2
+    terms, g = costs.cost_terms_and_grads(
+        spec.kind, data.probabilities, q, costs.DENOM_FLOOR
+    )
+    total, beta = terms.sum(), (g * q).sum()
+    # G = dC/dpsi*, and u = conj(dC/dphi*) with its real beta = phi . u.
+    grad_psi = np.einsum("bji,bj->i", dense.conj(), g * rotated)
+    grad_phi = (projector @ grad_psi - beta * psi) / norm
+    pulled = np.conj(grad_phi)
+    beta_phi = np.real(phi @ pulled)
+    bound = (
+        np.abs(grad_psi) + np.abs(projector - np.eye(2**n)) @ np.abs(grad_psi)
+        + abs(beta) * np.abs(psi)
+    ) / norm
+    c = (np.conj(pulled) - beta_phi * phi) * np.conj(phi)
     spins = ms.spin_table(n).astype(float)
     ones_spins = np.column_stack([np.ones(2**n), spins])
     grads = [
         np.concatenate([row @ spins, (ones_spins.T @ (row[:, None] * t)).ravel()])
         for row, t in zip((c.real, c.imag), tanh)
     ]
-    scale = np.sum(np.abs(pulled * psi) + abs(beta) * np.abs(psi) ** 2)
+    scale = np.sum(bound * np.abs(phi) + abs(beta_phi) * np.abs(phi) ** 2)
     return total, np.concatenate(grads), scale
 
 
@@ -70,25 +79,25 @@ class TestCostSpec:
         with pytest.raises(ValueError):
             costs.CostSpec("l2")
 
-    def test_rejects_non_orthonormal_states(self):
-        a = st.StateVector.normalized([1.0, 0.0])
-        b = st.StateVector.normalized([0.9, 0.1])
-        with pytest.raises(ValueError):
-            costs.CostSpec("l15", orth_states=(a, b))
-
-    def test_orthogonality_bound_is_the_fits(self):
-        # States that the fit accepts as orthogonal (squared overlap up to
-        # states.ORTHOGONALITY_TOL) are valid penalty states; above it, not.
+    def test_rejects_non_orthonormal_states(self, bell_dataset):
+        # The projector I - V V^dag onto the complement of the kept states
+        # needs them orthonormal.
         a = st.StateVector.normalized([1.0, 0.0, 0.0, 0.0])
-        c = st.StateVector.normalized([0.0, 1.0, 0.0, 0.0])
-        for sq, ok in ((1e-4, True), (0.99e-3, True), (1.01e-3, False)):
+        spec = costs.CostSpec("l15")
+        for sq in (1e-3, 1e-8):
             b = st.StateVector.normalized([np.sqrt(sq), 0.0, np.sqrt(1 - sq), 0.0])
-            if ok:
-                spec = costs.CostSpec("l15", orth_states=(a, b, c))
-                assert len(spec.orth_states) == 3
-            else:
-                with pytest.raises(ValueError, match="pairwise orthogonal"):
-                    costs.CostSpec("l15", orth_states=(c, a, b))
+            with pytest.raises(ValueError, match="orthonormal"):
+                costs.CostEngine(spec, bell_dataset, (a, b))
+
+    def test_rejects_kept_states_that_leave_nothing(self, bell_dataset):
+        basis = [st.StateVector.normalized(np.eye(4)[i]) for i in range(4)]
+        with pytest.raises(ValueError, match="fewer than"):
+            costs.CostEngine(costs.CostSpec("l15"), bell_dataset, basis)
+
+    def test_rejects_kept_states_of_another_size(self, bell_dataset):
+        other = st.StateVector.normalized([1.0, 0.0])
+        with pytest.raises(ValueError, match="qubit count"):
+            costs.CostEngine(costs.CostSpec("l15"), bell_dataset, (other,))
 
 
 class TestCostTerms:
@@ -168,14 +177,29 @@ class TestCostValue:
             value, _ = value_and_grad(costs.CostSpec(kind), state, data)
             assert value == pytest.approx(0.0, abs=1e-9)
 
-    def test_orthogonality_penalty_added(self):
+    def test_kept_states_score_the_projected_state(self, bell_dataset):
+        # With kept states the engine scores P phi / |P phi|, which is
+        # orthogonal to them, instead of the RBM state phi.
         state = random_state(2, seed=4)
-        vec = rbm.to_state_vector(state)
-        data = ms.exact_dataset(
-            st.DensityMatrix.from_pure(vec), ["zz"]
+        phi = rbm.to_state_vector(state).amplitudes
+        kept = st.StateVector.normalized([1.0, 0.0, 0.0, 1.0])
+        projected = st.StateVector.normalized(
+            phi - kept.amplitudes * np.vdot(kept.amplitudes, phi)
         )
-        spec = costs.CostSpec("l1", orth_states=(vec,))
-        assert value_and_grad(spec, state, data)[0] == pytest.approx(1.0, abs=1e-9)
+        engine = costs.CostEngine(costs.CostSpec("l15"), bell_dataset, (kept,))
+        psi = engine.ansatz.wavefunction(rbm.pack_parameters(state)[None])[0]
+        assert np.allclose(psi, projected.amplitudes, rtol=0, atol=1e-15)
+        assert abs(np.vdot(kept.amplitudes, psi)) ** 2 <= 1e-28
+        q = np.stack([ms.probabilities_vector(psi, b) for b in bell_dataset.bases])
+        want = costs.cost_terms("l15", bell_dataset.probabilities, q, 1e-12).sum()
+        assert engine.value(rbm.pack_parameters(state)) == pytest.approx(
+            want, rel=1e-12
+        )
+
+    def test_empty_dataset_rejected(self):
+        data = ms.MeasurementDataset(2, (), np.zeros((0, 4)), None, "exact")
+        with pytest.raises(ValueError, match="dataset is empty"):
+            costs.CostEngine(costs.CostSpec("l15"), data)
 
     def test_mismatched_sizes_rejected(self, bell_dataset):
         state = random_state(3, seed=5)
@@ -193,7 +217,7 @@ class TestCostValue:
 class TestStackedEvaluation:
     """A stack of parameter vectors scores each member with the bits of its
     own single-vector call, across chunk boundaries (n = 4 takes 4 members a
-    chunk, n = 5 takes 2) and in the penalty-only branch."""
+    chunk, n = 5 takes 2), with and without kept states."""
 
     @pytest.mark.parametrize("n, mode", [(1, "full"), (2, "full"), (3, "full"),
                                          (4, "compressed"), (5, "compressed")])
@@ -203,14 +227,11 @@ class TestStackedEvaluation:
         data = ms.exact_dataset(
             st.DensityMatrix.from_pure(target), ms.generate_basis_set(n, mode, seed=n)
         )
-        empty = ms.MeasurementDataset(n, (), np.zeros((0, 2**n)), None, "exact")
         orth = (rbm.to_state_vector(random_state(n, seed=500 + n)),)
         thetas = rng.uniform(-0.5, 0.5, (5, rbm.n_parameters(n)))
-        cases = [(kind, penalty, data) for kind in costs.COST_KINDS
-                 for penalty in ((), orth)]
-        cases.append(("l15", orth, empty))
-        for kind, penalty, dataset in cases:
-            engine = costs.CostEngine(costs.CostSpec(kind, penalty), dataset)
+        for kind, kept in [(kind, kept) for kind in costs.COST_KINDS
+                           for kept in ((), orth)]:
+            engine = costs.CostEngine(costs.CostSpec(kind), data, kept)
             singles = [engine.value_and_grad(theta) for theta in thetas]
             for size in (1, 2, 3, 5):
                 values, grads = engine.value_and_grad(thetas[-size:])
@@ -226,7 +247,7 @@ class TestCostGradient:
     def test_matches_two_matmul_reference(self, n):
         # The one-contraction gradient and the split-0 rotation against the
         # two-matmul assembly over dense unitaries, for every cost kind, with
-        # and without the penalty; the last draw has log p / 2 spanning more
+        # and without a kept state; the last draw has log p / 2 spanning more
         # than 1400.
         rng = np.random.default_rng(700 + n)
         mode = "full" if n <= 3 else "compressed"
@@ -238,12 +259,13 @@ class TestCostGradient:
         thetas = rng.uniform(-0.5, 0.5, (3, rbm.n_parameters(n)))
         thetas[-1, :n] = 1500.0 * rng.choice([-1.0, 1.0], n) / n
         for kind in costs.COST_KINDS:
-            for penalty in ((), orth):
-                spec = costs.CostSpec(kind, penalty)
-                values, grads = costs.CostEngine(spec, data).value_and_grad(thetas)
+            for kept in ((), orth):
+                spec = costs.CostSpec(kind)
+                engine = costs.CostEngine(spec, data, kept)
+                values, grads = engine.value_and_grad(thetas)
                 for theta, value, grad in zip(thetas, values, grads):
                     want, want_grad, scale = reference_value_and_grad(
-                        spec, data, theta
+                        spec, data, theta, kept
                     )
                     assert abs(value - want) <= 1e-12 * abs(want)
                     assert np.abs(grad - want_grad).max() <= 1e-12 * scale
@@ -257,17 +279,20 @@ class TestCostGradient:
         _, grad = value_and_grad(costs.CostSpec("kl1"), state, data)
         assert np.linalg.norm(grad) <= 1e-8
 
-    def test_orth_only_gradient_vanishes_when_orthogonal(self):
+    def test_projected_gradient_zero_at_smooth_minimum(self):
+        # Data of the projected state itself: the cost and its gradient
+        # through the projection vanish there.
         state = random_state(2, seed=8)
-        vec = rbm.to_state_vector(state).amplitudes
-        rng = np.random.default_rng(9)
-        raw = random_pure(4, rng)
-        raw -= vec * np.vdot(vec, raw)
-        orth = st.StateVector.normalized(raw)
-        data = ms.MeasurementDataset(2, (), np.zeros((0, 4)), None, "exact")
-        spec = costs.CostSpec("l15", orth_states=(orth,))
-        engine = costs.CostEngine(spec, data)
-        value, grad = engine.value_and_grad(rbm.pack_parameters(state))
+        kept = st.StateVector.normalized([1.0, 1.0j, 0.0, 1.0])
+        theta = rbm.pack_parameters(state)
+        probe = ms.MeasurementDataset(2, ("zz",), np.full((1, 4), 0.25), None, "exact")
+        engine = costs.CostEngine(costs.CostSpec("kl1"), probe, (kept,))
+        psi = st.StateVector.normalized(engine.ansatz.wavefunction(theta[None])[0])
+        data = ms.exact_dataset(
+            st.DensityMatrix.from_pure(psi), ms.generate_basis_set(2, "full")
+        )
+        engine = costs.CostEngine(costs.CostSpec("kl1"), data, (kept,))
+        value, grad = engine.value_and_grad(theta)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(grad) <= 1e-8
 
@@ -284,8 +309,7 @@ class TestCostGradient:
             orth = rbm.to_state_vector(random_state(n, seed=200 + instance))
             theta = rng.uniform(-0.5, 0.5, rbm.n_parameters(n))
             for kind in costs.COST_KINDS:
-                spec = costs.CostSpec(kind, orth_states=(orth,))
-                engine = costs.CostEngine(spec, data)
+                engine = costs.CostEngine(costs.CostSpec(kind), data, (orth,))
                 _, grad = engine.value_and_grad(theta)
                 expected = finite_difference_gradient(engine, theta)
                 scale = np.maximum(np.abs(expected), 1e-8)

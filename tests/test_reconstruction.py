@@ -344,9 +344,38 @@ class TestReconstruct:
         assert second.argmin_record not in second.excluded_records
         assert second.weight_raw > 0
 
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_w4_rank_two_at_more_fit_seeds(self, w4_rho, seed):
+        # Criterion 2's run at fit seeds other than its own: step 2 fits
+        # within the complement of step 1's state and is kept.
+        data = ms.exact_dataset(w4_rho, ms.generate_basis_set(4, "compressed", 7))
+        config = quick_config(seed=seed, max_epochs=30000, restarts=3)
+        approx, report = rc.reconstruct(data, 2, config, floor=1e-2)
+        assert approx.rank == 2
+        assert [step.accepted for step in report.steps] == [True, True]
+        assert rc.relative_fidelity(w4_rho, approx) >= 0.95
+
+    def test_w4_rank_three_runs_three_steps(self, w4_rho):
+        data = ms.exact_dataset(w4_rho, ms.generate_basis_set(4, "compressed", 7))
+        config = quick_config(seed=3, max_epochs=30000, restarts=3)
+        approx, report = rc.reconstruct(data, 3, config, floor=1e-2)
+        assert approx.rank == 3
+        assert [step.accepted for step in report.steps] == [True, True, True]
+        kept = np.stack([pair.state.amplitudes for pair in approx.pairs])
+        assert np.abs(kept.conj() @ kept.T - np.eye(3)).max() <= 1e-14
+
+    def test_ranks_above_the_dimension_stop_at_it(self):
+        # Four states span two qubits; a fifth step has nothing to fit.
+        rho = diag_mixture([0.4, 0.3, 0.2, 0.1])
+        data = ms.exact_dataset(rho, ms.generate_basis_set(2, "full"))
+        approx, report = rc.reconstruct(
+            data, 6, quick_config(seed=5, max_epochs=300), floor=1e-2
+        )
+        assert [step.accepted for step in report.steps] == [True] * 4
+        assert approx.rank == 4
+
     def test_bell_rank_three_runs_three_steps(self, bell_rho, bell_dataset):
-        # Step 3's penalty holds two fitted states whose squared overlap is
-        # small but not zero; the penalty accepts what the fit accepted.
+        # Step 3 fits within the complement of the two fitted states.
         config = quick_config(seed=3, max_epochs=30000, restarts=3)
         approx, report = rc.reconstruct(
             bell_dataset, 3, config, floor=1e-2, true_rho=bell_rho
