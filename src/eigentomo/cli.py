@@ -337,8 +337,9 @@ def cmd_figdata(args) -> int:
     return 0
 
 
-def _bounded(convert, strict: bool):
-    """Argument type: a finite number, positive if ``strict``, else nonnegative.
+def _bounded(convert, strict: bool, limit=math.inf, limit_name: str = ""):
+    """Argument type: a finite number, positive if ``strict``, else nonnegative,
+    and at most ``limit``, which the error calls ``limit_name``.
 
     argparse reports a rejected value as a usage error (exit code 2).
     """
@@ -348,6 +349,8 @@ def _bounded(convert, strict: bool):
         if not math.isfinite(value) or value < 0 or (strict and value == 0):
             bound = "positive" if strict else "nonnegative"
             raise argparse.ArgumentTypeError(f"{text!r} is not a {bound} number")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{text!r} exceeds {limit}, {limit_name}")
         return value
 
     parse.__name__ = convert.__name__
@@ -358,19 +361,6 @@ POSITIVE_INT = _bounded(int, strict=True)
 NONNEGATIVE_INT = _bounded(int, strict=False)
 POSITIVE_FLOAT = _bounded(float, strict=True)
 NONNEGATIVE_FLOAT = _bounded(float, strict=False)
-
-
-def _restarts(text: str) -> int:
-    """Argument type: a positive restart count that keeps each step's restart
-    seeds apart from the next step's (at most
-    ``reconstruction.STEP_SEED_STRIDE``)."""
-    value = POSITIVE_INT(text)
-    if value > reconstruction.STEP_SEED_STRIDE:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} exceeds {reconstruction.STEP_SEED_STRIDE}, the seed "
-            "offset between steps"
-        )
-    return value
 
 
 def _dims(text: str) -> str:
@@ -405,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", choices=["bell-mixture"], help="named reference mixture"
     )
     group.add_argument(
-        "--w", type=POSITIVE_INT, help="qubit count of a synthetic W mixture"
+        "--w",
+        # A larger register's dataset would exceed what load_jsonl reads.
+        type=_bounded(int, True, measurement.EXACT_MODE_MAX_QUBITS, "the qubit cap"),
+        help="qubit count of a synthetic W mixture",
     )
     p_synth.add_argument(
         "--spectrum", help="comma-separated leading eigenvalues for --w"
@@ -457,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.add_argument(
         "--restarts",
-        type=_restarts,
+        # More would let a step's restart seeds reach the next step's.
+        type=_bounded(
+            int, True, reconstruction.STEP_SEED_STRIDE, "the seed offset between steps"
+        ),
         default=3,
         help="fits per step from different seeds; the lowest cost wins",
     )

@@ -5,7 +5,8 @@ is the leftmost character and the most significant bit of the computational
 index.  Outcomes are tuples of +1/-1 spins, and outcome (s_0, ..., s_{n-1})
 maps to the rotated-basis index whose bit k is 0 for s_k = +1.  Datasets
 carry a full grid of 2^n outcome records per basis (zero-probability
-outcomes included), sorted by basis label and then by outcome index.
+outcomes included), sorted by basis label and then by outcome index; that
+order is the file format, and the loader reads records by position in it.
 
 Every basis rotation goes through one kernel, ``BasisRotation``: it splits
 each U_b into a dense left factor on the first k qubits and a dense right
@@ -438,24 +439,26 @@ class MeasurementDataset:
 
     @classmethod
     def load_jsonl(cls, path) -> "MeasurementDataset":
-        """Read a file written by ``save_jsonl``, filling per-basis rows as
-        ``_record_values`` parses the records, a block of lines at a time.
+        """Read a file written by ``save_jsonl``, record by record in file
+        order, as ``_record_values`` parses a block of lines at a time.
 
-        Each non-blank line must hold one JSON value.  The header's
-        ``n_qubits`` must be an integer up to the exact-mode cap, each record
-        must be an object, each (basis, outcome) pair must appear exactly
-        once, and each outcome must be ``n_qubits`` characters over
-        ``+``/``-``.  The header's ``seed`` and each record's ``shots`` must
-        be integers or null, and each ``p`` a JSON number; booleans count as
-        none of these, and ``shots`` must fit int64 and ``p`` float64.
-        Anything else raises ValueError.
+        The record order is the format: record k (from 1, after the header)
+        is outcome (k - 1) mod 2^n, in index order, of its block of 2^n
+        records; a block's first record opens a basis that sorts after the
+        previous block's, and the rest name that basis.  The header's
+        ``n_qubits`` must be an integer up to the exact-mode cap and its
+        ``seed`` an integer or null.  Each non-blank line must hold one JSON
+        value, and each record an object with a valid ``basis``, a number
+        ``p`` within float64 and a null or integer ``shots`` within int64
+        (booleans are neither).  Any other file, one out of order or ending
+        inside a block included, raises ValueError naming the record.
         """
         with open(path, "r", encoding="utf-8") as fh:
             header = next((jsonio.loads(line) for line in fh if line.strip()), None)
             if not isinstance(header, dict):
                 raise ValueError(f"dataset file {path} has no header object")
             n_qubits = header.get("n_qubits")
-            # Checked before outcome_strings builds its 2^n map.
+            # Checked before outcome_strings builds its 2^n table.
             if type(n_qubits) is not int or not 1 <= n_qubits <= EXACT_MODE_MAX_QUBITS:
                 raise ValueError(
                     f"header n_qubits must be an integer in 1..{EXACT_MODE_MAX_QUBITS}, "
@@ -465,67 +468,69 @@ class MeasurementDataset:
             if seed is not None and type(seed) is not int:
                 raise ValueError(f"header seed must be an integer, got {seed!r}")
             dim = 2**n_qubits
-            index_of = {s: i for i, s in enumerate(outcome_strings(n_qubits))}
-            # basis -> (probabilities, shot counts, outcome indices seen)
-            rows: dict[str, tuple[np.ndarray, np.ndarray, set]] = {}
+            outcomes = outcome_strings(n_qubits)
+            bases, rows = [], []
             have_counts = False
-            # An integer p beyond float64 or shots beyond int64 fails in the
-            # numpy store.
+            r = 0
+            # A p beyond float64 or shots beyond int64 overflow the numpy store.
             try:
-                for doc in _record_values(fh):
+                for r, doc in enumerate(_record_values(fh), 1):
                     if not isinstance(doc, dict):
-                        raise ValueError(f"record {doc!r} is not a JSON object")
-                    outcome = doc.get("outcome")
-                    i = index_of.get(outcome) if isinstance(outcome, str) else None
-                    if i is None:
-                        raise ValueError(
-                            f"invalid outcome {outcome!r}: expected {n_qubits} "
-                            "characters over +, -"
-                        )
-                    basis = doc["basis"]
+                        raise ValueError(f"record {r} is not a JSON object: {doc!r}")
                     try:
-                        row = rows[basis]
-                    except (KeyError, TypeError):
-                        validate_basis(basis, n_qubits)
-                        row = rows[basis] = (
-                            np.zeros(dim),
-                            np.zeros(dim, dtype=np.int64),
-                            set(),
-                        )
-                    probs, counts, seen = row
-                    if i in seen:
+                        basis, p = doc["basis"], doc["p"]
+                    except KeyError as exc:
+                        raise ValueError(f"record {r} has no {exc} field") from None
+                    i = (r - 1) % dim
+                    if i == 0:
+                        try:
+                            validate_basis(basis, n_qubits)
+                        except ValueError as exc:
+                            raise ValueError(f"record {r}: {exc}") from None
+                        if bases and basis <= bases[-1]:
+                            raise ValueError(
+                                f"record {r}: basis {basis!r} after {bases[-1]!r}, "
+                                "expected each basis once, in sorted order"
+                            )
+                        bases.append(basis)
+                        probs, counts = np.zeros(dim), np.zeros(dim, dtype=np.int64)
+                        rows.append((probs, counts))
+                    elif basis != bases[-1]:
                         raise ValueError(
-                            f"duplicate record for basis {basis!r}, outcome {outcome!r}"
+                            f"record {r}: basis {basis!r}, expected {bases[-1]!r}, "
+                            f"whose block lists {i} of {dim} outcomes"
                         )
-                    seen.add(i)
-                    p = doc["p"]
+                    outcome = doc.get("outcome")
+                    if outcome != outcomes[i]:
+                        raise ValueError(
+                            f"record {r}: invalid outcome {outcome!r}: expected "
+                            f"{n_qubits} characters over +, -, here {outcomes[i]!r}"
+                        )
                     if type(p) is not float and type(p) is not int:
-                        raise ValueError(f"record p must be a number, got {p!r}")
+                        raise ValueError(f"record {r}: p must be a number, got {p!r}")
                     probs[i] = p
                     shots = doc.get("shots")
                     if shots is not None:
                         if type(shots) is not int:
-                            raise ValueError(f"shots must be an integer, got {shots!r}")
+                            raise ValueError(
+                                f"record {r}: shots must be an integer, got {shots!r}"
+                            )
                         counts[i] = shots
                         have_counts = True
             except OverflowError as exc:
-                raise ValueError(f"record value out of range: {exc}") from None
-        bases = sorted(rows)
-        for basis in bases:
-            listed = len(rows[basis][2])
-            if listed != dim:
                 raise ValueError(
-                    f"basis {basis!r} lists {listed} outcomes, expected {dim}"
-                )
-        probs = np.array([rows[basis][0] for basis in bases]).reshape(-1, dim)
-        counts = None
-        if have_counts:
-            counts = np.array([rows[basis][1] for basis in bases])
+                    f"record value out of range at record {r}: {exc}"
+                ) from None
+        if r % dim:
+            raise ValueError(
+                f"basis {bases[-1]!r} lists {r % dim} outcomes, expected {dim}: "
+                f"the file ends after record {r}"
+            )
         return cls(
             n_qubits,
             tuple(bases),
-            probs,
-            counts,
+            np.array([probs for probs, _ in rows]).reshape(-1, dim),
+            np.array([counts for _, counts in rows]) if have_counts else None,
             header.get("mode", "exact"),
             seed,
         )

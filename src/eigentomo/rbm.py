@@ -170,20 +170,14 @@ class NqsState:
 
         A wider phase initialization breaks the zero-phase symmetry of the
         ansatz, without which gradient descent cannot develop sign structure.
-        One generator draws W, then a, then b, amplitude network first.
+        One generator draws one uniform block per network, amplitude network
+        first, as ``initial_parameters`` does, and splits it as [W | a | b].
         """
-        rng = np.random.default_rng(seed)
         n = n_qubits
-        return cls(
-            *(
-                RbmParams(
-                    rng.uniform(-half, half, (n, n)),
-                    rng.uniform(-half, half, n),
-                    rng.uniform(-half, half, n),
-                )
-                for half in (scale, scale if phase_scale is None else phase_scale)
-            )
-        )
+        scales = (scale, scale if phase_scale is None else phase_scale)
+        blocks = _uniform_blocks(n, seed, scales)
+        parts = (np.split(block, [n * n, n * (n + 1)]) for block in blocks)
+        return cls(*(RbmParams(w.reshape(n, n), a, b) for w, a, b in parts))
 
 
 def wavefunction(theta: np.ndarray, spins: np.ndarray, out=None):
@@ -289,17 +283,21 @@ def _network_blocks(theta: np.ndarray, n_qubits: int) -> np.ndarray:
     return theta.reshape(theta.shape[:-1] + (2, n_qubits + 2, n_qubits))
 
 
+def _uniform_blocks(n_qubits: int, seed: int, scales) -> list[np.ndarray]:
+    """One seeded generator's uniform blocks of n (n + 2) values, one per
+    network, each within +-its scale."""
+    rng = np.random.default_rng(seed)
+    size = n_qubits * (n_qubits + 2)
+    return [rng.uniform(-scale, scale, size) for scale in scales]
+
+
 def initial_parameters(
     n_qubits: int, seed: int, phase_scale: float = PHASE_INIT_SCALE
 ) -> np.ndarray:
     """The seeded initial draw of one fit restart: per network one uniform
     block of n (n + 2) values, the same values as draws of a, b and W in turn,
     within +-``INIT_SCALE`` (amplitude) and then +-``phase_scale``."""
-    rng = np.random.default_rng(seed)
-    size = n_qubits * (n_qubits + 2)
-    return np.concatenate(
-        [rng.uniform(-scale, scale, size) for scale in (INIT_SCALE, phase_scale)]
-    )
+    return np.concatenate(_uniform_blocks(n_qubits, seed, (INIT_SCALE, phase_scale)))
 
 
 class Ansatz:

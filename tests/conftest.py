@@ -107,7 +107,7 @@ MALFORMED_DATASETS = {
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
         + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n'
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n',
-        "duplicate record",
+        "record 3: basis 'z' after 'z', expected each basis once",
     ),
     "outcome_length": (
         _HEADER
@@ -154,7 +154,58 @@ MALFORMED_DATASETS = {
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
         + '{"basis": "z", "outcome" "-", "p": 0.5, "shots": null}\n',
-        "duplicate record",
+        "record 2: invalid outcome '\\+': expected 1 characters over \\+, -, here '-'",
+    ),
+    "missing_basis": (
+        _HEADER + '{"outcome": "+", "p": 0.5, "shots": null}\n',
+        "record 1 has no 'basis' field",
+    ),
+    "missing_p": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "shots": null}\n',
+        "record 2 has no 'p' field",
+    ),
+    # The record order is the format: bases sorted, each a block of 2^n
+    # records with the outcomes in index order.
+    "interleaved_bases": (
+        _HEADER
+        + '{"basis": "x", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
+        "record 2: basis 'z', expected 'x', whose block lists 1 of 2 outcomes",
+    ),
+    "unsorted_blocks": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n',
+        "record 3: basis 'x' after 'z', expected each basis once, in sorted order",
+    ),
+    "repeated_block": (
+        _HEADER
+        + '{"basis": "x", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n',
+        "record 3: basis 'x' after 'x', expected each basis once",
+    ),
+    "block_too_long": (
+        _HEADER
+        + '{"basis": "x", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
+        "record 3: basis 'x' after 'x', expected each basis once",
+    ),
+    "outcomes_out_of_order": (
+        _HEADER
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n',
+        "record 1: invalid outcome '-': expected 1 characters over \\+, -, here '\\+'",
     ),
     "basis_not_string": (
         _HEADER + '{"basis": ["z"], "outcome": "+", "p": 1.0, "shots": null}\n',

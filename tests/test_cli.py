@@ -98,6 +98,17 @@ class TestSynth:
         assert flags[-2] in proc.stderr
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    def test_w_above_exact_mode_cap_usage_error(self, capsys):
+        # Parsing only: no 13-qubit state is built.
+        cap = ms.EXACT_MODE_MAX_QUBITS
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(
+                ["synth", "--w", str(cap + 1), "--spectrum", "1.0"]
+            )
+        assert exc.value.code == 2
+        assert f"--w: '{cap + 1}' exceeds {cap}" in capsys.readouterr().err
+        assert cli.build_parser().parse_args(["synth", "--w", str(cap)]).w == cap
+
     def test_invalid_spectrum_is_runtime_error(self, tmp_path):
         proc = run_cli(
             "synth", "--w", 2, "--spectrum", "0.5,0.9", "--out-dir", tmp_path,
@@ -210,6 +221,22 @@ class TestReconstructCommand:
         )
         assert proc.returncode == 1
         assert "error" in proc.stderr.lower() and "finite" in proc.stderr
+
+    def test_out_of_order_dataset_single_error_line(self, tmp_path, bell_dataset):
+        # A whole dataset with its first two basis blocks swapped.
+        bell_dataset.save_jsonl(tmp_path / "sorted.jsonl")
+        header, *records = (tmp_path / "sorted.jsonl").read_text().splitlines(True)
+        path = tmp_path / "swapped.jsonl"
+        path.write_text("".join([header, *records[4:8], *records[:4], *records[8:]]))
+        proc = run_cli(
+            "reconstruct", "--dataset", path, "--out-dir", tmp_path, check=False
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: record 5: basis 'xx' after 'xy', expected each basis once, "
+            "in sorted order"
+        ]
+        assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_DATASETS))
     def test_malformed_dataset_runtime_error(self, tmp_path, name):

@@ -548,6 +548,13 @@ class TestDatasetContainer:
             assert loaded.counts is None
         assert loaded.mode == data.mode and loaded.seed == data.seed
 
+    def test_header_only_file_loads_empty(self, tmp_path):
+        path = tmp_path / "header.jsonl"
+        path.write_text('{"n_qubits": 2, "mode": "exact", "seed": null}\n')
+        data = ms.MeasurementDataset.load_jsonl(path)
+        assert data.bases == () and data.counts is None
+        assert data.probabilities.shape == (0, 4) and data.n_records == 0
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
