@@ -35,7 +35,6 @@ from .training import TrainConfig, TrainingLog, train_next_eigenstate
 from .reconstruction import (
     IterationReport,
     SpectralApprox,
-    SpectralPair,
     deflate,
     estimate_dominant_eigenvalue,
     log_likelihood,

@@ -171,10 +171,8 @@ def _table_row(approx, report, truth, target) -> dict:
         row["relative_fidelity"] = row["fidelity"] / kappa
         if target is not None:
             row["fidelity_target"] = pure_fidelity(truth, target)
-    if target is not None and approx.pairs:
-        row["overlap1_target"] = float(
-            abs(target.overlap(approx.pairs[0].state)) ** 2
-        )
+    if target is not None:
+        row["overlap1_target"] = float(abs(target.overlap(approx.state(0))) ** 2)
     return row
 
 
@@ -183,6 +181,12 @@ def cmd_reconstruct(args) -> int:
     dataset = measurement.MeasurementDataset.load_jsonl(args.dataset)
     truth = load_density_matrix(args.truth) if args.truth else None
     target = load_state_vector(args.target) if args.target else None
+    # reconstruct checks the truth's qubit count before its first fit.
+    if target is not None and target.n_qubits != dataset.n_qubits:
+        raise ValueError(
+            f"--target {args.target} has {target.n_qubits} qubits, "
+            f"the dataset {dataset.n_qubits}"
+        )
     config = TrainConfig(
         cost=CostSpec(kind=args.cost),
         max_epochs=args.epochs,
@@ -203,14 +207,14 @@ def cmd_reconstruct(args) -> int:
         {
             "pairs": [
                 {
-                    "p": pair.weight,
+                    "p": p,
                     "state": {
-                        "n_qubits": pair.state.n_qubits,
-                        "re": pair.state.amplitudes.real.tolist(),
-                        "im": pair.state.amplitudes.imag.tolist(),
+                        "n_qubits": approx.n_qubits,
+                        "re": column.real.tolist(),
+                        "im": column.imag.tolist(),
                     },
                 }
-                for pair in approx.pairs
+                for p, column in zip(approx.weights.tolist(), approx.vectors.T)
             ],
             "report": report_doc["steps"],
             "notes": report_doc["notes"],

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -394,9 +395,13 @@ class MeasurementDataset:
                 raise ValueError("invalid shot-count array")
             totals = counts.sum(axis=1)
             if np.any(totals == 0):
-                raise ValueError("a sampled basis has no shots")
-            if np.abs(probs - counts / totals[:, None]).max() > COUNT_RATIO_ATOL:
-                raise ValueError("record probabilities disagree with the shot counts")
+                raise ValueError(f"sampled basis {bases[np.argmin(totals)]!r} has no shots")
+            off = np.abs(probs - counts / totals[:, None]).max(axis=1) > COUNT_RATIO_ATOL
+            if np.any(off):
+                raise ValueError(
+                    f"basis {bases[np.argmax(off)]!r}: record probabilities "
+                    "disagree with the shot counts"
+                )
             counts.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "bases", bases)
@@ -449,9 +454,10 @@ class MeasurementDataset:
         ``n_qubits`` must be an integer up to the exact-mode cap and its
         ``seed`` an integer or null.  Each non-blank line must hold one JSON
         value, and each record an object with a valid ``basis``, a number
-        ``p`` within float64 and a null or integer ``shots`` within int64
-        (booleans are neither).  Any other file, one out of order or ending
-        inside a block included, raises ValueError naming the record.
+        ``p`` within float64 and a ``shots`` that is null in every record or
+        an integer within int64 in every record (booleans are neither).  Any
+        other file, one out of order or ending inside a block included, raises
+        ValueError naming the record.
         """
         with open(path, "r", encoding="utf-8") as fh:
             header = next((jsonio.loads(line) for line in fh if line.strip()), None)
@@ -510,17 +516,28 @@ class MeasurementDataset:
                         raise ValueError(f"record {r}: p must be a number, got {p!r}")
                     probs[i] = p
                     shots = doc.get("shots")
+                    if r == 1:
+                        have_counts = shots is not None
+                    elif (shots is not None) != have_counts:
+                        found = "null" if shots is None else repr(shots)
+                        raise ValueError(
+                            f"record {r}: shots {found}, expected "
+                            f"{'an integer' if have_counts else 'null'} as in record 1"
+                        )
                     if shots is not None:
                         if type(shots) is not int:
                             raise ValueError(
                                 f"record {r}: shots must be an integer, got {shots!r}"
                             )
                         counts[i] = shots
-                        have_counts = True
             except OverflowError as exc:
                 raise ValueError(
                     f"record value out of range at record {r}: {exc}"
                 ) from None
+            except json.JSONDecodeError as exc:
+                # Record r + 1 failed; parsed alone, so pos counts from its line.
+                message = exc.msg.removesuffix(" at")
+                raise ValueError(f"record {r + 1}: {message} at column {exc.pos + 1}") from None
         if r % dim:
             raise ValueError(
                 f"basis {bases[-1]!r} lists {r % dim} outcomes, expected {dim}: "

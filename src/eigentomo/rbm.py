@@ -26,7 +26,7 @@ import numpy as np
 
 from . import measurement
 from .measurement import EXACT_MODE_MAX_QUBITS
-from .states import NORM_ATOL, StateVector
+from .states import StateVector, require_orthonormal
 
 #: Most Gibbs chains advanced together by ``gibbs_sample``.
 _CHAINS = 256
@@ -323,11 +323,9 @@ class Ansatz:
             [part for b in blocks for part in (b[1:, 0], b[0, 1:], b[1:, 1:].ravel())]
         )
         self.kept = np.asarray(kept, dtype=np.complex128)
-        gram = self.kept.conj() @ self.kept.T
-        if len(self.kept) >= len(self.spins) or not np.allclose(
-            gram, np.eye(len(self.kept)), rtol=0, atol=NORM_ATOL
-        ):
-            raise ValueError("kept states must be fewer than 2^n and orthonormal")
+        if len(self.kept) >= len(self.spins):
+            raise ValueError("kept states must be fewer than 2^n")
+        require_orthonormal(self.kept.T, "kept states")
 
     @staticmethod
     def _project(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:

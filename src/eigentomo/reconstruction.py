@@ -6,7 +6,9 @@ its RBM state there), estimates its eigenvalue as the nonnegativity-safe
 minimum ratio of measured to predicted projector probability (leaving out
 the records that earlier steps deflated to zero), subtracts the pair from the
 statistics, and renormalizes.  From the second step on, a step is kept only
-if it strictly improves the data likelihood of the assembled approximation.
+if it strictly improves the data likelihood of the assembled approximation,
+a ``SpectralApprox``: the kept weights as one array and the kept states as
+the orthonormal columns of one matrix, the array form of ``states.Spectrum``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import measurement
 from .measurement import MeasurementDataset
-from .states import ORTHOGONALITY_TOL
 from .states import DensityMatrix, StateVector, eigendecompose, fidelity
+from .states import qubit_count, require_orthonormal
 from .training import TrainConfig, train_next_eigenstate
 
 #: Default denominator floor when estimating eigenvalues.
@@ -33,69 +35,56 @@ STEP_SEED_STRIDE = 10_000
 
 
 @dataclass(frozen=True)
-class SpectralPair:
-    """One extracted (eigenvalue estimate, eigenstate estimate) pair."""
-
-    weight: float
-    state: StateVector
-
-    def __post_init__(self):
-        if not -1e-12 <= self.weight <= 1 + 1e-12:
-            raise ValueError(f"pair weight {self.weight} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class SpectralApprox:
-    """Ordered low-rank approximation; weights sum to at most 1."""
+    """Low-rank approximation sum_k p_k |psi_k><psi_k| in one array form:
+    the weights p_k, a read-only (r,) array, each in [0, 1] and summing to at
+    most 1, and the states psi_k as the orthonormal columns of one read-only
+    (2^n, r) matrix ``vectors``, column k for weight k."""
 
-    pairs: tuple[SpectralPair, ...]
+    weights: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self):
-        pairs = tuple(self.pairs)
-        if not pairs:
-            raise ValueError("approximation needs at least one pair")
-        total = sum(p.weight for p in pairs)
-        if total > 1 + 1e-9:
-            raise ValueError(f"pair weights sum to {total} > 1")
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                sq = abs(pairs[i].state.overlap(pairs[j].state)) ** 2
-                if sq > ORTHOGONALITY_TOL + 1e-12:
-                    raise ValueError(
-                        f"pairs {i} and {j} overlap too strongly ({sq:.3e})"
-                    )
-        object.__setattr__(self, "pairs", pairs)
+        weights = np.array(self.weights, dtype=float)
+        vectors = np.array(self.vectors, dtype=np.complex128, order="C")
+        if weights.ndim != 1 or not weights.size or vectors.shape[1:] != weights.shape:
+            raise ValueError(f"weights {weights.shape} and columns {vectors.shape} disagree")
+        qubit_count(len(vectors))
+        if not -1e-12 <= weights.min() <= weights.max() <= 1 + 1e-12:
+            raise ValueError(f"weights {weights.tolist()} not all in [0, 1]")
+        if not 0 < weights.sum() <= 1 + 1e-9:
+            raise ValueError(f"weights sum to {weights.sum()}, outside (0, 1]")
+        require_orthonormal(vectors, "approximation states")
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def rank(self) -> int:
-        return len(self.pairs)
+        return self.weights.size
 
     @property
     def n_qubits(self) -> int:
-        return self.pairs[0].state.n_qubits
+        return qubit_count(len(self.vectors))
 
     @property
     def weight_sum(self) -> float:
-        return float(sum(p.weight for p in self.pairs))
+        return float(self.weights.sum())
+
+    def state(self, k: int) -> StateVector:
+        """The state of weight ``k`` (column k)."""
+        return StateVector(self.vectors[:, k], self.n_qubits)
 
     def density_matrix(self) -> DensityMatrix:
         """Weighted sum of eigenstate projectors, normalized to unit trace."""
-        total = self.weight_sum
-        if total <= 0:
-            raise ValueError("cannot normalize an approximation with zero weight")
-        weights = [pair.weight / total for pair in self.pairs]
-        vectors = np.column_stack([pair.state.amplitudes for pair in self.pairs])
-        return DensityMatrix.from_eigensystem(weights, vectors)
+        return DensityMatrix.from_eigensystem(self.weights / self.weight_sum, self.vectors)
 
     @classmethod
     def from_spectrum(cls, rho: DensityMatrix, r: int) -> "SpectralApprox":
         """Exact truncation of a known state, mainly for tests and baselines."""
         spectrum = eigendecompose(rho)
-        pairs = tuple(
-            SpectralPair(float(spectrum.eigenvalues[i]), spectrum.eigenvector(i))
-            for i in range(r)
-        )
-        return cls(pairs)
+        return cls(spectrum.eigenvalues[:r], spectrum.vectors[:, :r])
 
 
 @dataclass(frozen=True)
@@ -220,15 +209,10 @@ def log_likelihood(approx: SpectralApprox, data: MeasurementDataset) -> float:
     otherwise.  Predicted probabilities come from the rank-r factors, as the
     normalized weighted sum of each eigenstate's outcome probabilities.
     """
-    total = approx.weight_sum
-    if total <= 0:
-        raise ValueError("cannot normalize an approximation with zero weight")
     if data.n_qubits != approx.n_qubits:
         raise ValueError("dataset and state disagree in qubit count")
     q = measurement.mixture_probabilities(
-        [pair.weight / total for pair in approx.pairs],
-        np.column_stack([pair.state.amplitudes for pair in approx.pairs]),
-        data.bases,
+        approx.weights / approx.weight_sum, approx.vectors, data.bases
     )
     weights = (
         data.counts.astype(float) if data.counts is not None else data.probabilities
@@ -263,6 +247,8 @@ def reconstruct(
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
+    if true_rho is not None and true_rho.n_qubits != data.n_qubits:
+        raise ValueError(f"true_rho has {true_rho.n_qubits} qubits, the dataset {data.n_qubits}")
     if train_config.restarts > STEP_SEED_STRIDE:
         raise ValueError(
             f"restarts ({train_config.restarts}) may not exceed the step seed "
@@ -272,20 +258,20 @@ def reconstruct(
     max_rank = min(max_rank, 2**data.n_qubits)
 
     current = data
-    pairs: list[SpectralPair] = []
+    kept: list[StateVector] = []
+    weights: list[float] = []
     steps: list[StepRecord] = []
     notes: list[str] = []
     remaining = 1.0
     excluded: tuple[int, ...] = ()
-    # Log-likelihood of ``pairs``: the ``after`` of the last kept step.
+    # Log-likelihood of the kept steps: the ``after`` of the last one.
     kept_likelihood = None
 
     for step in range(1, max_rank + 1):
         config = replace(
             train_config, seed=train_config.seed + (step - 1) * STEP_SEED_STRIDE
         )
-        previous = [pair.state for pair in pairs]
-        psi, _ = train_next_eigenstate(current, previous, config)
+        psi, _ = train_next_eigenstate(current, kept, config)
         weight_raw, argmin_record = estimate_dominant_eigenvalue(
             current, psi, floor, excluded
         )
@@ -297,7 +283,9 @@ def reconstruct(
                 "record retains predicted weight above the floor; raise the "
                 "floor above the training-error scale"
             )
-        candidate = SpectralApprox(tuple(pairs + [SpectralPair(weight, psi)]))
+        candidate = SpectralApprox(
+            [*weights, weight], np.column_stack([s.amplitudes for s in (*kept, psi)])
+        )
 
         before = kept_likelihood
         after = log_likelihood(candidate, data)
@@ -336,12 +324,14 @@ def reconstruct(
         )
         if not accepted:
             break
-        if pairs and weight > pairs[-1].weight:
+        if weights and weight > weights[-1]:
             notes.append(
                 f"step {step} estimate ({weight:.4g}) exceeds the previous "
-                f"one ({pairs[-1].weight:.4g}); extraction order inverted"
+                f"one ({weights[-1]:.4g}); extraction order inverted"
             )
-        pairs.append(SpectralPair(weight, psi))
+        approx = candidate
+        kept.append(psi)
+        weights.append(weight)
         kept_likelihood = after
         if step == max_rank:
             break
@@ -356,4 +346,4 @@ def reconstruct(
         current = deflated
         remaining *= 1.0 - weight_raw
 
-    return SpectralApprox(tuple(pairs)), IterationReport(steps, notes)
+    return approx, IterationReport(steps, notes)

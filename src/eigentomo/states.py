@@ -20,11 +20,19 @@ TRACE_ATOL = 1e-12
 EIGVAL_FLOOR = -1e-10
 #: fidelity() tolerates numerically non-PSD inputs down to this eigenvalue.
 FIDELITY_PSD_FLOOR = -1e-8
-#: Eigenvalue gaps below this are treated as degenerate when ordering.
+#: Eigenvalues may rise by at most this much along a descending spectrum.
 DEGENERACY_GAP = 1e-10
-#: Squared overlap up to which the states of a ``SpectralApprox`` count as
-#: orthogonal.
-ORTHOGONALITY_TOL = 1e-3
+#: Gram-minus-identity bound of orthonormal columns.  A fitted state's overlap
+#: with the kept ones is round-off over |P phi|, up to 1e-12 after short fits.
+GRAM_ATOL = 1e-10
+
+
+def require_orthonormal(vectors: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the columns of ``vectors`` are orthonormal:
+    their Gram matrix within ``GRAM_ATOL`` of the identity, entry by entry."""
+    gram = vectors.conj().T @ vectors
+    if not np.allclose(gram, np.eye(len(gram)), rtol=0, atol=GRAM_ATOL):
+        raise ValueError(f"{what} are not orthonormal within {GRAM_ATOL}")
 
 
 def qubit_count(dim: int) -> int:
@@ -145,9 +153,7 @@ class Spectrum:
             raise ValueError("eigenvalues must sum to 1")
         if vals.min() < -1e-10 or vals.max() > 1 + 1e-10:
             raise ValueError("eigenvalues must lie in [0, 1]")
-        gram = vecs.conj().T @ vecs
-        if np.abs(gram - np.eye(vals.size)).max() > 1e-10:
-            raise ValueError("eigenvectors are not orthonormal within tolerance")
+        require_orthonormal(vecs, "eigenvectors")
         vals.setflags(write=False)
         vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
@@ -345,41 +351,24 @@ def trace_distance(rho, sigma) -> float:
     return float(half_trace_norm(diff))
 
 
-def _lex_order(vectors: np.ndarray) -> np.ndarray:
-    """Stable lexicographic order of the rows of a complex (k, d) array: by
-    the real part of component 0, then its imaginary part, then component 1,
-    and so on."""
-    floats = np.ascontiguousarray(vectors).view(np.float64)
-    # lexsort sorts by its last key first.
-    return np.lexsort(floats.T[::-1])
-
-
 def eigendecompose(rho: DensityMatrix) -> Spectrum:
     """Spectral decomposition with a deterministic ordering convention.
 
-    Eigenvalues are sorted in descending order; each eigenvector's phase is
-    fixed by making its largest-magnitude component real and positive, and
-    near-degenerate eigenvalues (gap below 1e-10) are ordered by the
-    lexicographic value of their phase-fixed eigenvectors.
+    Eigenvalues are sorted in descending order, and each eigenvector's phase
+    is fixed by making its largest-magnitude component real and positive.
+    Within a run of tied eigenvalues the eigenvectors keep the order in which
+    ``eigh``, itself deterministic, returns them.
     """
     vals, vecs = np.linalg.eigh(rho.entries)
-    vals = vals[::-1]
     # Row k is the eigenvector of eigenvalue k.  Each has unit norm, so its
     # pivot (largest-modulus component) is nonzero.  np.hypot rounds as the
     # scalar abs of one pivot does; np.abs of the complex array may not.
     rows = vecs.T[::-1]
-    dim = vals.size
-    pivots = rows[np.arange(dim), np.argmax(np.abs(rows), axis=1)]
+    pivots = rows[np.arange(vals.size), np.argmax(np.abs(rows), axis=1)]
     rows = rows * (pivots.conj() / np.hypot(pivots.real, pivots.imag))[:, None]
-    order = np.arange(dim)
-    starts = np.flatnonzero(np.r_[True, vals[:-1] - vals[1:] >= DEGENERACY_GAP])
-    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [dim]):
-        if stop - start > 1:
-            order[start:stop] = start + _lex_order(rows[start:stop])
-    rows = rows[order]
     rows /= np.array([np.linalg.norm(row) for row in rows])[:, None]
     # The transpose keeps each eigenvector contiguous, as a column.
-    return Spectrum(vals[order], rows.T)
+    return Spectrum(vals[::-1], rows.T)
 
 
 def optimal_rank_r(rho: DensityMatrix, r: int) -> DensityMatrix:

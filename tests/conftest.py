@@ -127,27 +127,27 @@ MALFORMED_DATASETS = {
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
         + '{"basis": "z", "outcome": "-",\n'
         + '"p": 0.5, "shots": null}\n',
-        "Expecting property name enclosed in double quotes",
+        "record 2: Expecting property name enclosed in double quotes at column 32",
     ),
     "string_split_across_lines": (
         _HEADER
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
         + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null, "note": "a\n'
         + 'b"}\n',
-        "Invalid control character",
+        "record 2: Invalid control character at column 67",
     ),
     "two_objects_on_one_line": (
         _HEADER
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}, '
         + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
-        "Extra data",
+        "record 1: Extra data at column 56",
     ),
     "split_and_doubled_in_one_block": (
         _HEADER
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}, '
         + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null, "x": [1\n'
         + '2]}\n',
-        "Extra data",
+        "record 1: Extra data at column 56",
     ),
     "duplicate_before_bad_json": (
         _HEADER
@@ -219,13 +219,19 @@ MALFORMED_DATASETS = {
         _SAMPLED_HEADER
         + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": 999}\n'
         + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": 1}\n',
-        "disagree with the shot counts",
+        "basis 'z': record probabilities disagree with the shot counts",
     ),
     "basis_without_shots": (
         _SAMPLED_HEADER
         + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": 0}\n'
         + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": 0}\n',
-        "has no shots",
+        "sampled basis 'z' has no shots",
+    ),
+    "mixed_null_and_integer_shots": (
+        _SAMPLED_HEADER
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": 10}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n',
+        "record 2: shots null, expected an integer as in record 1",
     ),
     "n_qubits_above_cap": (
         '{"n_qubits": 13, "mode": "exact", "seed": null}\n'

@@ -238,6 +238,25 @@ class TestReconstructCommand:
         ]
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--truth", "--target"])
+    def test_state_file_of_another_qubit_count_single_error_line(
+        self, tmp_path, bell_dataset, flag
+    ):
+        bell_dataset.save_jsonl(tmp_path / "dataset.jsonl")
+        state = tmp_path / "state.json"
+        if flag == "--truth":
+            st.save_density_matrix(state, st.DensityMatrix.maximally_mixed(3))
+        else:
+            st.save_state_vector(state, ms.w_state(3))
+        proc = run_cli(
+            "reconstruct", "--dataset", tmp_path / "dataset.jsonl", flag, state,
+            "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "3 qubits, the dataset 2" in line
+        assert not (tmp_path / "result.json").exists()
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_DATASETS))
     def test_malformed_dataset_runtime_error(self, tmp_path, name):
         text, match = MALFORMED_DATASETS[name]

@@ -444,11 +444,16 @@ class TestDatasetContainer:
         assert keys == sorted(keys)
 
     def test_rejects_counts_disagreeing_with_probabilities(self):
-        probs = np.array([[0.5, 0.5]])
-        for counts in ([[999, 1]], [[0, 0]]):
-            with pytest.raises(ValueError, match="shot"):
-                ms.MeasurementDataset(1, ("z",), probs, counts, "sampled", 1)
-        ms.MeasurementDataset(1, ("z",), probs, [[3, 3]], "sampled", 1)
+        # Basis x agrees; each message names z, the first basis at fault.
+        probs = np.array([[0.5, 0.5], [0.5, 0.5]])
+        cases = (
+            ([[3, 3], [999, 1]], "basis 'z': record probabilities disagree with the shot"),
+            ([[3, 3], [0, 0]], "sampled basis 'z' has no shots"),
+        )
+        for counts, match in cases:
+            with pytest.raises(ValueError, match=match):
+                ms.MeasurementDataset(1, ("x", "z"), probs, counts, "sampled", 1)
+        ms.MeasurementDataset(1, ("x", "z"), probs, [[3, 3], [2, 2]], "sampled", 1)
 
     def test_jsonl_round_trip(self, tmp_path, bell_rho):
         data = ms.sample_dataset(bell_rho, ["xx", "zy"], 200, seed=8)

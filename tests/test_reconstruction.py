@@ -30,40 +30,66 @@ def quick_config(seed=0, **overrides):
     return training.TrainConfig(**base)
 
 
+def approx_of(weights, states):
+    """A SpectralApprox of the given weights and StateVectors."""
+    return rc.SpectralApprox(weights, np.column_stack([s.amplitudes for s in states]))
+
+
 class TestSpectralApprox:
     def test_density_matrix_normalized(self):
-        approx = rc.SpectralApprox(
-            (
-                rc.SpectralPair(0.6, basis_vector(4, 0)),
-                rc.SpectralPair(0.2, basis_vector(4, 1)),
-            )
-        )
+        approx = rc.SpectralApprox([0.6, 0.2], np.eye(4)[:, :2])
         rho = approx.density_matrix()
         assert np.trace(rho.entries).real == pytest.approx(1.0)
         assert rho.entries[0, 0].real == pytest.approx(0.75)
 
     def test_rejects_overlapping_pairs(self):
-        with pytest.raises(ValueError):
-            rc.SpectralApprox(
-                (
-                    rc.SpectralPair(0.6, basis_vector(4, 0)),
-                    rc.SpectralPair(0.2, st.StateVector.normalized([1, 0.5, 0, 0])),
-                )
-            )
+        # Squared overlaps 0.2 and 1e-8 (above the old 1e-3 rule's reach):
+        # the states must be orthonormal within states.GRAM_ATOL.
+        for sq in (0.2, 1e-8):
+            other = st.StateVector.normalized([np.sqrt(sq), np.sqrt(1 - sq), 0, 0])
+            with pytest.raises(ValueError, match="orthonormal"):
+                approx_of([0.6, 0.2], [basis_vector(4, 0), other])
+
+    def test_rejects_unnormalized_states(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            rc.SpectralApprox([0.6], 1.001 * np.eye(4)[:, :1])
 
     def test_rejects_weight_excess(self):
+        with pytest.raises(ValueError, match="sum"):
+            rc.SpectralApprox([0.8, 0.3], np.eye(4)[:, :2])
+
+    def test_rejects_weights_outside_unit_interval(self):
+        for weights in ([-0.1, 0.5], [1.2]):
+            vectors = np.eye(4)[:, : len(weights)]
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                rc.SpectralApprox(weights, vectors)
+
+    def test_rejects_mismatched_shapes(self):
+        for weights, vectors in (([0.5], np.eye(4)[:, :2]), ([], np.eye(4)[:, :0])):
+            with pytest.raises(ValueError, match="disagree"):
+                rc.SpectralApprox(weights, vectors)
+        with pytest.raises(ValueError, match="power of two"):
+            rc.SpectralApprox([0.5], np.eye(3)[:, :1])
+
+    def test_arrays_are_read_only(self):
+        approx = rc.SpectralApprox([0.6, 0.2], np.eye(4)[:, :2])
         with pytest.raises(ValueError):
-            rc.SpectralApprox(
-                (
-                    rc.SpectralPair(0.8, basis_vector(4, 0)),
-                    rc.SpectralPair(0.3, basis_vector(4, 1)),
-                )
-            )
+            approx.weights[0] = 0.5
+        with pytest.raises(ValueError):
+            approx.vectors[0, 0] = 0.5
+
+    def test_state_is_its_column(self):
+        approx = approx_of([0.6, 0.2], [ms.bell_states()[1], ms.bell_states()[3]])
+        assert approx.n_qubits == 2 and approx.rank == 2
+        assert np.array_equal(approx.state(1).amplitudes, ms.bell_states()[3].amplitudes)
 
     def test_from_spectrum(self, bell_rho):
         approx = rc.SpectralApprox.from_spectrum(bell_rho, 2)
+        spectrum = st.eigendecompose(bell_rho)
         assert approx.rank == 2
         assert approx.weight_sum == pytest.approx(0.99, abs=1e-12)
+        assert np.array_equal(approx.weights, spectrum.eigenvalues[:2])
+        assert np.array_equal(approx.vectors, spectrum.vectors[:, :2])
 
 
 class TestEstimateDominantEigenvalue:
@@ -192,7 +218,7 @@ class TestLogLikelihood:
     def test_exact_reproduction_gives_negative_entropy(self):
         psi = st.StateVector.normalized([0.6, 0.8])
         data = ms.exact_dataset(st.DensityMatrix.from_pure(psi), ["z", "x"])
-        approx = rc.SpectralApprox((rc.SpectralPair(1.0, psi),))
+        approx = approx_of([1.0], [psi])
         p = data.probabilities[data.probabilities > 0]
         assert rc.log_likelihood(approx, data) == pytest.approx(
             float((p * np.log(p)).sum()), abs=1e-9
@@ -201,25 +227,15 @@ class TestLogLikelihood:
     def test_correct_second_pair_improves(self):
         rho = diag_mixture([0.7, 0.3])
         data = ms.exact_dataset(rho, ["z", "x"])
-        rank1 = rc.SpectralApprox((rc.SpectralPair(0.7, basis_vector(2, 0)),))
-        rank2 = rc.SpectralApprox(
-            (
-                rc.SpectralPair(0.7, basis_vector(2, 0)),
-                rc.SpectralPair(0.3, basis_vector(2, 1)),
-            )
-        )
+        rank1 = rc.SpectralApprox([0.7], np.eye(2)[:, :1])
+        rank2 = rc.SpectralApprox([0.7, 0.3], np.eye(2))
         assert rc.log_likelihood(rank2, data) > rc.log_likelihood(rank1, data)
 
     def test_bogus_second_pair_does_not_improve(self):
         psi = basis_vector(2, 0)
         data = ms.exact_dataset(st.DensityMatrix.from_pure(psi), ["z", "x"])
-        rank1 = rc.SpectralApprox((rc.SpectralPair(0.95, psi),))
-        bogus = rc.SpectralApprox(
-            (
-                rc.SpectralPair(0.95, psi),
-                rc.SpectralPair(0.05, basis_vector(2, 1)),
-            )
-        )
+        rank1 = approx_of([0.95], [psi])
+        bogus = approx_of([0.95, 0.05], [psi, basis_vector(2, 1)])
         assert rc.log_likelihood(bogus, data) <= rc.log_likelihood(rank1, data)
 
     @pytest.mark.parametrize("n", range(1, 5))
@@ -231,12 +247,7 @@ class TestLogLikelihood:
             g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
             vectors, _ = np.linalg.qr(g)
             weights = rng.dirichlet(np.ones(rank + 1))[:rank]
-            approx = rc.SpectralApprox(
-                tuple(
-                    rc.SpectralPair(float(w), st.StateVector.normalized(v))
-                    for w, v in zip(weights, vectors.T)
-                )
-            )
+            approx = rc.SpectralApprox(weights, vectors)
             rho = random_density_matrix(dim, rng)
             exact = ms.exact_dataset(rho, bases)
             sampled = ms.sample_dataset(rho, bases, 300, seed=rank)
@@ -257,7 +268,7 @@ class TestLogLikelihood:
 
     def test_shot_weighting_used_when_counts_present(self, bell_rho):
         sampled = ms.sample_dataset(bell_rho, ["zz"], 100, seed=3)
-        approx = rc.SpectralApprox((rc.SpectralPair(1.0, ms.bell_states()[0]),))
+        approx = approx_of([1.0], [ms.bell_states()[0]])
         value = rc.log_likelihood(approx, sampled)
         q = ms.probabilities_vector(ms.bell_states()[0].amplitudes, "zz")
         expected = float(
@@ -276,12 +287,7 @@ class TestRelativeFidelity:
 
     def test_wrong_second_vector_matches_direct_evaluation(self):
         rho = diag_mixture([0.7, 0.2, 0.07, 0.03])
-        approx = rc.SpectralApprox(
-            (
-                rc.SpectralPair(0.7, basis_vector(4, 0)),
-                rc.SpectralPair(0.2, basis_vector(4, 2)),
-            )
-        )
+        approx = rc.SpectralApprox([0.7, 0.2], np.eye(4)[:, [0, 2]])
         direct = st.fidelity(rho, approx.density_matrix()) / 0.9
         assert rc.relative_fidelity(rho, approx) == pytest.approx(direct, abs=1e-12)
 
@@ -297,7 +303,7 @@ class TestReconstruct:
         )
         assert report.steps[0].accepted
         if approx.rank > 1:
-            assert approx.pairs[1].weight <= 0.01
+            assert approx.weights[1] <= 0.01
 
     def test_eigenvalue_safety_over_random_states(self):
         rng = np.random.default_rng(50)
@@ -325,12 +331,22 @@ class TestReconstruct:
         config = quick_config(seed=23, max_epochs=400)
         approx, _ = rc.reconstruct(bell_dataset, 1, config, floor=1e-2)
         psi, _ = training.train_next_eigenstate(bell_dataset, [], config)
-        assert np.array_equal(approx.pairs[0].state.amplitudes, psi.amplitudes)
+        assert np.array_equal(approx.vectors[:, 0], psi.amplitudes)
 
     def test_restarts_above_seed_stride_rejected(self, bell_dataset):
         config = quick_config(restarts=rc.STEP_SEED_STRIDE + 1)
         with pytest.raises(ValueError, match="seed"):
             rc.reconstruct(bell_dataset, 2, config)
+
+    def test_truth_of_another_qubit_count_rejected_before_any_fit(
+        self, monkeypatch, bell_dataset, w4_rho
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("reconstruct fitted before checking true_rho")
+
+        monkeypatch.setattr(rc, "train_next_eigenstate", no_fit)
+        with pytest.raises(ValueError, match="true_rho has 4 qubits, the dataset 2"):
+            rc.reconstruct(bell_dataset, 2, quick_config(), true_rho=w4_rho)
 
     def test_later_steps_exclude_earlier_argmin_records(self, w4_rho):
         # Criterion 2's run: step 1's argmin record is deflated to (about)
@@ -361,8 +377,8 @@ class TestReconstruct:
         approx, report = rc.reconstruct(data, 3, config, floor=1e-2)
         assert approx.rank == 3
         assert [step.accepted for step in report.steps] == [True, True, True]
-        kept = np.stack([pair.state.amplitudes for pair in approx.pairs])
-        assert np.abs(kept.conj() @ kept.T - np.eye(3)).max() <= 1e-14
+        gram = approx.vectors.conj().T @ approx.vectors
+        assert np.abs(gram - np.eye(3)).max() <= 1e-14
 
     def test_ranks_above_the_dimension_stop_at_it(self):
         # Four states span two qubits; a fifth step has nothing to fit.
@@ -382,7 +398,7 @@ class TestReconstruct:
         )
         assert approx.rank == 3
         assert [step.accepted for step in report.steps] == [True, True, True]
-        assert approx.pairs[2].weight == pytest.approx(0.009, abs=2e-3)
+        assert approx.weights[2] == pytest.approx(0.009, abs=2e-3)
         assert report.steps[2].eigenstate_fidelity >= 0.999
 
     def test_report_serializable(self):

@@ -19,26 +19,15 @@ def naive_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def reference_eigendecompose(rho: st.DensityMatrix):
     """Descending eigenvalues and eigenvector columns, one vector at a time:
     each column's phase fixed by the scalar ``abs`` of its largest-modulus
-    component, each run of tied eigenvalues put in ``st._lex_order`` and each
-    vector rescaled by ``StateVector.normalized``."""
+    component and each vector rescaled by ``StateVector.normalized``; tied
+    eigenvalues keep the order ``eigh`` returns."""
     vals, vecs = np.linalg.eigh(rho.entries)
-    vals = vals[::-1]
-    rows = []
+    columns = []
     for column in vecs.T[::-1]:
         pivot = column[int(np.argmax(np.abs(column)))]
-        rows.append(column * (pivot.conj() / abs(pivot)))
-    rows = np.array(rows)
-    order = np.arange(vals.size)
-    start = 0
-    while start < vals.size:
-        stop = start + 1
-        while stop < vals.size and vals[stop - 1] - vals[stop] < st.DEGENERACY_GAP:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = start + st._lex_order(rows[start:stop])
-        start = stop
-    columns = [st.StateVector.normalized(rows[i]).amplitudes for i in order]
-    return vals[order], np.column_stack(columns)
+        phased = column * (pivot.conj() / abs(pivot))
+        columns.append(st.StateVector.normalized(phased).amplitudes)
+    return vals[::-1], np.column_stack(columns)
 
 
 class TestStateVector:
@@ -443,23 +432,20 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="orthonormal"):
             st.Spectrum([0.7, 0.3], [[1.0, 1.0], [0.0, 1.0]])
 
-    def test_lex_order_equals_tuple_sort(self):
-        # The order of a degenerate block is the stable sort by the tuple
-        # (re v_0, im v_0, re v_1, ...), on blocks with repeated rows, shared
-        # prefixes and both signed zeros (-0.0 ties with 0.0).
-        rng = np.random.default_rng(17)
-        entries = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
-        for _ in range(200):
-            k, d = rng.integers(1, 12), rng.integers(1, 5)
-            block = np.empty((k, d), dtype=complex)
-            block.real = rng.choice(entries, (k, d))
-            block.imag = rng.choice(entries, (k, d))
-            block[rng.integers(k)] = block[0]
-            want = sorted(
-                range(k),
-                key=lambda i: tuple(x for c in block[i] for x in (c.real, c.imag)),
-            )
-            assert st._lex_order(block).tolist() == want
+
+class TestRequireOrthonormal:
+    def test_accepts_orthonormal_columns(self):
+        rng = np.random.default_rng(19)
+        gauss = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        st.require_orthonormal(np.linalg.qr(gauss)[0], "frame")
+        st.require_orthonormal(np.zeros((8, 0), dtype=complex), "no states")
+
+    def test_rejects_overlap_and_norm_beyond_gram_atol(self):
+        tilted = np.eye(4)[:, :2].astype(complex)
+        tilted[1, 0] = 2e-10
+        for vectors in (tilted, (1 + 2e-10) * np.eye(4)[:, :2]):
+            with pytest.raises(ValueError, match="frame are not orthonormal"):
+                st.require_orthonormal(vectors, "frame")
 
 
 class TestOptimalRankR:
