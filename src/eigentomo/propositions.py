@@ -20,9 +20,12 @@ one call; the rank-r challengers of checks 3 and 4 come from one draw,
 ``_rank_r_challengers``.  Checks 2 and 3 score in each challenger's own
 small space: ``pure_trace_distance`` solves one secular equation per pure
 state, and ``frame_fidelity`` diagonalizes one r x r core per rank-r frame.
-Their attainment steps run the generic eigensolver paths
-(``half_trace_norm``, ``_default_fidelity``), so every state also
-cross-checks the fast scorers against a general eigensolver.
+Check 4 scores its family in rho's eigenbasis, where every member differs
+from rho by a diagonal matrix (``_family_trace_distances``).  The attainment
+steps of checks 2 and 3, and check 4's cross-check of its first member, run
+the generic eigensolver paths (``half_trace_norm``, ``_default_fidelity``),
+so every state also cross-checks the fast scorers against a general
+eigensolver.
 """
 
 from __future__ import annotations
@@ -207,13 +210,29 @@ def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport
     )
 
 
+def _family_trace_distances(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Trace distances to rho of the states V_r diag(q) V_r^dag, one per row
+    q of the (..., r) ``weights``, from rho's descending spectrum ``vals``.
+
+    V_r holds rho's top-r eigenvectors, so rho - tau is diagonal in rho's
+    eigenbasis, with entries p_i - q_i for i <= r and p_i beyond.
+    """
+    r = weights.shape[-1]
+    return 0.5 * (np.abs(vals[:r] - weights).sum(axis=-1) + np.abs(vals[r:]).sum())
+
+
 def check_prop4(rho, r: int, n_family: int, seed: int) -> PropositionReport:
     """A whole family of rank-r states attains trace distance 1 - kappa(r).
 
     Members use the top-r eigenvectors of rho with weights q_i >= p_i summing
-    to one; the feasible slack is distributed by simplex sampling.  The
-    conjectured optimality of the renormalized truncation itself is probed by
-    random rank-r challengers and reported, never asserted.
+    to one; the feasible slack is distributed by simplex sampling.  Each
+    member is scored in rho's eigenbasis by ``_family_trace_distances``, the
+    absolute sum over the whole spectrum, so a non-PSD input still fails.
+    The first member is also assembled as a d x d state and scored by
+    ``half_trace_norm``; its distance must agree with its eigenbasis value and
+    with 1 - kappa.  The conjectured optimality of the renormalized
+    truncation itself is probed by random rank-r challengers and reported,
+    never asserted.
     """
     mat = matrix_of(rho)
     dim = mat.shape[0]
@@ -225,9 +244,13 @@ def check_prop4(rho, r: int, n_family: int, seed: int) -> PropositionReport:
 
     shares = rng.exponential(size=(n_family, r))
     shares /= shares.sum(axis=1, keepdims=True)
+    family = vals[:r] + (1.0 - kappa) * shares
+    dists = _family_trace_distances(vals, family)
+    worst = float(np.abs(dists - (1.0 - kappa)).max())
     top = vecs[:, :r]
-    family = (top * (vals[:r] + (1.0 - kappa) * shares)[:, None, :]) @ top.conj().T
-    worst = float(np.abs(half_trace_norm(mat - family) - (1.0 - kappa)).max())
+    attained = float(half_trace_norm(mat - (top * family[0]) @ top.conj().T))
+    cross_err = abs(attained - float(dists[0]))
+    violation = max(worst, cross_err, abs(attained - (1.0 - kappa)))
 
     frames, weights = _rank_r_challengers(rng, dim, r, min(n_family, 200))
     probe = (frames * weights[:, None, :]) @ frames.conj().swapaxes(1, 2)
@@ -236,25 +259,24 @@ def check_prop4(rho, r: int, n_family: int, seed: int) -> PropositionReport:
     return PropositionReport(
         4,
         n_family,
-        worst,
-        worst <= DEFAULT_TOL,
+        violation,
+        violation <= DEFAULT_TOL,
         extras={
             "kappa": kappa,
+            "cross_check_error": cross_err,
             "trace_conjecture_min_gap": probe_best - (1.0 - kappa),
         },
     )
 
 
-def _weyl_violation(q_mat: np.ndarray, p_mat: np.ndarray) -> float:
-    """Worst violation of the eigenvalue sandwich for M = Q + P.
+def _sandwich_violation(q: np.ndarray, p: np.ndarray, m: np.ndarray) -> float:
+    """Worst violation of the eigenvalue sandwich for M = Q + P, from the
+    descending spectra q, p and m of Q, P and M.
 
     With descending eigenvalues (1-indexed): q_j + p_k <= m_i whenever
     j + k - n >= i, and m_i <= q_r + p_s whenever i >= r + s - 1.
     """
-    n = q_mat.shape[0]
-    q = np.linalg.eigvalsh(q_mat)[::-1]
-    p = np.linalg.eigvalsh(p_mat)[::-1]
-    m = np.linalg.eigvalsh(q_mat + p_mat)[::-1]
+    n = q.shape[0]
     pair_sums = q[:, None] + p[None, :]
     idx = np.arange(1, n + 1)
     index_sum = idx[:, None] + idx[None, :]
@@ -265,20 +287,31 @@ def _weyl_violation(q_mat: np.ndarray, p_mat: np.ndarray) -> float:
     return float(max(0.0, lower.max(), upper.max()))
 
 
+def _weyl_violation(q_mat: np.ndarray, p_mat: np.ndarray) -> float:
+    """Worst violation of the eigenvalue sandwich for one pair Q, P."""
+    q, p, m = (np.linalg.eigvalsh(a)[::-1] for a in (q_mat, p_mat, q_mat + p_mat))
+    return _sandwich_violation(q, p, m)
+
+
 def check_weyl(q_matrix, p_matrix, n_trials: int, seed: int) -> WeylReport:
-    """Weyl's eigenvalue inequality for the given pair plus random pairs."""
+    """Weyl's eigenvalue inequality for the given pair plus random pairs.
+
+    The spectra of Q, P and Q + P of every pair come from one stacked
+    ``eigvalsh``.
+    """
     q_mat = matrix_of(q_matrix)
     p_mat = matrix_of(p_matrix)
     if q_mat.shape != p_mat.shape:
         raise ValueError("matrices must share a dimension")
     dim = q_mat.shape[0]
     rng = np.random.default_rng(seed)
-    worst = _weyl_violation(q_mat, p_mat)
+    pairs = [(q_mat, p_mat)]
     for _ in range(n_trials):
-        worst = max(
-            worst, _weyl_violation(random_hermitian(dim, rng), random_hermitian(dim, rng))
-        )
-    return WeylReport(n_trials + 1, float(worst), worst <= DEFAULT_TOL)
+        pairs.append((random_hermitian(dim, rng), random_hermitian(dim, rng)))
+    stack = np.array([(q, p, q + p) for q, p in pairs])
+    spectra = np.linalg.eigvalsh(stack)[..., ::-1]
+    worst = max(_sandwich_violation(q, p, m) for q, p, m in spectra)
+    return WeylReport(n_trials + 1, worst, worst <= DEFAULT_TOL)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from . import measurement
 from .measurement import MeasurementDataset
 from .states import DensityMatrix, StateVector, eigendecompose, fidelity
-from .states import qubit_count, require_orthonormal
+from .states import GRAM_ATOL, gram_deviation, qubit_count, require_orthonormal
 from .training import TrainConfig, train_next_eigenstate
 
 #: Default denominator floor when estimating eigenvalues.
@@ -239,9 +239,11 @@ def reconstruct(
 
     The first step is always kept.  Later steps are kept only while each
     strictly improves the data likelihood; the first rejected step ends the
-    iteration.  From the second step on, the eigenvalue estimate leaves out
-    every kept step's argmin record and the records its deflation drove to
-    zero: they say nothing about the residual.  When the true state is
+    iteration.  A later step whose state is not orthonormal to the kept ones
+    within ``GRAM_ATOL`` is rejected without a likelihood, and a note gives
+    its Gram deviation.  From the second step on, the eigenvalue estimate
+    leaves out every kept step's argmin record and the records its deflation
+    drove to zero: they say nothing about the residual.  When the true state is
     supplied (synthetic runs), per-step eigenstate fidelities and the
     residual accuracy gap are reported.
     """
@@ -283,13 +285,22 @@ def reconstruct(
                 "record retains predicted weight above the floor; raise the "
                 "floor above the training-error scale"
             )
-        candidate = SpectralApprox(
-            [*weights, weight], np.column_stack([s.amplitudes for s in (*kept, psi)])
-        )
-
+        columns = np.column_stack([s.amplitudes for s in (*kept, psi)])
+        deviation = gram_deviation(columns)
         before = kept_likelihood
-        after = log_likelihood(candidate, data)
-        accepted = before is None or after > before
+        if kept and not deviation <= GRAM_ATOL:
+            # The fit drifted into the span of the kept states, where the
+            # projection keeps only round-off orthogonality over |P phi|.
+            notes.append(
+                f"step {step} rejected: its state is not orthogonal to the kept "
+                f"states (Gram deviation {deviation:.3g} > {GRAM_ATOL:g})"
+            )
+            after = None
+            accepted = False
+        else:
+            candidate = SpectralApprox([*weights, weight], columns)
+            after = log_likelihood(candidate, data)
+            accepted = before is None or after > before
 
         eig_fid = None
         gap = None

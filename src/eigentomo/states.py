@@ -27,11 +27,16 @@ DEGENERACY_GAP = 1e-10
 GRAM_ATOL = 1e-10
 
 
+def gram_deviation(vectors: np.ndarray) -> float:
+    """Largest entry of |V^dag V - I| over the columns V of ``vectors``."""
+    gram = vectors.conj().T @ vectors
+    return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+
+
 def require_orthonormal(vectors: np.ndarray, what: str) -> None:
     """Raise ValueError unless the columns of ``vectors`` are orthonormal:
     their Gram matrix within ``GRAM_ATOL`` of the identity, entry by entry."""
-    gram = vectors.conj().T @ vectors
-    if not np.allclose(gram, np.eye(len(gram)), rtol=0, atol=GRAM_ATOL):
+    if not gram_deviation(vectors) <= GRAM_ATOL:
         raise ValueError(f"{what} are not orthonormal within {GRAM_ATOL}")
 
 

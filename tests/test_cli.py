@@ -222,6 +222,27 @@ class TestReconstructCommand:
         assert proc.returncode == 1
         assert "error" in proc.stderr.lower() and "finite" in proc.stderr
 
+    def test_drifted_step_keeps_the_run(self, tmp_path):
+        # The diagonal 3-qubit mixture whose step 3 drifts out of the
+        # orthogonal complement at fit seed 3: exit 0 at rank 2.
+        rho = st.DensityMatrix(
+            np.diag([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02]).astype(complex), 3
+        )
+        ms.exact_dataset(rho, ms.generate_basis_set(3, "full")).save_jsonl(
+            tmp_path / "dataset.jsonl"
+        )
+        proc = run_cli(
+            "reconstruct", "--dataset", tmp_path / "dataset.jsonl",
+            "--max-rank", 8, "--floor", 1e-2, "--epochs", 300, "--restarts", 2,
+            "--seed", 3, "--out-dir", tmp_path / "rec", check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "rec" / "result.json").read_text())
+        assert len(doc["pairs"]) == 2
+        assert [step["accepted"] for step in doc["report"]] == [True, True, False]
+        assert doc["report"][2]["likelihood_after"] is None
+        assert doc["notes"][0].startswith("step 3 rejected")
+
     def test_out_of_order_dataset_single_error_line(self, tmp_path, bell_dataset):
         # A whole dataset with its first two basis blocks swapped.
         bell_dataset.save_jsonl(tmp_path / "sorted.jsonl")

@@ -110,6 +110,66 @@ class TestProp4:
         report = pr.check_prop4(random_density_matrix(8, rng), 3, 100, seed=16)
         assert report.passed
         assert report.extras["trace_conjecture_min_gap"] >= -1e-10
+        assert report.extras["cross_check_error"] <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
+    def test_eigenbasis_distances_match_assembled_members(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        mat = random_density_matrix(dim, rng)
+        vals, vecs = pr._sorted_spectrum(mat)
+        for r in range(1, dim + 1):
+            # Family members (q >= p on the top r) and arbitrary weights alike.
+            shares = rng.exponential(size=(3, r))
+            shares /= shares.sum(axis=1, keepdims=True)
+            weights = np.vstack([
+                vals[:r] + (1.0 - vals[:r].sum()) * shares,
+                rng.normal(size=(2, r)),
+            ])
+            top = vecs[:, :r]
+            members = (top * weights[:, None, :]) @ top.conj().T
+            np.testing.assert_allclose(
+                pr._family_trace_distances(vals, weights),
+                st.half_trace_norm(mat - members),
+                rtol=0, atol=1e-12,
+            )
+
+    def test_full_rank_family_is_rho(self, bell_rho):
+        report = pr.check_prop4(bell_rho.entries, 4, 50, seed=24)
+        assert report.passed
+        assert report.extras["kappa"] == pytest.approx(1.0, abs=1e-12)
+        assert report.max_violation <= 1e-12
+        vals, _ = pr._sorted_spectrum(bell_rho.entries)
+        assert pr._family_trace_distances(vals, vals[None, :])[0] == pytest.approx(
+            0.0, abs=1e-15
+        )
+
+    def test_non_psd_input_fails(self):
+        # A negative eigenvalue outside the top r adds |p_i| to every member's
+        # distance, which the closed form 1 - kappa would miss.
+        report = pr.check_prop4(np.diag([0.7, 0.4, -0.1]).astype(complex), 2, 50, seed=25)
+        assert not report.passed
+        assert report.extras["cross_check_error"] <= 1e-12
+
+    def test_faulty_family_member_detected(self, bell_rho, monkeypatch):
+        # Every member is scored, not only the cross-checked first one.
+        inner = pr._family_trace_distances
+
+        def off_on_last(vals, weights):
+            dists = inner(vals, weights).copy()
+            dists[-1] += 0.02
+            return dists
+
+        monkeypatch.setattr(pr, "_family_trace_distances", off_on_last)
+        report = pr.check_prop4(bell_rho.entries, 2, 100, seed=14)
+        assert not report.passed
+        assert report.max_violation == pytest.approx(0.02, abs=1e-12)
+        assert report.extras["cross_check_error"] <= 1e-12
+
+    def test_faulty_trace_distance_detected(self, bell_rho, monkeypatch):
+        monkeypatch.setattr(pr, "half_trace_norm", lambda a: st.half_trace_norm(a) - 0.02)
+        report = pr.check_prop4(bell_rho.entries, 2, 100, seed=14)
+        assert not report.passed
+        assert report.extras["cross_check_error"] == pytest.approx(0.02, abs=1e-12)
 
 
 class TestScoringCalls:
@@ -140,9 +200,10 @@ class TestScoringCalls:
                 ("frame_fidelity", (50, 4, 2)),
                 ("_default_fidelity", (4, 4)),
             ]),
-            # The family, then the conjecture probe (capped at 200 challengers).
+            # The family scores in rho's eigenbasis: the cross-check of its
+            # first member, then the conjecture probe (capped at 200).
             (lambda: pr.check_prop4(mat, 2, 300, seed=4), [
-                ("half_trace_norm", (300, 4, 4)),
+                ("half_trace_norm", (4, 4)),
                 ("half_trace_norm", (200, 4, 4)),
             ]),
         ]

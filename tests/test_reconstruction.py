@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,28 @@ class TestReconstruct:
         )
         assert [step.accepted for step in report.steps] == [True] * 4
         assert approx.rank == 4
+
+    def test_drifted_step_rejected_not_the_run(self):
+        # Step 3's RBM state drifts into the span of steps 1-2, so its
+        # projection keeps only round-off orthogonality: the step is
+        # rejected, and the run keeps rank 2.
+        rho = diag_mixture([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02])
+        data = ms.exact_dataset(rho, ms.generate_basis_set(3, "full"))
+        approx, report = rc.reconstruct(
+            data, 8, quick_config(seed=3, max_epochs=300), floor=1e-2
+        )
+        assert approx.rank == 2
+        assert [step.accepted for step in report.steps] == [True, True, False]
+        rejected = report.steps[2]
+        assert rejected.likelihood_after is None
+        assert rejected.likelihood_before == report.steps[1].likelihood_after
+        (note,) = report.notes
+        deviation = re.fullmatch(
+            r"step 3 rejected: its state is not orthogonal to the kept states "
+            r"\(Gram deviation (\S+) > 1e-10\)",
+            note,
+        ).group(1)
+        assert float(deviation) > st.GRAM_ATOL
 
     def test_bell_rank_three_runs_three_steps(self, bell_rho, bell_dataset):
         # Step 3 fits within the complement of the two fitted states.

@@ -447,6 +447,14 @@ class TestRequireOrthonormal:
             with pytest.raises(ValueError, match="frame are not orthonormal"):
                 st.require_orthonormal(vectors, "frame")
 
+    def test_gram_deviation_is_the_largest_entry(self):
+        tilted = np.eye(4)[:, :2].astype(complex)
+        tilted[1, 0] = 3e-7j
+        assert st.gram_deviation(tilted) == pytest.approx(3e-7, rel=1e-9)
+        assert st.gram_deviation(np.zeros((8, 0), dtype=complex)) == 0.0
+        with pytest.raises(ValueError, match="orthonormal"):
+            st.require_orthonormal(np.full((2, 1), np.nan), "frame")
+
 
 class TestOptimalRankR:
     def test_bell_rank_one(self, bell_rho):
