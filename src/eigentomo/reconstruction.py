@@ -239,9 +239,9 @@ def reconstruct(
 
     The first step is always kept.  Later steps are kept only while each
     strictly improves the data likelihood; the first rejected step ends the
-    iteration.  A later step whose state is not orthonormal to the kept ones
-    within ``GRAM_ATOL`` is rejected without a likelihood, and a note gives
-    its Gram deviation.  From the second step on, the eigenvalue estimate
+    iteration.  A later step of weight 0, or whose state is not orthonormal
+    to the kept ones within ``GRAM_ATOL``, is rejected without a likelihood,
+    and a note says why.  From the second step on, the eigenvalue estimate
     leaves out every kept step's argmin record and the records its deflation
     drove to zero: they say nothing about the residual.  When the true state is
     supplied (synthetic runs), per-step eigenstate fidelities and the
@@ -288,15 +288,18 @@ def reconstruct(
         columns = np.column_stack([s.amplitudes for s in (*kept, psi)])
         deviation = gram_deviation(columns)
         before = kept_likelihood
-        if kept and not deviation <= GRAM_ATOL:
+        after, accepted = None, False
+        if kept and weight == 0.0:
+            # A zero-weight column still changes the likelihood's round-off,
+            # so the likelihood cannot be trusted to turn the step down.
+            notes.append(f"step {step} rejected: its eigenvalue estimate is 0")
+        elif kept and not deviation <= GRAM_ATOL:
             # The fit drifted into the span of the kept states, where the
             # projection keeps only round-off orthogonality over |P phi|.
             notes.append(
                 f"step {step} rejected: its state is not orthogonal to the kept "
                 f"states (Gram deviation {deviation:.3g} > {GRAM_ATOL:g})"
             )
-            after = None
-            accepted = False
         else:
             candidate = SpectralApprox([*weights, weight], columns)
             after = log_likelihood(candidate, data)

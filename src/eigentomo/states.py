@@ -399,14 +399,29 @@ def _load_state_doc(path) -> tuple[np.ndarray, int]:
     """Entries re + i im and ``n_qubits`` of a file written by
     ``save_state_vector`` or ``save_density_matrix``; ValueError unless the
     file holds an object with an integer ``n_qubits`` (booleans are not)
-    that matches the leading dimension of the entries."""
+    that matches the leading dimension of the entries, and ``re`` and ``im``
+    arrays of finite numbers of one shape."""
     doc = jsonio.load(path)
     if not isinstance(doc, dict):
         raise ValueError(f"state file {path} does not hold a JSON object")
     n_qubits = doc.get("n_qubits")
     if type(n_qubits) is not int:
         raise ValueError(f"state file n_qubits must be an integer, got {n_qubits!r}")
-    entries = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    fields = []
+    for name in ("re", "im"):
+        try:
+            values = np.asarray(doc.get(name))
+        except ValueError:  # ragged nesting
+            values = np.asarray(None)
+        if values.dtype.kind not in "if" or not np.isfinite(values).all():
+            raise ValueError(f"state file {path} field {name!r} must be an array of finite numbers")
+        fields.append(values)
+    real, imag = fields
+    if real.shape != imag.shape:
+        raise ValueError(
+            f"state file {path} field 'im' has shape {imag.shape}, 're' {real.shape}"
+        )
+    entries = real + 1j * imag
     # Checked before a constructor forms 2**n_qubits, which never ends for a
     # huge n_qubits.
     dim = entries.shape[0] if entries.ndim else 0

@@ -314,4 +314,42 @@ MALFORMED_STATE_FILES = {
         '{"n_qubits": 1000000000000, "re": [1.0, 0.0], "im": [0.0, 0.0]}',
         "n_qubits 1000000000000 does not match dimension 2",
     ),
+    "re_missing": (
+        '{"n_qubits": 1, "im": [0.0, 0.0]}', "field 're' must be an array of finite numbers"
+    ),
+    "im_missing": (
+        '{"n_qubits": 1, "re": [1.0, 0.0]}', "field 'im' must be an array of finite numbers"
+    ),
+    "re_strings": (
+        '{"n_qubits": 1, "re": ["1.0", "0.0"], "im": [0.0, 0.0]}',
+        "field 're' must be an array of finite numbers",
+    ),
+    "im_booleans": (
+        '{"n_qubits": 1, "re": [1.0, 0.0], "im": [false, false]}',
+        "field 'im' must be an array of finite numbers",
+    ),
+    "im_null_entry": (
+        '{"n_qubits": 1, "re": [1.0, 0.0], "im": [0.0, null]}',
+        "field 'im' must be an array of finite numbers",
+    ),
+    "re_nan": (
+        '{"n_qubits": 1, "re": [NaN, 0.0], "im": [0.0, 0.0]}',
+        "field 're' must be an array of finite numbers",
+    ),
+    "im_beyond_float64": (
+        '{"n_qubits": 1, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0, 1e400], [0, 0]]}',
+        "field 'im' must be an array of finite numbers",
+    ),
+    "re_ragged": (
+        '{"n_qubits": 1, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+        "field 're' must be an array of finite numbers",
+    ),
+    "im_shorter": (
+        '{"n_qubits": 2, "re": [0.5, 0.5, 0.5, 0.5], "im": [0]}',
+        "field 'im' has shape \\(1,\\), 're' \\(4,\\)",
+    ),
+    "im_row_of_a_matrix": (
+        '{"n_qubits": 1, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [0, 0]}',
+        "field 'im' has shape \\(2,\\), 're' \\(2, 2\\)",
+    ),
 }

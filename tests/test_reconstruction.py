@@ -414,6 +414,32 @@ class TestReconstruct:
         ).group(1)
         assert float(deviation) > st.GRAM_ATOL
 
+    def test_zero_weight_step_rejected_whatever_the_likelihood(
+        self, monkeypatch, bell_dataset
+    ):
+        # Round-off in a zero-weight column can raise the likelihood; the step
+        # is rejected all the same, and the run keeps rank 1.
+        inner = rc.estimate_dominant_eigenvalue
+        estimates = []
+
+        def zero_at_step_two(*args):
+            value, record = inner(*args)
+            estimates.append(value)
+            return (value if len(estimates) == 1 else 0.0), record
+
+        rising = iter(range(10))
+        monkeypatch.setattr(rc, "estimate_dominant_eigenvalue", zero_at_step_two)
+        monkeypatch.setattr(rc, "log_likelihood", lambda approx, data: float(next(rising)))
+        approx, report = rc.reconstruct(
+            bell_dataset, 3, quick_config(seed=3, max_epochs=300), floor=1e-2
+        )
+        assert approx.rank == 1
+        assert [step.accepted for step in report.steps] == [True, False]
+        rejected = report.steps[1]
+        assert rejected.weight == 0.0
+        assert rejected.likelihood_after is None
+        assert report.notes == ["step 2 rejected: its eigenvalue estimate is 0"]
+
     def test_bell_rank_three_runs_three_steps(self, bell_rho, bell_dataset):
         # Step 3 fits within the complement of the two fitted states.
         config = quick_config(seed=3, max_epochs=30000, restarts=3)
