@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
             "n": len(reports),
             "max_violation": max((rep.max_violation for rep in reports), default=0.0),
             "all_passed": all(rep.passed for rep in reports),
-            "notes": sorted({rep.note for rep in reports if getattr(rep, "note", "")}),
+            "notes": sorted({rep.note for rep in reports if rep.note}),
         }
     jsonio.dump(doc, report_path)
 

@@ -9,7 +9,8 @@ amplitudes, which ``rbm.Ansatz.gradient`` contracts into the [a, b, W]
 layout.  ``CostEngine`` compiles one spec against one dataset and gives the
 cost and its gradient together, on the flat parameter vector or on a stack
 of them.  Orthogonality to previously extracted states is no term of the
-cost: the engine's ``rbm.Ansatz`` fits within their orthogonal complement.
+cost: the engine projects the ansatz state off them, so that a later step
+fits within their orthogonal complement whatever the ansatz.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import measurement, rbm
 from .measurement import MeasurementDataset
+from .states import require_orthonormal
 
 COST_KINDS = ("l1", "l15", "kl1", "kl2")
 
@@ -82,17 +84,26 @@ def cost_terms(kind: str, p, q, floor: float) -> np.ndarray:
     return cost_terms_and_grads(kind, p, q, floor)[0]
 
 
+def _project(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows x minus B^T conj(B) x, one matmul pair per member, so that each
+    member of a stack gets the bits of its own single-row call."""
+    stacked = rows[:, None, :]
+    return (stacked - (stacked @ basis.conj().T) @ basis)[:, 0]
+
+
 class CostEngine:
     """Precompiled evaluation of one cost spec against one dataset.
 
     Works on the flat parameter vector of ``rbm.pack_parameters``, the one
     the trainer descends on; ``value_and_grad`` gives the total cost and its
     exact gradient in that layout, for one vector or for each row of an
-    (R, P) stack.  ``ansatz`` evaluates the amplitudes, orthogonal to the
-    ``kept`` state vectors, and finishes the gradient; the engine owns the rotation
-    and the cost.  The rotated amplitudes, q and the pulled-back product are
-    written into buffers the engine owns (the product over the amplitudes,
-    which it no longer needs), sized for one stack chunk.
+    (R, P) stack.  ``ansatz`` evaluates the RBM states phi and finishes the
+    gradient; the engine owns the rotation, the cost and the kept states.
+    With k > 0 kept states, the rows of the (k, 2^n) matrix V, it fits
+    psi = P phi / |P phi|, P = I - V^T conj(V): orthogonal to every kept
+    state by construction.  The rotated amplitudes, q and the pulled-back
+    product are written into buffers the engine owns (the product over the
+    amplitudes, which it no longer needs), sized for one stack chunk.
     """
 
     def __init__(self, spec: CostSpec, data: MeasurementDataset, kept=()):
@@ -101,6 +112,10 @@ class CostEngine:
             raise ValueError("dataset is empty: there is nothing to fit")
         if any(s.n_qubits != n for s in kept):
             raise ValueError("kept states do not match the dataset qubit count")
+        self.kept = np.array([s.amplitudes for s in kept], np.complex128).reshape(-1, 2**n)
+        if len(self.kept) >= 2**n:
+            raise ValueError("kept states must be fewer than 2^n")
+        require_orthonormal(self.kept.T, "kept states")
         self.spec = spec
         self.n_qubits = n
         self.rotation = measurement.BasisRotation(data.bases, n)
@@ -115,9 +130,27 @@ class CostEngine:
         self.data_probs = np.broadcast_to(probs, buffer_shape)
         self._rotated = np.empty(buffer_shape, dtype=np.complex128)
         self._q = np.empty(buffer_shape)
-        self.ansatz = rbm.Ansatz(
-            n, self._chunk, np.array([s.amplitudes for s in kept]).reshape(-1, 2**n)
-        )
+        self.ansatz = rbm.Ansatz(n, self._chunk)
+
+    def initial_parameters(self, seed: int) -> np.ndarray:
+        """The ansatz's seeded initial draw of one restart."""
+        return self.ansatz.initial_parameters(seed, projected=len(self.kept) > 0)
+
+    def wavefunction(self, theta: np.ndarray) -> np.ndarray:
+        """(m, 2^n) normalized amplitudes psi of an (m, P) stack of one chunk."""
+        return self._states(theta)[1]
+
+    def _states(self, theta: np.ndarray):
+        """The ansatz states phi of an (m, P) stack, psi = P phi / |P phi| and
+        the (m,) norms |P phi|; without kept states psi is phi and the norms
+        are None."""
+        phi = self.ansatz.wavefunction(theta)
+        if not len(self.kept):
+            return phi, phi, None
+        projected = _project(phi, self.kept)
+        floats = projected.view(np.float64)
+        norm = np.sqrt(np.vecdot(floats, floats))
+        return phi, projected / norm[:, None], norm
 
     def value(self, theta: np.ndarray) -> float:
         return self.value_and_grad(theta)[0]
@@ -146,7 +179,7 @@ class CostEngine:
     def _evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(m,) costs and (m, P) gradients of an (m, P) stack of one chunk."""
         members = len(theta)
-        psi = self.ansatz.wavefunction(theta)
+        phi, psi, norm = self._states(theta)
         rotated = self.rotation.forward(psi[:, :, None], out=self._rotated[:members])
         q = self._q[:members]
         q = np.square(np.abs(rotated, out=q), out=q)
@@ -159,4 +192,12 @@ class CostEngine:
         product = np.multiply(g, np.conjugate(rotated, out=rotated), out=rotated)
         pulled = self.rotation.adjoint(product)
         beta = np.vecdot(g.reshape(members, -1), q.reshape(members, -1))
-        return total, self.ansatz.gradient(psi, pulled, beta)
+        if norm is not None:
+            # Through psi = P phi / |P phi|: dC/dphi* = (P G - beta psi) /
+            # |P phi| for G = dC/dpsi*, and phi's own normalization term,
+            # Re <dC/dphi*|phi>, is then zero.
+            pulled = _project(pulled, self.kept.conj())
+            pulled -= np.conj(psi) * beta[:, None]
+            pulled /= norm[:, None]
+            beta = np.zeros(members)
+        return total, self.ansatz.gradient(phi, pulled, beta)

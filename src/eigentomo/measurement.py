@@ -352,7 +352,7 @@ class MeasurementDataset:
 
     ``probabilities[b, i]`` is the probability of outcome index ``i`` in
     ``bases[b]``.  ``counts`` carries per-outcome shot counts in sampled mode
-    and is None in exact mode.
+    and is None in exact mode; the mode must agree with it.
     """
 
     n_qubits: int
@@ -367,6 +367,11 @@ class MeasurementDataset:
             raise ValueError("n_qubits must be at least 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown dataset mode {self.mode!r}")
+        if (self.counts is not None) != (self.mode == "sampled"):
+            raise ValueError(
+                f"mode {self.mode!r} contradicts the shots: a dataset is "
+                "'sampled' exactly when it has shot counts"
+            )
         dim = 2**self.n_qubits
         bases = tuple(self.bases)
         for basis in bases:

@@ -51,21 +51,13 @@ CORPUS_RANK = 2
 
 @dataclass
 class PropositionReport:
-    """Outcome of one randomized proposition check."""
+    """Outcome of one randomized check."""
 
-    proposition: int
     trials: int
     max_violation: float
     passed: bool
     note: str = ""
     extras: dict = field(default_factory=dict)
-
-
-@dataclass
-class WeylReport:
-    trials: int
-    max_violation: float
-    passed: bool
 
 
 def haar_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +89,7 @@ def check_prop1(rho, n_challengers: int, seed: int) -> PropositionReport:
     vals, vecs = _sorted_spectrum(mat)
     if vals.size > 1 and vals[0] - vals[1] <= 1e-8:
         return PropositionReport(
-            1, 0, 0.0, True, note="degenerate dominant eigenvalue; check skipped"
+            0, 0.0, True, note="degenerate dominant eigenvalue; check skipped"
         )
     rng = np.random.default_rng(seed)
     challengers = haar_states(mat.shape[0], n_challengers, rng)
@@ -105,7 +97,6 @@ def check_prop1(rho, n_challengers: int, seed: int) -> PropositionReport:
     violation = float(max(0.0, fids.max() - vals[0]))
     attain_err = float(abs(_default_pure_fidelity(mat, vecs[:, 0]) - vals[0]))
     return PropositionReport(
-        1,
         n_challengers,
         max(violation, attain_err),
         max(violation, attain_err) <= DEFAULT_TOL,
@@ -128,7 +119,7 @@ def check_prop2(rho, n_challengers: int, seed: int) -> PropositionReport:
     vals, vecs = _sorted_spectrum(mat)
     if vals.size > 1 and vals[0] - vals[1] <= 1e-8:
         return PropositionReport(
-            2, 0, 0.0, True, note="degenerate dominant eigenvalue; check skipped"
+            0, 0.0, True, note="degenerate dominant eigenvalue; check skipped"
         )
     rng = np.random.default_rng(seed)
     challengers = haar_states(mat.shape[0], n_challengers, rng)
@@ -141,7 +132,6 @@ def check_prop2(rho, n_challengers: int, seed: int) -> PropositionReport:
     attain_err = float(abs(attained - lower))
     violation = max(low_viol, high_viol, attain_err)
     return PropositionReport(
-        2,
         n_challengers,
         violation,
         violation <= DEFAULT_TOL,
@@ -192,7 +182,6 @@ def check_prop3(rho, r: int, n_challengers: int, seed: int) -> PropositionReport
         and b13_err <= DEFAULT_TOL * 10
     )
     return PropositionReport(
-        3,
         n_challengers,
         float(max(violation, attain_err)),
         passed,
@@ -245,7 +234,6 @@ def check_prop4(rho, r: int, n_family: int, seed: int) -> PropositionReport:
     cross_err = abs(attained - float(dists[0]))
     violation = max(worst, cross_err, abs(attained - (1.0 - kappa)))
     return PropositionReport(
-        4,
         n_family,
         violation,
         violation <= DEFAULT_TOL,
@@ -274,7 +262,7 @@ def _sandwich_violation(q: np.ndarray, p: np.ndarray, m: np.ndarray) -> float:
     return float(max(0.0, lower.max(), upper.max()))
 
 
-def check_weyl(q_matrix, p_matrix, n_trials: int, seed: int) -> WeylReport:
+def check_weyl(q_matrix, p_matrix, n_trials: int, seed: int) -> PropositionReport:
     """Weyl's eigenvalue inequality for the given pair plus random pairs.
 
     The spectra of Q, P and Q + P of every pair come from one stacked
@@ -292,13 +280,16 @@ def check_weyl(q_matrix, p_matrix, n_trials: int, seed: int) -> WeylReport:
     stack = np.array([(q, p, q + p) for q, p in pairs])
     spectra = np.linalg.eigvalsh(stack)[..., ::-1]
     worst = max(_sandwich_violation(q, p, m) for q, p, m in spectra)
-    return WeylReport(n_trials + 1, worst, worst <= DEFAULT_TOL)
+    return PropositionReport(n_trials + 1, worst, worst <= DEFAULT_TOL)
 
 
 @dataclass
 class CorpusResult:
-    reports: dict[str, list]
-    passed: bool
+    reports: dict[str, list[PropositionReport]]
+
+    @property
+    def passed(self) -> bool:
+        return all(rep.passed for reports in self.reports.values() for rep in reports)
 
     def max_violation(self) -> float:
         worst = 0.0
@@ -334,7 +325,6 @@ def run_corpus(corpus=None, trials: int = 500, seed: int = 0) -> CorpusResult:
         corpus = default_corpus(seed)
     reports: dict[str, list] = {"prop1": [], "prop2": [], "prop3": [], "prop4": [], "weyl": []}
     rng = np.random.default_rng(seed + 1)
-    passed = True
     for index, (_, mat) in enumerate(corpus):
         base = seed + 1000 * index
         dim = mat.shape[0]
@@ -345,11 +335,9 @@ def run_corpus(corpus=None, trials: int = 500, seed: int = 0) -> CorpusResult:
         p4 = check_prop4(mat, r, max(trials // 5, 20), base + 3)
         probe = haar_states(dim, 1, rng)[0]
         weyl = check_weyl(-np.outer(probe, probe.conj()), mat, 2, base + 4)
-        for rep in (p1, p2, p3, p4, weyl):
-            passed = passed and rep.passed
         reports["prop1"].append(p1)
         reports["prop2"].append(p2)
         reports["prop3"].append(p3)
         reports["prop4"].append(p4)
         reports["weyl"].append(weyl)
-    return CorpusResult(reports, passed)
+    return CorpusResult(reports)

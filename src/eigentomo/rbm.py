@@ -14,8 +14,9 @@ table [1 | s].
 
 This module alone knows that layout: ``pack_parameters`` writes it,
 ``initial_parameters`` draws it, and ``Ansatz`` evaluates stacks of it and
-turns a cost's derivative in the amplitudes into the gradient in it; with
-kept states it projects its state off them, orthogonal by construction.
+turns a cost's derivative in the amplitudes into the gradient in it.  The
+projection of a later step off the kept states is no part of the ansatz:
+``costs.CostEngine`` applies it to the states ``Ansatz`` evaluates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import measurement
 from .measurement import EXACT_MODE_MAX_QUBITS
-from .states import StateVector, require_orthonormal
+from .states import StateVector
 
 #: Most Gibbs chains advanced together by ``gibbs_sample``.
 _CHAINS = 256
@@ -79,10 +80,6 @@ class RbmParams:
     @property
     def n_hidden(self) -> int:
         return self.hidden_bias.size
-
-    @classmethod
-    def zeros(cls, n: int) -> "RbmParams":
-        return cls(np.zeros((n, n)), np.zeros(n), np.zeros(n))
 
 
 def log_two_cosh(x: np.ndarray) -> np.ndarray:
@@ -305,13 +302,9 @@ class Ansatz:
     vectors, and the last step of their gradient.  The table [1 | s], the
     buffers and the gradient's block order are built once; ``wavefunction``
     keeps the tanh tables of its stack for the following ``gradient``.
-
-    ``kept`` is a (k, 2^n) matrix V of k < 2^n orthonormal states, empty for
-    a plain fit.  With k > 0 the ansatz state is psi = P phi / |P phi|,
-    P = I - V V^dagger, for the RBM state phi: orthogonal to every kept state.
     """
 
-    def __init__(self, n_qubits: int, members: int, kept: np.ndarray):
+    def __init__(self, n_qubits: int, members: int):
         self.spins = exact_spin_table(n_qubits)
         # [1 | tanh] of each member's two networks; column 0 stays one.
         self._tanh = np.ones((members, 2, *self.spins.shape))
@@ -322,33 +315,17 @@ class Ansatz:
         self._order = np.concatenate(
             [part for b in blocks for part in (b[1:, 0], b[0, 1:], b[1:, 1:].ravel())]
         )
-        self.kept = np.asarray(kept, dtype=np.complex128)
-        if len(self.kept) >= len(self.spins):
-            raise ValueError("kept states must be fewer than 2^n")
-        require_orthonormal(self.kept.T, "kept states")
 
-    @staticmethod
-    def _project(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Rows x minus B^T conj(B) x, one matmul pair per member, so that each
-        member of a stack gets the bits of its own single-row call."""
-        stacked = rows[:, None, :]
-        return (stacked - (stacked @ basis.conj().T) @ basis)[:, 0]
-
-    def initial_parameters(self, seed: int) -> np.ndarray:
-        """The seeded initial draw of one restart; a projected fit draws its
-        phases within +-``PROJECTED_PHASE_INIT_SCALE``."""
-        phase = PROJECTED_PHASE_INIT_SCALE if len(self.kept) else PHASE_INIT_SCALE
+    def initial_parameters(self, seed: int, projected: bool) -> np.ndarray:
+        """The seeded initial draw of one restart; a fit that will be
+        projected off kept states draws its phases within
+        +-``PROJECTED_PHASE_INIT_SCALE``."""
+        phase = PROJECTED_PHASE_INIT_SCALE if projected else PHASE_INIT_SCALE
         return initial_parameters(self.spins.shape[1] - 1, seed, phase)
 
     def wavefunction(self, theta: np.ndarray) -> np.ndarray:
         """(m, 2^n) normalized amplitudes of an (m, P) stack, m <= members."""
-        phi = wavefunction(theta, self.spins, out=self._tanh[: len(theta)])[0]
-        if not len(self.kept):
-            return phi
-        projected = self._project(phi, self.kept)
-        floats = projected.view(np.float64)
-        self._phi, self._norm = phi, np.sqrt(np.vecdot(floats, floats))
-        return projected / self._norm[:, None]
+        return wavefunction(theta, self.spins, out=self._tanh[: len(theta)])[0]
 
     def gradient(self, psi: np.ndarray, pulled, beta: np.ndarray) -> np.ndarray:
         """(m, P) gradient in the [a, b, W] layout of a cost C(psi) of the
@@ -358,14 +335,6 @@ class Ansatz:
         psi . pulled, which the normalization of psi subtracts.
         """
         members = len(psi)
-        if len(self.kept):
-            # Through psi = P phi / |P phi|: dC/dphi* = (P G - beta psi) /
-            # |P phi| for G = dC/dpsi*, and phi's own normalization term,
-            # Re <dC/dphi*|phi>, is then zero.
-            pulled = self._project(pulled, self.kept.conj())
-            pulled -= np.conj(psi) * beta[:, None]
-            pulled /= self._norm[:, None]
-            psi, beta = self._phi, np.zeros(members)
         # Per network, d cost / d [a, b, W] = c @ [s | tanh | s (x) tanh] for
         # c = Re u - beta |psi|^2 (amplitude) and -Im u (phase), u = pulled psi.
         # The rows of c are the real and imaginary floats of

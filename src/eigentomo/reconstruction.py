@@ -1,11 +1,11 @@
 """Iterative extraction of leading eigenvalue/eigenstate pairs.
 
 Each step trains a pure state on the current statistics within the
-orthogonal complement of the states already kept (``rbm.Ansatz`` projects
-its RBM state there), estimates its eigenvalue as the nonnegativity-safe
-minimum ratio of measured to predicted projector probability (leaving out
-the records that earlier steps deflated to zero), subtracts the pair from the
-statistics, and renormalizes.  From the second step on, a step is kept only
+orthogonal complement of the states already kept (``costs.CostEngine``
+projects the ansatz state there), estimates its eigenvalue as the
+nonnegativity-safe minimum ratio of measured to predicted projector
+probability (leaving out the records that earlier steps deflated to zero),
+subtracts the pair from the statistics, and renormalizes.  From the second step on, a step is kept only
 if it strictly improves the data likelihood of the assembled approximation,
 a ``SpectralApprox``: the kept weights as one array and the kept states as
 the orthonormal columns of one matrix, the array form of ``states.Spectrum``.
@@ -79,12 +79,6 @@ class SpectralApprox:
     def density_matrix(self) -> DensityMatrix:
         """Weighted sum of eigenstate projectors, normalized to unit trace."""
         return DensityMatrix.from_eigensystem(self.weights / self.weight_sum, self.vectors)
-
-    @classmethod
-    def from_spectrum(cls, rho: DensityMatrix, r: int) -> "SpectralApprox":
-        """Exact truncation of a known state, mainly for tests and baselines."""
-        spectrum = eigendecompose(rho)
-        return cls(spectrum.eigenvalues[:r], spectrum.vectors[:, :r])
 
 
 @dataclass(frozen=True)
@@ -243,7 +237,8 @@ def reconstruct(
     to the kept ones within ``GRAM_ATOL``, is rejected without a likelihood,
     and a note says why.  From the second step on, the eigenvalue estimate
     leaves out every kept step's argmin record and the records its deflation
-    drove to zero: they say nothing about the residual.  When the true state is
+    drove to zero: they say nothing about the residual.  Each step's training
+    diagnostics, such as an aborted restart, join the notes.  When the true state is
     supplied (synthetic runs), per-step eigenstate fidelities and the
     residual accuracy gap are reported.
     """
@@ -273,7 +268,8 @@ def reconstruct(
         config = replace(
             train_config, seed=train_config.seed + (step - 1) * STEP_SEED_STRIDE
         )
-        psi, _ = train_next_eigenstate(current, kept, config)
+        psi, log = train_next_eigenstate(current, kept, config)
+        notes.extend(f"step {step}: {note}" for note in log.diagnostics)
         weight_raw, argmin_record = estimate_dominant_eigenvalue(
             current, psi, floor, excluded
         )

@@ -63,6 +63,8 @@ class StateVector:
             raise ValueError(
                 f"length {amps.size} does not match 2**{self.n_qubits} amplitudes"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state vector norm {norm!r} differs from 1")
@@ -105,6 +107,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match 2**{self.n_qubits}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         if np.abs(mat - mat.conj().T).max() > HERM_ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
@@ -118,11 +122,6 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, psi: StateVector) -> "DensityMatrix":
         return cls(psi.projector(), psi.n_qubits)
-
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        dim = 2**n_qubits
-        return cls(np.eye(dim, dtype=np.complex128) / dim, n_qubits)
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, vectors: np.ndarray) -> "DensityMatrix":
@@ -152,6 +151,8 @@ class Spectrum:
         vecs = np.array(self.vectors, dtype=np.complex128)
         if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalues and eigenvector columns disagree in length")
+        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+            raise ValueError("eigenvalues and eigenvectors must be finite")
         if np.any(np.diff(vals) > DEGENERACY_GAP):
             raise ValueError("eigenvalues must be sorted in descending order")
         if abs(vals.sum() - 1.0) > 1e-10:

@@ -11,8 +11,8 @@ non-finite cost or gradient counts as a step too long.  A restart stops when
 an iteration lowers the cost by at most ``FTOL`` relative, when the line
 search finds no step that meets both Wolfe conditions (or the direction
 does not descend), or when it has used ``max_epochs`` cost evaluations, the
-initial one included.  Restart k starts from ``rbm.initial_parameters`` at
-seed ``base_seed + k``.
+initial one included.  Restart k starts from the engine's
+``initial_parameters`` at seed ``base_seed + k``.
 
 The restarts of one fit run in lockstep: each restart is a generator that
 yields its next trial point and receives that point's cost and gradient,
@@ -20,8 +20,8 @@ and each tick evaluates the pending trials of every live restart in one
 stacked cost call.  Stack members carry the bits of single calls, so each
 restart takes exactly the steps it would take alone.  The best by final
 cost wins, ties broken by restart index.  ``train_next_eigenstate`` is the
-one entry point; the engine's ``rbm.Ansatz`` fits within the orthogonal
-complement of the previous states, if any.  It returns the winning state
+one entry point; its ``CostEngine`` fits within the orthogonal complement
+of the previous states, if any.  It returns the winning state
 vector and a compact log: each restart keeps one list of costs, one per
 accepted iteration, joined into one array at the end.
 """
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rbm
 from .costs import CostEngine, CostSpec
 from .measurement import MeasurementDataset
 from .states import StateVector
@@ -244,7 +243,7 @@ def _fit_restarts(engine: CostEngine, config: TrainConfig) -> list[_Restart]:
     ``value_and_grad`` call; a restart that stops leaves the stack.
     """
     restarts = [_Restart(k) for k in range(config.restarts)]
-    draw = engine.ansatz.initial_parameters
+    draw = engine.initial_parameters
     live = [
         _lbfgs(r, draw(config.seed + r.restart), config.max_epochs) for r in restarts
     ]
@@ -301,5 +300,5 @@ def train_next_eigenstate(
         best_cost=winner.cost,
         diagnostics=diagnostics,
     )
-    psi = StateVector.normalized(engine.ansatz.wavefunction(winner.theta[None])[0])
+    psi = StateVector.normalized(engine.wavefunction(winner.theta[None])[0])
     return psi, log

@@ -227,6 +227,18 @@ MALFORMED_DATASETS = {
         + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": 0}\n',
         "sampled basis 'z' has no shots",
     ),
+    "exact_mode_with_shots": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": 5}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": 5}\n',
+        "mode 'exact' contradicts the shots",
+    ),
+    "sampled_mode_without_shots": (
+        _SAMPLED_HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
+        "mode 'sampled' contradicts the shots",
+    ),
     "mixed_null_and_integer_shots": (
         _SAMPLED_HEADER
         + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": 10}\n'

@@ -266,7 +266,7 @@ class TestReconstructCommand:
         bell_dataset.save_jsonl(tmp_path / "dataset.jsonl")
         state = tmp_path / "state.json"
         if flag == "--truth":
-            st.save_density_matrix(state, st.DensityMatrix.maximally_mixed(3))
+            st.save_density_matrix(state, st.DensityMatrix(np.eye(8) / 8, 3))
         else:
             st.save_state_vector(state, ms.w_state(3))
         proc = run_cli(

@@ -187,7 +187,7 @@ class TestCostValue:
             phi - kept.amplitudes * np.vdot(kept.amplitudes, phi)
         )
         engine = costs.CostEngine(costs.CostSpec("l15"), bell_dataset, (kept,))
-        psi = engine.ansatz.wavefunction(rbm.pack_parameters(state)[None])[0]
+        psi = engine.wavefunction(rbm.pack_parameters(state)[None])[0]
         assert np.allclose(psi, projected.amplitudes, rtol=0, atol=1e-15)
         assert abs(np.vdot(kept.amplitudes, psi)) ** 2 <= 1e-28
         q = np.stack([ms.probabilities_vector(psi, b) for b in bell_dataset.bases])
@@ -287,7 +287,7 @@ class TestCostGradient:
         theta = rbm.pack_parameters(state)
         probe = ms.MeasurementDataset(2, ("zz",), np.full((1, 4), 0.25), None, "exact")
         engine = costs.CostEngine(costs.CostSpec("kl1"), probe, (kept,))
-        psi = st.StateVector.normalized(engine.ansatz.wavefunction(theta[None])[0])
+        psi = st.StateVector.normalized(engine.wavefunction(theta[None])[0])
         data = ms.exact_dataset(
             st.DensityMatrix.from_pure(psi), ms.generate_basis_set(2, "full")
         )

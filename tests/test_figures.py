@@ -66,7 +66,7 @@ class TestEntropyTables:
             assert pure == pytest.approx(1.0, abs=1e-9)
 
     def test_maximally_mixed(self):
-        rho = st.DensityMatrix.maximally_mixed(2)
+        rho = st.DensityMatrix(np.eye(4) / 4, 2)
         rows, _ = figures.entropy_tables(rho, ["zz", "xy"])
         for _, mixed, _ in rows:
             assert mixed == pytest.approx(2 * np.log(2), abs=1e-12)

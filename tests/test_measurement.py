@@ -73,7 +73,7 @@ class TestProjectorProbabilities:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_uniform(self):
-        rho = st.DensityMatrix.maximally_mixed(3)
+        rho = st.DensityMatrix(np.eye(8) / 8, 3)
         probs = ms.density_probabilities(rho, ["zzz", "xyz", "yyy"])
         assert np.abs(probs - 0.125).max() <= 1e-12
 
@@ -454,6 +454,13 @@ class TestDatasetContainer:
             with pytest.raises(ValueError, match=match):
                 ms.MeasurementDataset(1, ("x", "z"), probs, counts, "sampled", 1)
         ms.MeasurementDataset(1, ("x", "z"), probs, [[3, 3], [2, 2]], "sampled", 1)
+
+    def test_rejects_mode_contradicting_the_shots(self):
+        probs = [[0.5, 0.5]]
+        with pytest.raises(ValueError, match="mode 'exact' contradicts the shots"):
+            ms.MeasurementDataset(1, ("z",), probs, [[5, 5]], "exact")
+        with pytest.raises(ValueError, match="mode 'sampled' contradicts the shots"):
+            ms.MeasurementDataset(1, ("z",), probs, None, "sampled", 1)
 
     def test_jsonl_round_trip(self, tmp_path, bell_rho):
         data = ms.sample_dataset(bell_rho, ["xx", "zy"], 200, seed=8)

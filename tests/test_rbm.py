@@ -12,6 +12,10 @@ from eigentomo import states as st
 from conftest import dense_rotation, network_parts, reference_wavefunction
 
 
+def zero_params(n: int) -> rbm.RbmParams:
+    return rbm.RbmParams(np.zeros((n, n)), np.zeros(n), np.zeros(n))
+
+
 def brute_force_marginal(params: rbm.RbmParams, sigma) -> float:
     """Sum the joint Boltzmann weight over every hidden configuration."""
     s = np.asarray(sigma, dtype=float)
@@ -70,7 +74,7 @@ class TestRbmParams:
 
 class TestLogMarginal:
     def test_zero_params(self):
-        params = rbm.RbmParams.zeros(4)
+        params = zero_params(4)
         assert rbm.rbm_log_marginal(params, [1, -1, 1, -1]) == pytest.approx(
             4 * np.log(2)
         )
@@ -106,7 +110,7 @@ def exact_log_normalizer(params: rbm.RbmParams) -> float:
 
 class TestLogPartition:
     def test_zero_params(self):
-        assert exact_log_normalizer(rbm.RbmParams.zeros(3)) == pytest.approx(
+        assert exact_log_normalizer(zero_params(3)) == pytest.approx(
             6 * np.log(2)
         )
 
@@ -134,7 +138,7 @@ class TestLogPartition:
 
 class TestAmplitudes:
     def test_zero_params_uniform(self):
-        state = rbm.NqsState(rbm.RbmParams.zeros(2), rbm.RbmParams.zeros(2))
+        state = rbm.NqsState(zero_params(2), zero_params(2))
         value = amplitudes(state)[ms.outcome_strings(2).index("+-")]
         assert abs(value) == pytest.approx(0.5, abs=1e-12)
         assert np.angle(value) == pytest.approx(np.log(2), abs=1e-12)
@@ -166,7 +170,7 @@ class TestAmplitudes:
             assert value == pytest.approx(expected, rel=1e-9)
 
     def test_to_state_vector(self):
-        state = rbm.NqsState(rbm.RbmParams.zeros(1), rbm.RbmParams.zeros(1))
+        state = rbm.NqsState(zero_params(1), zero_params(1))
         vec = rbm.to_state_vector(state)
         ratio = vec.amplitudes / (np.ones(2) / np.sqrt(2))
         assert np.allclose(ratio, ratio[0])
@@ -260,7 +264,7 @@ class TestRotatedProbability:
             assert probs[index] == pytest.approx(abs(vec[index]) ** 2, abs=1e-12)
 
     def test_uniform_state_is_plus_state(self):
-        state = rbm.NqsState(rbm.RbmParams.zeros(1), rbm.RbmParams.zeros(1))
+        state = rbm.NqsState(zero_params(1), zero_params(1))
         probs = ms.probabilities_vector(amplitudes(state), "x")
         assert probs[ms.outcome_strings(1).index("+")] == pytest.approx(1.0, abs=1e-12)
 
@@ -287,7 +291,7 @@ class TestRotatedProbability:
 
 class TestGibbsSampling:
     def test_uniform_target(self):
-        params = rbm.RbmParams.zeros(3)
+        params = zero_params(3)
         samples = rbm.gibbs_sample(params, 100_000, burn_in=50, thin=1, seed=1)
         tv = 0.5 * np.abs(sample_histogram(samples) - 1 / 8).sum()
         assert tv <= 0.02
@@ -299,14 +303,14 @@ class TestGibbsSampling:
         assert frac == pytest.approx(1 / (1 + np.exp(-6)), abs=0.01)
 
     def test_deterministic_per_seed(self):
-        params = rbm.RbmParams.zeros(2)
+        params = zero_params(2)
         a = rbm.gibbs_sample(params, 500, burn_in=10, thin=3, seed=7)
         b = rbm.gibbs_sample(params, 500, burn_in=10, thin=3, seed=7)
         assert np.array_equal(a, b)
         assert a.shape == (500, 2)
 
     def test_sample_count_not_a_multiple_of_the_chains(self):
-        params = rbm.RbmParams.zeros(3)
+        params = zero_params(3)
         n_samples = 2 * rbm._CHAINS + 5
         samples = rbm.gibbs_sample(params, n_samples, burn_in=5, thin=2, seed=3)
         assert samples.shape == (n_samples, 3)

@@ -32,6 +32,12 @@ def quick_config(seed=0, **overrides):
     return training.TrainConfig(**base)
 
 
+def truncation(rho, r):
+    """The exact rank-r spectral truncation of a known state."""
+    spectrum = st.eigendecompose(rho)
+    return rc.SpectralApprox(spectrum.eigenvalues[:r], spectrum.vectors[:, :r])
+
+
 def approx_of(weights, states):
     """A SpectralApprox of the given weights and StateVectors."""
     return rc.SpectralApprox(weights, np.column_stack([s.amplitudes for s in states]))
@@ -86,8 +92,8 @@ class TestSpectralApprox:
         assert np.array_equal(approx.state(1).amplitudes, ms.bell_states()[3].amplitudes)
 
     def test_from_spectrum(self, bell_rho):
-        approx = rc.SpectralApprox.from_spectrum(bell_rho, 2)
         spectrum = st.eigendecompose(bell_rho)
+        approx = truncation(bell_rho, 2)
         assert approx.rank == 2
         assert approx.weight_sum == pytest.approx(0.99, abs=1e-12)
         assert np.array_equal(approx.weights, spectrum.eigenvalues[:2])
@@ -128,14 +134,14 @@ class TestEstimateDominantEigenvalue:
             )
 
     def test_tie_breaks_to_smallest_record_index(self):
-        rho = st.DensityMatrix.maximally_mixed(1)
+        rho = st.DensityMatrix(np.eye(2) / 2, 1)
         data = ms.exact_dataset(rho, ["z"])
         psi = st.StateVector.normalized([1.0, 1.0])
         _, record = rc.estimate_dominant_eigenvalue(data, psi, 1e-6)
         assert record == 0
 
     def test_excluded_records_are_skipped(self):
-        rho = st.DensityMatrix.maximally_mixed(1)
+        rho = st.DensityMatrix(np.eye(2) / 2, 1)
         data = ms.exact_dataset(rho, ["z", "x"])
         psi = st.StateVector.normalized([1.0, 1.0])
         # Records x+, x-, z+, z-: ratios 0.5 / 1, none (q = 0), then the
@@ -162,7 +168,7 @@ class TestEstimateDominantEigenvalue:
 
 class TestDeflate:
     def test_record_arithmetic(self):
-        data = ms.exact_dataset(st.DensityMatrix.maximally_mixed(1), ["z"])
+        data = ms.exact_dataset(st.DensityMatrix(np.eye(2) / 2, 1), ["z"])
         plus = st.StateVector.normalized([1.0, 1.0])
         deflated = rc.deflate(data, plus, 0.9)
         assert np.allclose(deflated.probabilities, [[0.5, 0.5]], atol=1e-12)
@@ -282,7 +288,7 @@ class TestLogLikelihood:
 class TestRelativeFidelity:
     def test_optimal_truncation_gives_one(self, bell_rho):
         for r in (1, 2, 3):
-            approx = rc.SpectralApprox.from_spectrum(bell_rho, r)
+            approx = truncation(bell_rho, r)
             assert rc.relative_fidelity(bell_rho, approx) == pytest.approx(
                 1.0, abs=1e-9
             )
@@ -334,6 +340,26 @@ class TestReconstruct:
         approx, _ = rc.reconstruct(bell_dataset, 1, config, floor=1e-2)
         psi, _ = training.train_next_eigenstate(bell_dataset, [], config)
         assert np.array_equal(approx.vectors[:, 0], psi.amplitudes)
+
+    def test_aborted_restart_reaches_the_notes(self, bell_dataset, monkeypatch):
+        # Restart 1's first cost is NaN, as in training's aborted-restart test.
+        evaluate = costs.CostEngine.value_and_grad
+        calls = []
+
+        def first_cost_of_restart1_nan(self, theta):
+            cost, grad = evaluate(self, theta)
+            if not calls:
+                cost = cost.copy()
+                cost[1] = np.nan
+            calls.append(len(theta))
+            return cost, grad
+
+        monkeypatch.setattr(
+            costs.CostEngine, "value_and_grad", first_cost_of_restart1_nan
+        )
+        config = quick_config(seed=20, max_epochs=300, restarts=3)
+        _, report = rc.reconstruct(bell_dataset, 1, config, floor=1e-2)
+        assert report.notes == ["step 1: restart 1 aborted: non-finite initial cost"]
 
     def test_restarts_above_seed_stride_rejected(self, bell_dataset):
         config = quick_config(restarts=rc.STEP_SEED_STRIDE + 1)

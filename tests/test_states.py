@@ -39,6 +39,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             st.StateVector(np.array([1.0, 0.0, 0.0]), 1)
 
+    def test_rejects_non_finite_amplitudes(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                st.StateVector(np.array([bad, 0.0]), 1)
+
     def test_normalized_factory(self):
         psi = st.StateVector.normalized([3.0, 4.0])
         assert psi.n_qubits == 1
@@ -65,8 +70,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             st.DensityMatrix(mat, 1)
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                st.DensityMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
+
     def test_maximally_mixed(self):
-        rho = st.DensityMatrix.maximally_mixed(2)
+        rho = st.DensityMatrix(np.eye(4) / 4, 2)
         assert np.allclose(rho.entries, np.eye(4) / 4)
 
 
@@ -97,7 +107,7 @@ class TestFidelity:
 
     def test_dimension_mismatch(self, bell_rho):
         with pytest.raises(ValueError):
-            st.fidelity(bell_rho, st.DensityMatrix.maximally_mixed(1))
+            st.fidelity(bell_rho, st.DensityMatrix(np.eye(2) / 2, 1))
         with pytest.raises(ValueError):
             st.fidelity(bell_rho, np.array([np.eye(2) / 2] * 3))
 
@@ -130,7 +140,7 @@ class TestPureFidelity:
         assert st.pure_fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        rho = st.DensityMatrix.maximally_mixed(2)
+        rho = st.DensityMatrix(np.eye(4) / 4, 2)
         psi = st.StateVector.normalized([1.0, 2.0, 3.0, 4.0])
         assert st.pure_fidelity(rho, psi) == pytest.approx(0.25, abs=1e-12)
 
@@ -431,6 +441,13 @@ class TestEigendecompose:
             st.Spectrum([0.3, 0.7], eye)
         with pytest.raises(ValueError, match="orthonormal"):
             st.Spectrum([0.7, 0.3], [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_spectrum_rejects_non_finite_entries(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="must be finite"):
+            st.Spectrum(np.array([np.nan, 1.0]), eye)
+        with pytest.raises(ValueError, match="must be finite"):
+            st.Spectrum([0.7, 0.3], [[np.nan, 0.0], [0.0, 1.0]])
 
 
 class TestRequireOrthonormal:

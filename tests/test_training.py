@@ -240,7 +240,7 @@ class TestTrainNextEigenstate:
         projected = costs.CostEngine(costs.CostSpec("l15"), bell_dataset, kept)
         half = rbm.n_parameters(2) // 2
         for seed in range(5):
-            a, b = (e.ansatz.initial_parameters(seed) for e in (plain, projected))
+            a, b = (e.initial_parameters(seed) for e in (plain, projected))
             assert np.array_equal(a, rbm.initial_parameters(2, seed))
             assert np.array_equal(a[:half], b[:half])
             assert np.allclose(
