@@ -34,6 +34,7 @@ from .states import (
     pure_fidelity,
     save_density_matrix,
     save_state_vector,
+    state_doc,
 )
 from .training import TrainConfig
 
@@ -61,7 +62,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return repr(float(value))
 
 
 def _recorded_argv(args) -> list[str]:
@@ -113,7 +114,7 @@ def cmd_synth(args) -> int:
         target = measurement.bell_states()[0]
     else:
         if args.spectrum is None:
-            raise ValueError("--spectrum is required with --w")
+            args.parser.error("--spectrum is required with --w")
         spectrum = [float(x) for x in args.spectrum.split(",")]
         rho = measurement.make_w_mixture(
             args.w, spectrum, seed=args.seed, perturbation=args.perturbation
@@ -208,11 +209,7 @@ def cmd_reconstruct(args) -> int:
             "pairs": [
                 {
                     "p": p,
-                    "state": {
-                        "n_qubits": approx.n_qubits,
-                        "re": column.real.tolist(),
-                        "im": column.imag.tolist(),
-                    },
+                    "state": state_doc(column, approx.n_qubits),
                 }
                 for p, column in zip(approx.weights.tolist(), approx.vectors.T)
             ],
@@ -367,14 +364,20 @@ POSITIVE_FLOAT = _bounded(float, strict=True)
 NONNEGATIVE_FLOAT = _bounded(float, strict=False)
 
 
-def _dims(text: str) -> str:
-    """Argument type: comma-separated positive integers, kept as given.
+def _comma_separated(item):
+    """Argument type: comma-separated entries that the argument type ``item``
+    accepts, kept as given.
 
     The manifest records the text, so a replay passes the same string.
     """
-    for part in text.split(","):
-        POSITIVE_INT(part)
-    return text
+
+    def parse(text: str) -> str:
+        for part in text.split(","):
+            item(part)
+        return text
+
+    parse.__name__ = item.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="qubit count of a synthetic W mixture",
     )
     p_synth.add_argument(
-        "--spectrum", help="comma-separated leading eigenvalues for --w"
+        "--spectrum",
+        type=_comma_separated(NONNEGATIVE_FLOAT),
+        help="comma-separated leading eigenvalues for --w",
     )
     p_synth.add_argument(
         "--perturbation",
@@ -467,7 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="verify the optimality bounds"
     )
     p_ver.add_argument(
-        "--dims", type=_dims, default="2,4,8,16", help="comma-separated dimensions"
+        "--dims",
+        type=_comma_separated(POSITIVE_INT),
+        default="2,4,8,16",
+        help="comma-separated dimensions",
     )
     p_ver.add_argument("--trials", type=POSITIVE_INT, default=500)
     p_ver.add_argument("--states-per-dim", type=POSITIVE_INT, default=25)

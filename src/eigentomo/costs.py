@@ -137,8 +137,9 @@ class CostEngine:
         return self.ansatz.initial_parameters(seed, projected=len(self.kept) > 0)
 
     def wavefunction(self, theta: np.ndarray) -> np.ndarray:
-        """(m, 2^n) normalized amplitudes psi of an (m, P) stack of one chunk."""
-        return self._states(theta)[1]
+        """(2^n,) normalized amplitudes psi of one flat parameter vector, as
+        ``value_and_grad`` scores them."""
+        return self._states(np.asarray(theta, dtype=float)[None])[1][0]
 
     def _states(self, theta: np.ndarray):
         """The ansatz states phi of an (m, P) stack, psi = P phi / |P phi| and

@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import jsonio
 from .states import HERM_ATOL, DensityMatrix, StateVector, matrix_of, qubit_count
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -424,8 +423,9 @@ class MeasurementDataset:
     def save_jsonl(self, path) -> None:
         """Write a header line, then one line per (basis, outcome) record.
 
-        Record lines are formatted directly and match ``jsonio.dumps`` of
-        ``{"basis", "outcome", "p", "shots"}`` byte for byte.
+        Record lines are formatted directly and match ``json.dumps`` of
+        ``{"basis", "outcome", "p", "shots"}`` byte for byte: ``repr`` of a
+        float is the text ``json.dumps`` writes for it.
         """
         outcomes = [f'"outcome": "{s}", "p": ' for s in outcome_strings(self.n_qubits)]
         if self.counts is not None:
@@ -434,7 +434,7 @@ class MeasurementDataset:
             counts = [["null"] * self.dim] * len(self.bases)
         with open(path, "w", encoding="utf-8") as fh:
             header = {"n_qubits": self.n_qubits, "mode": self.mode, "seed": self.seed}
-            fh.write(jsonio.dumps(header))
+            fh.write(json.dumps(header))
             fh.write("\n")
             for basis, probs, shots in zip(
                 self.bases, self.probabilities.tolist(), counts
@@ -442,7 +442,7 @@ class MeasurementDataset:
                 prefix = f'{{"basis": "{basis}", '
                 fh.write(
                     "".join(
-                        f'{prefix}{outcome}{jsonio.format_float(p)}, "shots": {k}}}\n'
+                        f'{prefix}{outcome}{p!r}, "shots": {k}}}\n'
                         for outcome, p, k in zip(outcomes, probs, shots)
                     )
                 )
@@ -456,16 +456,16 @@ class MeasurementDataset:
         is outcome (k - 1) mod 2^n, in index order, of its block of 2^n
         records; a block's first record opens a basis that sorts after the
         previous block's, and the rest name that basis.  The header's
-        ``n_qubits`` must be an integer up to the exact-mode cap and its
-        ``seed`` an integer or null.  Each non-blank line must hold one JSON
-        value, and each record an object with a valid ``basis``, a number
-        ``p`` within float64 and a ``shots`` that is null in every record or
-        an integer within int64 in every record (booleans are neither).  Any
-        other file, one out of order or ending inside a block included, raises
-        ValueError naming the record.
+        ``n_qubits`` must be an integer up to the exact-mode cap, its ``mode``
+        "exact" or "sampled" and its ``seed`` an integer or null.  Each
+        non-blank line must hold one JSON value, and each record an object
+        with a valid ``basis``, a number ``p`` within float64 and a ``shots``
+        that is null in every record or an integer within int64 in every
+        record (booleans are neither).  Any other file, one out of order or
+        ending inside a block included, raises ValueError naming the record.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            header = next((jsonio.loads(line) for line in fh if line.strip()), None)
+            header = next((json.loads(line) for line in fh if line.strip()), None)
             if not isinstance(header, dict):
                 raise ValueError(f"dataset file {path} has no header object")
             n_qubits = header.get("n_qubits")
@@ -475,6 +475,9 @@ class MeasurementDataset:
                     f"header n_qubits must be an integer in 1..{EXACT_MODE_MAX_QUBITS}, "
                     f"got {n_qubits!r}"
                 )
+            mode = header.get("mode")
+            if mode not in ("exact", "sampled"):
+                raise ValueError(f'header mode must be "exact" or "sampled", got {mode!r}')
             seed = header.get("seed")
             if seed is not None and type(seed) is not int:
                 raise ValueError(f"header seed must be an integer, got {seed!r}")
@@ -553,7 +556,7 @@ class MeasurementDataset:
             tuple(bases),
             np.array([probs for probs, _ in rows]).reshape(-1, dim),
             np.array([counts for _, counts in rows]) if have_counts else None,
-            header.get("mode", "exact"),
+            mode,
             seed,
         )
 
@@ -586,13 +589,13 @@ def _record_values(lines):
             and text.count("{") == text.count("}") == n
         ):
             with contextlib.suppress(ValueError):
-                values = jsonio.loads(text)
+                values = json.loads(text)
         # Each block's text and values go before the next block is read:
         # kept alive, they raised the peak memory of a whole w8 reconstruct
         # by up to 5 MiB, although loading alone peaked no higher.
         del text
         if values is None:
-            values = map(jsonio.loads, block)
+            values = map(json.loads, block)
         yield from values
         del values, block
 

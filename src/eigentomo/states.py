@@ -385,15 +385,18 @@ def optimal_rank_r(rho: DensityMatrix, r: int) -> DensityMatrix:
     return DensityMatrix.from_eigensystem(weights, spectrum.vectors[:, :r])
 
 
+def state_doc(entries: np.ndarray, n_qubits: int) -> dict:
+    """The JSON object of a state vector's amplitudes or a density matrix's
+    entries, as ``_load_state_doc`` reads it back."""
+    return {
+        "n_qubits": n_qubits,
+        "re": entries.real.tolist(),
+        "im": entries.imag.tolist(),
+    }
+
+
 def save_state_vector(path, psi: StateVector) -> None:
-    jsonio.dump(
-        {
-            "n_qubits": psi.n_qubits,
-            "re": psi.amplitudes.real.tolist(),
-            "im": psi.amplitudes.imag.tolist(),
-        },
-        path,
-    )
+    jsonio.dump(state_doc(psi.amplitudes, psi.n_qubits), path)
 
 
 def _load_state_doc(path) -> tuple[np.ndarray, int]:
@@ -436,14 +439,7 @@ def load_state_vector(path) -> StateVector:
 
 
 def save_density_matrix(path, rho: DensityMatrix) -> None:
-    jsonio.dump(
-        {
-            "n_qubits": rho.n_qubits,
-            "re": rho.entries.real.tolist(),
-            "im": rho.entries.imag.tolist(),
-        },
-        path,
-    )
+    jsonio.dump(state_doc(rho.entries, rho.n_qubits), path)
 
 
 def load_density_matrix(path) -> DensityMatrix:

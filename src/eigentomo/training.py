@@ -300,5 +300,5 @@ def train_next_eigenstate(
         best_cost=winner.cost,
         diagnostics=diagnostics,
     )
-    psi = StateVector.normalized(engine.wavefunction(winner.theta[None])[0])
+    psi = StateVector.normalized(engine.wavefunction(winner.theta))
     return psi, log

@@ -239,6 +239,18 @@ MALFORMED_DATASETS = {
         + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
         "mode 'sampled' contradicts the shots",
     ),
+    "mode_missing_with_shots": (
+        '{"n_qubits": 1, "seed": 1}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": 5}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": 5}\n',
+        'header mode must be "exact" or "sampled", got None',
+    ),
+    "mode_missing_without_shots": (
+        '{"n_qubits": 1, "seed": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.5, "shots": null}\n',
+        'header mode must be "exact" or "sampled", got None',
+    ),
     "mixed_null_and_integer_shots": (
         _SAMPLED_HEADER
         + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": 10}\n'

@@ -98,6 +98,14 @@ class TestSynth:
         assert flags[-2] in proc.stderr
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("spectrum", ["abc", "0.5,nan", "-0.1", "0.5,,0.2", None])
+    def test_bad_spectrum_usage_error(self, tmp_path, spectrum):
+        flags = [] if spectrum is None else [f"--spectrum={spectrum}"]
+        proc = run_cli("synth", "--w", 2, *flags, "--out-dir", tmp_path, check=False)
+        assert proc.returncode == 2
+        assert "--spectrum" in proc.stderr.splitlines()[-1]
+        assert not (tmp_path / "dataset.jsonl").exists()
+
     def test_w_above_exact_mode_cap_usage_error(self, capsys):
         # Parsing only: no 13-qubit state is built.
         cap = ms.EXACT_MODE_MAX_QUBITS
@@ -466,6 +474,42 @@ class TestManifests:
         run_cli(*argv)
         name = "verify_report.json"
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_floats_written_as_shortest_repr(self, tmp_path):
+        # Every float in a file is Python's repr, the shortest text that
+        # reads back to the same double, and the dataset reloads bit for bit.
+        synth, rec = tmp_path / "synth", tmp_path / "rec"
+        run_cli(
+            "synth", "--preset", "bell-mixture", "--shots", 1000, "--seed", 11,
+            "--out-dir", synth,
+        )
+        run_cli(
+            "reconstruct", "--dataset", synth / "dataset.jsonl",
+            "--truth", synth / "state.json", "--target", synth / "target.json",
+            "--epochs", 200, "--restarts", 1, "--seed", 3, "--out-dir", rec,
+        )
+        tokens = []
+
+        def parse_float(text):
+            tokens.append(text)
+            return float(text)
+
+        for path in (synth / "dataset.jsonl", synth / "state.json", rec / "result.json"):
+            for line in path.read_text().splitlines():
+                json.loads(line, parse_float=parse_float)
+        _, row = read_csv(rec / "report.csv")
+        tokens += [cell for cell in row if not cell.isdigit()]
+        # At least the dataset's 36 probabilities and the state's 32 entries.
+        assert len(tokens) > 36 + 32
+        assert [t for t in tokens if t != repr(float(t))] == []
+
+        rho = ms.bell_mixture(cli.BELL_SPECTRUM)
+        want = ms.sample_dataset(rho, ms.generate_basis_set(2, "full", 11), 1000, 11)
+        got = ms.MeasurementDataset.load_jsonl(synth / "dataset.jsonl")
+        assert np.array_equal(
+            got.probabilities.view(np.int64), want.probabilities.view(np.int64)
+        )
+        assert np.array_equal(got.counts, want.counts)
 
     def test_manifest_records_resolved_flags(self, tmp_path):
         run_cli(

@@ -187,7 +187,7 @@ class TestCostValue:
             phi - kept.amplitudes * np.vdot(kept.amplitudes, phi)
         )
         engine = costs.CostEngine(costs.CostSpec("l15"), bell_dataset, (kept,))
-        psi = engine.wavefunction(rbm.pack_parameters(state)[None])[0]
+        psi = engine.wavefunction(rbm.pack_parameters(state))
         assert np.allclose(psi, projected.amplitudes, rtol=0, atol=1e-15)
         assert abs(np.vdot(kept.amplitudes, psi)) ** 2 <= 1e-28
         q = np.stack([ms.probabilities_vector(psi, b) for b in bell_dataset.bases])
@@ -241,6 +241,31 @@ class TestStackedEvaluation:
                     assert got == value
                     assert np.array_equal(got_grad, grad)
 
+    def test_wavefunction_is_the_scored_state_on_one_member_chunks(self, monkeypatch):
+        # W6 on its 205 compressed bases: one member a chunk.  psi of one
+        # vector has the bits of the psi that value_and_grad rotates, for each
+        # member of a stack that spans two chunks.
+        rho = ms.make_w_mixture(6, [0.80, 0.07, 0.04], seed=7)
+        data = ms.exact_dataset(rho, ms.generate_basis_set(6, "compressed", 7))
+        thetas = np.random.default_rng(6).uniform(-0.5, 0.5, (2, rbm.n_parameters(6)))
+        for kept in ((), (ms.w_state(6),)):
+            engine = costs.CostEngine(costs.CostSpec("l15"), data, kept)
+            assert engine._chunk == 1
+            scored = []
+            forward = engine.rotation.forward
+
+            def spy(vectors, out):
+                scored.append(vectors[:, :, 0].copy())
+                return forward(vectors, out=out)
+
+            monkeypatch.setattr(engine.rotation, "forward", spy)
+            engine.value_and_grad(thetas)
+            assert len(scored) == 2
+            for theta, psi in zip(thetas, scored):
+                assert np.array_equal(engine.wavefunction(theta), psi[0])
+            with pytest.raises(ValueError, match="expected 96 parameters"):
+                engine.wavefunction(thetas)
+
 
 class TestCostGradient:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -287,7 +312,7 @@ class TestCostGradient:
         theta = rbm.pack_parameters(state)
         probe = ms.MeasurementDataset(2, ("zz",), np.full((1, 4), 0.25), None, "exact")
         engine = costs.CostEngine(costs.CostSpec("kl1"), probe, (kept,))
-        psi = st.StateVector.normalized(engine.wavefunction(theta[None])[0])
+        psi = st.StateVector.normalized(engine.wavefunction(theta))
         data = ms.exact_dataset(
             st.DensityMatrix.from_pure(psi), ms.generate_basis_set(2, "full")
         )

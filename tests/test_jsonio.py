@@ -1,37 +1,44 @@
-import numpy as np
 import pytest
 
 from eigentomo import jsonio
 
 
-def test_floats_round_trip_17_digits():
-    values = [0.9, 1 / 3, 1e-300, 2.2250738585072014e-308, 123456.789]
-    text = jsonio.dumps(values)
-    assert jsonio.loads(text) == values
+def test_floats_written_as_shortest_repr(tmp_path):
+    path = tmp_path / "doc.json"
+    jsonio.dump({"p": 0.9, "w": 1.0}, path)
+    assert path.read_text() == '{"p": 0.9, "w": 1.0}\n'
 
 
-def test_whole_floats_stay_floats():
-    assert jsonio.dumps(1.0) == "1.0"
-    assert isinstance(jsonio.loads(jsonio.dumps({"x": 2.0}))["x"], float)
+def test_floats_round_trip(tmp_path):
+    path = tmp_path / "doc.json"
+    values = [0.9, 1 / 3, 1e-300, 2.2250738585072014e-308, 5e-324, 123456.789, -0.0]
+    jsonio.dump(values, path)
+    loaded = jsonio.load(path)
+    assert [v.hex() for v in loaded] == [v.hex() for v in values]
 
 
-def test_deterministic_encoding():
-    doc = {"b": [1, 2.5, None, True], "a": {"nested": "text"}}
-    assert jsonio.dumps(doc) == jsonio.dumps(doc)
+def test_whole_floats_stay_floats(tmp_path):
+    path = tmp_path / "doc.json"
+    jsonio.dump({"x": 2.0}, path)
+    assert isinstance(jsonio.load(path)["x"], float)
 
 
-def test_numpy_scalars_and_arrays():
-    doc = {"v": np.arange(3), "x": np.float64(0.25), "n": np.int64(7)}
-    assert jsonio.loads(jsonio.dumps(doc)) == {"v": [0, 1, 2], "x": 0.25, "n": 7}
+def test_deterministic_encoding(tmp_path):
+    doc = {"b": [1, 2.5, None, True, 1 / 3], "a": {"nested": "text"}}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    jsonio.dump(doc, a)
+    jsonio.dump(doc, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
-def test_non_finite_rejected():
-    with pytest.raises(ValueError):
-        jsonio.dumps(float("nan"))
+def test_non_finite_rejected(tmp_path):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            jsonio.dump({"x": [value]}, tmp_path / "doc.json")
 
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "doc.json"
-    doc = {"p": 0.45449999999999979, "tag": "xx"}
+    doc = {"p": 0.45449999999999979, "tag": "xx", "n": None, "ok": False}
     jsonio.dump(doc, path)
     assert jsonio.load(path) == doc

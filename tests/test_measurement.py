@@ -1,3 +1,4 @@
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from eigentomo import jsonio
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
@@ -515,8 +515,8 @@ class TestDatasetContainer:
                 if data.counts is not None
                 else [[None] * data.dim] * len(data.bases)
             )
-            lines = [jsonio.dumps(header)] + [
-                jsonio.dumps({"basis": basis, "outcome": outcome, "p": p, "shots": k})
+            lines = [json.dumps(header)] + [
+                json.dumps({"basis": basis, "outcome": outcome, "p": p, "shots": k})
                 for basis, probs, shots in zip(
                     data.bases, data.probabilities.tolist(), counts
                 )
@@ -611,7 +611,7 @@ class TestRecordValues:
     @staticmethod
     def line_by_line(lines):
         try:
-            return [jsonio.loads(line) for line in lines if line.strip()]
+            return [json.loads(line) for line in lines if line.strip()]
         except ValueError as err:
             return str(err)
 
