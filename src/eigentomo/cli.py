@@ -148,7 +148,7 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _table_row(approx, report, truth, target) -> dict:
+def _table_row(approx, report, truth, spectrum, target) -> dict:
     row: dict = {key: None for key in REPORT_COLUMNS}
     row["n_qubits"] = approx.n_qubits
     accepted = [s for s in report.steps if s.accepted]
@@ -159,7 +159,6 @@ def _table_row(approx, report, truth, target) -> dict:
         row["p2b"] = accepted[1].weight
         row["overlap2"] = accepted[1].eigenstate_fidelity
     if truth is not None:
-        spectrum = eigendecompose(truth)
         row["p1"] = float(spectrum.eigenvalues[0])
         if spectrum.dim > 1:
             row["p2"] = float(spectrum.eigenvalues[1])
@@ -188,6 +187,8 @@ def cmd_reconstruct(args) -> int:
             f"--target {args.target} has {target.n_qubits} qubits, "
             f"the dataset {dataset.n_qubits}"
         )
+    # Decomposed once, for the per-step figures and for the report row.
+    spectrum = eigendecompose(truth) if truth is not None else None
     config = TrainConfig(
         cost=CostSpec(kind=args.cost),
         max_epochs=args.epochs,
@@ -199,7 +200,7 @@ def cmd_reconstruct(args) -> int:
         args.max_rank,
         config,
         floor=args.floor,
-        true_rho=truth,
+        true_rho=spectrum,
     )
 
     result_path = _out_path(args, "result.json")
@@ -219,7 +220,7 @@ def cmd_reconstruct(args) -> int:
         result_path,
     )
 
-    row = _table_row(approx, report, truth, target)
+    row = _table_row(approx, report, truth, spectrum, target)
     report_path = _out_path(args, "report.csv")
     _write_csv(report_path, REPORT_COLUMNS, [[_fmt(row[k]) for k in REPORT_COLUMNS]])
 

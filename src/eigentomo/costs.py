@@ -41,26 +41,32 @@ class CostSpec:
 
 
 def cost_terms_and_grads(
-    kind: str, p: np.ndarray, q: np.ndarray, floor: float
+    kind: str, p: np.ndarray, q: np.ndarray, floor: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-record cost terms for dataset probabilities p and ansatz q, and
     the derivative of each term with respect to q.
 
     ``p`` and ``q`` are float arrays of one shape.  Both outputs come from
     one pass over q - p (l1, l15) or over the shared log ratio (kl1, kl2).
-    The l1 kink at p == q uses the zero subgradient.
+    The l1 kink at p == q uses the zero subgradient.  ``out``, if given, is
+    a float (3, *q.shape) block: the terms are written to ``out[0]``, the
+    derivatives to ``out[1]``, and ``out[2]`` is scratch; both returned
+    arrays are views into it.  Without ``out`` a fresh block is allocated.
     """
+    if out is None:
+        out = np.empty((3, *q.shape))
+    terms, grads, scratch = out[0, ...], out[1, ...], out[2, ...]
     if kind in ("l1", "l15"):
-        diff = q - p
-        size = np.abs(diff)
+        diff = np.subtract(q, p, out=grads)
+        size = np.abs(diff, out=terms)
         if kind == "l1":
-            return size, np.sign(diff)
-        root = np.sqrt(size)
-        grad = np.copysign(root, diff)
-        grad *= 1.5
-        return size * root, grad
-    terms = np.zeros(p.shape)
-    grads = np.zeros(p.shape)
+            return size, np.sign(diff, out=grads)
+        root = np.sqrt(size, out=scratch)
+        np.copysign(root, diff, out=grads)
+        grads *= 1.5
+        return np.multiply(size, root, out=terms), grads
+    terms.fill(0.0)
+    grads.fill(0.0)
     if kind == "kl1":
         mask = p > 0
         pm, qm = p[mask], q[mask]
@@ -101,9 +107,13 @@ class CostEngine:
     gradient; the engine owns the rotation, the cost and the kept states.
     With k > 0 kept states, the rows of the (k, 2^n) matrix V, it fits
     psi = P phi / |P phi|, P = I - V^T conj(V): orthogonal to every kept
-    state by construction.  The rotated amplitudes, q and the pulled-back
-    product are written into buffers the engine owns (the product over the
-    amplitudes, which it no longer needs), sized for one stack chunk.
+    state by construction.  An l1 or l15 call allocates no (n_bases x 2^n)
+    array (kl1 and kl2 still form their masked temporaries): the engine
+    owns, each sized for one stack chunk, the rotated amplitudes (which the
+    pulled-back product then overwrites), q, and the (3, ...) block into
+    which ``cost_terms_and_grads`` writes each record's term, its derivative
+    and a scratch table.  The costs and gradients it returns are fresh
+    arrays.
     """
 
     def __init__(self, spec: CostSpec, data: MeasurementDataset, kept=()):
@@ -130,6 +140,7 @@ class CostEngine:
         self.data_probs = np.broadcast_to(probs, buffer_shape)
         self._rotated = np.empty(buffer_shape, dtype=np.complex128)
         self._q = np.empty(buffer_shape)
+        self._work = np.empty((3, *buffer_shape))
         self.ansatz = rbm.Ansatz(n, self._chunk)
 
     def initial_parameters(self, seed: int) -> np.ndarray:
@@ -185,7 +196,11 @@ class CostEngine:
         q = self._q[:members]
         q = np.square(np.abs(rotated, out=q), out=q)
         terms, g = cost_terms_and_grads(
-            self.spec.kind, self.data_probs[:members], q, DENOM_FLOOR
+            self.spec.kind,
+            self.data_probs[:members],
+            q,
+            DENOM_FLOOR,
+            out=self._work[:, :members],
         )
         total = terms.reshape(members, -1).sum(axis=1)
         # Plain transpose: record sensitivities are pulled back through U^T.

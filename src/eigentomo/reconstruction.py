@@ -20,7 +20,7 @@ import numpy as np
 
 from . import measurement
 from .measurement import MeasurementDataset
-from .states import DensityMatrix, StateVector, eigendecompose, fidelity
+from .states import DensityMatrix, Spectrum, StateVector, eigendecompose, fidelity
 from .states import GRAM_ATOL, gram_deviation, qubit_count, require_orthonormal
 from .training import TrainConfig, train_next_eigenstate
 
@@ -226,7 +226,7 @@ def reconstruct(
     max_rank: int,
     train_config: TrainConfig,
     floor: float = DEFAULT_FLOOR,
-    true_rho: DensityMatrix | None = None,
+    true_rho: DensityMatrix | Spectrum | None = None,
 ) -> tuple[SpectralApprox, IterationReport]:
     """Extract up to ``max_rank`` eigenpairs from measurement statistics,
     and never more than the 2^n that span the space.
@@ -240,18 +240,24 @@ def reconstruct(
     drove to zero: they say nothing about the residual.  Each step's training
     diagnostics, such as an aborted restart, join the notes.  When the true state is
     supplied (synthetic runs), per-step eigenstate fidelities and the
-    residual accuracy gap are reported.
+    residual accuracy gap are reported.  ``true_rho`` may be given as its
+    ``eigendecompose`` spectrum, so that a caller that needs the spectrum
+    too decomposes the truth once.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
-    if true_rho is not None and true_rho.n_qubits != data.n_qubits:
-        raise ValueError(f"true_rho has {true_rho.n_qubits} qubits, the dataset {data.n_qubits}")
+    truth = true_rho
+    if isinstance(truth, DensityMatrix):
+        truth = eigendecompose(truth)
+    if truth is not None and truth.dim != 2**data.n_qubits:
+        raise ValueError(
+            f"true_rho has {qubit_count(truth.dim)} qubits, the dataset {data.n_qubits}"
+        )
     if train_config.restarts > STEP_SEED_STRIDE:
         raise ValueError(
             f"restarts ({train_config.restarts}) may not exceed the step seed "
             f"stride {STEP_SEED_STRIDE}: later steps would reuse seeds"
         )
-    truth = eigendecompose(true_rho) if true_rho is not None else None
     max_rank = min(max_rank, 2**data.n_qubits)
 
     current = data

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from eigentomo import cli
+from eigentomo import cli, reconstruction
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
@@ -81,13 +81,14 @@ class TestSynth:
             "--out-dir", tmp_path, check=False,
         )
         assert proc.returncode == 2
-        assert "--shots" in proc.stderr
+        assert "argument --shots:" in proc.stderr.splitlines()[-1]
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    # The rejected flag is flags[-2].
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--w", 0, "--spectrum", "1.0"),
+            ("--spectrum", "1.0", "--w", 0),
             ("--w", 2, "--spectrum", "0.9", "--perturbation", "nan"),
             ("--w", 2, "--spectrum", "0.9", "--perturbation", -0.1),
         ],
@@ -95,7 +96,7 @@ class TestSynth:
     def test_out_of_range_numbers_usage_error(self, tmp_path, flags):
         proc = run_cli("synth", *flags, "--out-dir", tmp_path, check=False)
         assert proc.returncode == 2
-        assert flags[-2] in proc.stderr
+        assert f"argument {flags[-2]}:" in proc.stderr.splitlines()[-1]
         assert not (tmp_path / "dataset.jsonl").exists()
 
     @pytest.mark.parametrize("spectrum", ["abc", "0.5,nan", "-0.1", "0.5,,0.2", None])
@@ -192,10 +193,40 @@ class TestReconstructCommand:
         assert len(doc["pairs"]) == 3
         assert [step["accepted"] for step in doc["report"]] == [True, True, True]
 
+    def test_truth_decomposed_once(self, tmp_path, monkeypatch):
+        # The per-step eigenstate figures and the report row share one
+        # spectrum of the truth, whichever module looks eigendecompose up.
+        synth_dir = tmp_path / "synth"
+        code = cli.main(["synth", "--preset", "bell-mixture", "--out-dir", str(synth_dir)])
+        assert code == 0
+        calls = []
+        decompose = st.eigendecompose
+
+        def counting(rho):
+            calls.append(rho)
+            return decompose(rho)
+
+        for module in (st, cli, reconstruction):
+            monkeypatch.setattr(module, "eigendecompose", counting)
+        code = cli.main(
+            ["reconstruct", "--dataset", str(synth_dir / "dataset.jsonl"),
+             "--truth", str(synth_dir / "state.json"), "--max-rank", "2",
+             "--floor", "1e-2", "--epochs", "200", "--restarts", "1",
+             "--out-dir", str(tmp_path / "rec")]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        doc = json.loads((tmp_path / "rec" / "result.json").read_text())
+        assert doc["report"][0]["eigenstate_fidelity"] is not None
+        record = dict(zip(*read_csv(tmp_path / "rec" / "report.csv")))
+        assert float(record["p1"]) == pytest.approx(0.9, abs=1e-9)
+
     def test_missing_dataset_flag_usage_error(self, tmp_path):
         proc = run_cli("reconstruct", "--out-dir", tmp_path, check=False)
         assert proc.returncode == 2
-        assert "--dataset" in proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith(
+            "the following arguments are required: --dataset"
+        )
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -215,7 +246,7 @@ class TestReconstructCommand:
             "--out-dir", tmp_path, check=False,
         )
         assert proc.returncode == 2
-        assert flag in proc.stderr
+        assert f"argument {flag}:" in proc.stderr.splitlines()[-1]
 
     def test_non_finite_probability_runtime_error(self, tmp_path):
         path = tmp_path / "nan.jsonl"
@@ -344,13 +375,13 @@ class TestVerifyCommand:
             "verify", "--dims", "2", flag, 0, "--out-dir", tmp_path, check=False
         )
         assert proc.returncode == 2
-        assert flag in proc.stderr
+        assert f"argument {flag}:" in proc.stderr.splitlines()[-1]
 
     @pytest.mark.parametrize("dims", ["0", "2,0", "x", "2,-4", ""])
     def test_bad_dims_usage_error(self, tmp_path, dims):
         proc = run_cli("verify", "--dims", dims, "--out-dir", tmp_path, check=False)
         assert proc.returncode == 2
-        assert "--dims" in proc.stderr
+        assert "argument --dims:" in proc.stderr.splitlines()[-1]
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_fault_injection_exits_three(self, tmp_path, inflated_fidelities):
@@ -393,7 +424,7 @@ class TestFigdataCommand:
             "--floor", 0, "--out-dir", tmp_path, check=False,
         )
         assert proc.returncode == 2
-        assert "--floor" in proc.stderr
+        assert "argument --floor:" in proc.stderr.splitlines()[-1]
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -410,7 +441,7 @@ class TestFigdataCommand:
             flag, value, "--out-dir", tmp_path, check=False,
         )
         assert proc.returncode == 2
-        assert flag in proc.stderr
+        assert f"argument {flag}:" in proc.stderr.splitlines()[-1]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_STATE_FILES))
     def test_malformed_state_file_runtime_error(self, tmp_path, name):

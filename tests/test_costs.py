@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,67 @@ class TestStackedEvaluation:
                 assert np.array_equal(engine.wavefunction(theta), psi[0])
             with pytest.raises(ValueError, match="expected 96 parameters"):
                 engine.wavefunction(thetas)
+
+
+class TestEngineBuffers:
+    """The cost pass writes into buffers the engine owns, and what a call
+    returns is its own."""
+
+    def test_call_allocates_less_than_one_table(self):
+        # W8 on its 615 compressed bases.  After a warm-up call, one call
+        # peaks below a single (bases x 2^n) float table: the rotated
+        # amplitudes, q, the terms and their derivatives all live in the
+        # engine's buffers.
+        data = ms.exact_dataset(
+            st.DensityMatrix.from_pure(ms.w_state(8)),
+            ms.generate_basis_set(8, "compressed", 7),
+        )
+        assert data.probabilities.shape == (615, 256)
+        table = data.probabilities.nbytes
+        thetas = np.random.default_rng(8).uniform(-0.5, 0.5, (2, rbm.n_parameters(8)))
+        for kept in ((), (ms.w_state(8),)):
+            engine = costs.CostEngine(costs.CostSpec("l15"), data, kept)
+            engine.value_and_grad(thetas[0])
+            tracemalloc.start()
+            try:
+                engine.value_and_grad(thetas[1])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < table, (len(kept), peak)
+
+    def test_results_do_not_alias_the_buffers(self):
+        # W5 takes two members a chunk, so the stack of three spans a chunk
+        # boundary.  Results kept from the first calls survive later ones.
+        n = 5
+        target = rbm.to_state_vector(random_state(n, seed=905))
+        data = ms.exact_dataset(
+            st.DensityMatrix.from_pure(target), ms.generate_basis_set(n, "compressed", 5)
+        )
+        orth = (rbm.to_state_vector(random_state(n, seed=906)),)
+        thetas = np.random.default_rng(907).uniform(-0.5, 0.5, (3, rbm.n_parameters(n)))
+        for kind in costs.COST_KINDS:
+            for kept in ((), orth):
+                engine = costs.CostEngine(costs.CostSpec(kind), data, kept)
+                assert engine._chunk == 2
+                _, grad = engine.value_and_grad(thetas[0])
+                values, grads = engine.value_and_grad(thetas)
+                saved = [grad.copy(), values.copy(), grads.copy()]
+                for theta in thetas[1:]:
+                    engine.value_and_grad(theta)
+                engine.value_and_grad(thetas[::-1])
+                for got, want in zip((grad, values, grads), saved):
+                    assert np.array_equal(got, want), kind
+
+    def test_cost_terms_returns_fresh_arrays(self):
+        rng = np.random.default_rng(9)
+        p, q1, q2 = rng.dirichlet(np.ones(8), size=(3, 4))
+        for kind in costs.COST_KINDS:
+            first = costs.cost_terms(kind, p, q1, costs.DENOM_FLOOR)
+            kept = first.copy()
+            second = costs.cost_terms(kind, p, q2, costs.DENOM_FLOOR)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, kept), kind
 
 
 class TestCostGradient:
