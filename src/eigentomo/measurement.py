@@ -12,11 +12,16 @@ Every basis rotation goes through one kernel, ``BasisRotation``: it splits
 each U_b into a dense left factor on the first k qubits and a dense right
 factor on the others, and applies each distinct left factor once per pass.
 A fixed cost model picks k for each basis list (small registers take k = 0,
-one dense unitary per basis and no per-prefix loop).  Every outcome
-probability comes from ``mixture_probabilities``, the table
-sum_k w_k |U_b v_k|^2 of a weighted set of states, which rotates through it.
-A pure state is the one-state case, and a density matrix is its eigensystem
-(``density_probabilities``).
+one dense unitary per basis and no per-prefix loop).
+
+The input's representation picks how outcome probabilities are computed.
+A weighted set of states (a pure state, a ``SpectralApprox``) goes through
+``mixture_probabilities``, the table sum_k w_k |U_b v_k|^2, which rotates
+each state through ``BasisRotation``.  A density matrix goes through
+``density_probabilities``, which rotates nothing: it reads the 4^n Pauli
+expectations Tr(rho P) once (``pauli_expectations``), and each basis's
+2^n probabilities are the Walsh-Hadamard transform of the 2^n strings
+that measuring in that basis sees.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ _ROTATIONS = {
 for _mat in _ROTATIONS.values():
     _mat.setflags(write=False)
 _AXES = frozenset(_ROTATIONS)
+#: Code of each axis's Pauli matrix in ``pauli_expectations`` indices (I is 0).
+_PAULI_CODES = {"x": 1, "y": 2, "z": 3}
 
 #: Record probabilities may undershoot zero by at most this much before clamping.
 PROBABILITY_FLOOR = -1e-12
@@ -310,17 +317,94 @@ def probabilities_vector(amplitudes, basis: str) -> np.ndarray:
     return basis_probabilities(amplitudes, [basis])[0]
 
 
-def density_probabilities(rho, bases) -> np.ndarray:
-    """(n_bases, 2^n) outcome probabilities of a density matrix, from its eigensystem.
+def pauli_expectations(rho) -> np.ndarray:
+    """(4^n,) real table of Tr(rho P) over every Pauli string P.
 
-    ``rho`` may be a raw Hermitian matrix (negative eigenvalues allowed); a
-    matrix that is not Hermitian within ``HERM_ATOL`` raises ValueError.
+    String (c_0, ..., c_{n-1}), with I, X, Y, Z = 0, 1, 2, 3 and qubit 0
+    first, has index sum_k c_k 4^(n-1-k); entry 0 is the trace.  ``rho`` may
+    be a raw Hermitian matrix (negative eigenvalues allowed); a matrix with a
+    non-finite entry, or one that is not Hermitian within ``HERM_ATOL``,
+    raises ValueError.
+
+    One pass per qubit k maps each of its 2 x 2 blocks [r00, r01, r10, r11]
+    to [r00 + r11, r01 + r10, i(r01 - r10), r00 - r11], the traces of the
+    block against I, X, Y and Z; n passes cost O(n 4^n) and hold two
+    rho-sized work arrays.
     """
     mat = matrix_of(rho)
+    n = qubit_count(mat.shape[0])
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     if np.abs(mat - mat.conj().T).max() > HERM_ATOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    return mixture_probabilities(eigenvalues, eigenvectors, bases)
+    # Before pass k the layout is (Pauli codes of qubits < k, row bits of
+    # qubits >= k, column bits of qubits >= k); pass k moves qubit k's row and
+    # column bits into its code.
+    work = np.empty((2, 4**n), dtype=np.complex128)
+    table = mat
+    for k in range(n):
+        rest = 2 ** (n - 1 - k)
+        blocks = table.reshape(4**k, 2, rest, 2, rest)
+        r00, r01 = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+        r10, r11 = blocks[:, 1, :, 0], blocks[:, 1, :, 1]
+        table = work[k % 2].reshape(4**k, 4, rest, rest)
+        np.add(r00, r11, out=table[:, 0])
+        np.add(r01, r10, out=table[:, 1])
+        np.subtract(r01, r10, out=table[:, 2])
+        table[:, 2] *= 1j
+        np.subtract(r00, r11, out=table[:, 3])
+    return table.real.ravel()
+
+
+def _pauli_index(bases, n_qubits: int) -> np.ndarray:
+    """(n_bases, 2^n) map to ``pauli_expectations`` indices: entry m of row b
+    is the string with basis b's axis on the qubits whose bits are set in
+    mask m (qubit 0 the most significant bit) and I on the others."""
+    for basis in bases:
+        validate_basis(basis, n_qubits)
+    # Column j holds the code of qubit n - 1 - j, the qubit of mask bit j.
+    codes = np.array(
+        [[_PAULI_CODES[axis] for axis in reversed(basis)] for basis in bases],
+        dtype=np.intp,
+    ).reshape(-1, n_qubits)
+    index = np.zeros((len(codes), 2**n_qubits), dtype=np.intp)
+    for j in range(n_qubits):
+        low = index[:, : 1 << j]
+        np.add(low, codes[:, j, None] * 4**j, out=index[:, 1 << j : 2 << j])
+    return index
+
+
+def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis of a
+    (rows, 2^n) float array, in n butterfly passes; ``table`` is overwritten."""
+    rows, dim = table.shape
+    out = np.empty_like(table)
+    half = dim // 2
+    while half:
+        src = table.reshape(rows, dim // (2 * half), 2, half)
+        dst = out.reshape(src.shape)
+        np.add(src[:, :, 0], src[:, :, 1], out=dst[:, :, 0])
+        np.subtract(src[:, :, 0], src[:, :, 1], out=dst[:, :, 1])
+        table, out = out, table
+        half //= 2
+    return table
+
+
+def density_probabilities(rho, bases) -> np.ndarray:
+    """(n_bases, 2^n) outcome probabilities of a density matrix, from its
+    Pauli expectations.
+
+    The projector on outcome s of basis b is prod_k (I + s_k sigma_{b_k}) / 2,
+    so p_b(s) = 2^-n sum_m t_b[m] prod_{k in m} s_k over the masks m, where
+    t_b[m] is the expectation of the string with b's axis on m's qubits and
+    I elsewhere: one Walsh-Hadamard transform per basis, O(n_bases n 2^n).
+    ``rho`` is checked as by ``pauli_expectations``.
+    """
+    table = pauli_expectations(rho)
+    n = (table.size - 1).bit_length() // 2  # table.size is 4^n
+    probs = _walsh_hadamard(table[_pauli_index(bases, n)])
+    probs *= 0.5**n
+    return probs
 
 
 def generate_basis_set(n_qubits: int, mode: str = "full", seed: int = 0) -> list[str]:

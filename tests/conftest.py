@@ -5,6 +5,7 @@ from eigentomo import measurement as ms
 from eigentomo import propositions as pr
 from eigentomo import rbm
 from eigentomo import states as st
+from eigentomo import training
 
 #: One line per acceptance criterion, echoed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -34,6 +35,22 @@ def dense_rotation(basis: str) -> np.ndarray:
     for axis in basis:
         dense = np.kron(dense, ms.local_rotation(axis))
     return dense
+
+
+def drift_at_step_three(data, previous, config):
+    """Stand-in for ``training.train_next_eigenstate`` on a diagonal mixture
+    of decreasing weights: steps 1 and 2 return the computational basis states
+    0 and 1, its two leading eigenvectors, and step 3 returns basis state 2
+    with 1e-6 of state 0 mixed in, a fit that drifted out of the orthogonal
+    complement of the kept states.  Training itself is skipped, so no
+    round-off in a fit decides which step drifts."""
+    step = len(previous)
+    amplitudes = np.zeros(data.dim)
+    amplitudes[step] = 1.0
+    if step == 2:
+        amplitudes[0] = 1e-6
+    log = training.TrainingLog(rows=np.zeros((0, 3)), winner_restart=0, best_cost=0.0)
+    return st.StateVector.normalized(amplitudes), log
 
 
 def network_parts(theta: np.ndarray, n: int):

@@ -12,7 +12,7 @@ from eigentomo import cli, reconstruction
 from eigentomo import measurement as ms
 from eigentomo import states as st
 
-from conftest import MALFORMED_DATASETS, MALFORMED_STATE_FILES
+from conftest import MALFORMED_DATASETS, MALFORMED_STATE_FILES, drift_at_step_three
 
 
 def run_cli(*args, check=True):
@@ -261,21 +261,23 @@ class TestReconstructCommand:
         assert proc.returncode == 1
         assert "error" in proc.stderr.lower() and "finite" in proc.stderr
 
-    def test_drifted_step_keeps_the_run(self, tmp_path):
+    def test_drifted_step_keeps_the_run(self, tmp_path, monkeypatch, capsys):
         # The diagonal 3-qubit mixture whose step 3 drifts out of the
-        # orthogonal complement at fit seed 3: exit 0 at rank 2.
+        # orthogonal complement (by construction, see ``drift_at_step_three``):
+        # exit 0 at rank 2.
         rho = st.DensityMatrix(
             np.diag([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02]).astype(complex), 3
         )
         ms.exact_dataset(rho, ms.generate_basis_set(3, "full")).save_jsonl(
             tmp_path / "dataset.jsonl"
         )
-        proc = run_cli(
-            "reconstruct", "--dataset", tmp_path / "dataset.jsonl",
-            "--max-rank", 8, "--floor", 1e-2, "--epochs", 300, "--restarts", 2,
-            "--seed", 3, "--out-dir", tmp_path / "rec", check=False,
+        monkeypatch.setattr(reconstruction, "train_next_eigenstate", drift_at_step_three)
+        code = cli.main(
+            ["reconstruct", "--dataset", str(tmp_path / "dataset.jsonl"),
+             "--max-rank", "8", "--floor", "1e-2", "--epochs", "300", "--restarts", "2",
+             "--seed", "3", "--out-dir", str(tmp_path / "rec")]
         )
-        assert proc.returncode == 0, proc.stderr
+        assert code == 0, capsys.readouterr().err
         doc = json.loads((tmp_path / "rec" / "result.json").read_text())
         assert len(doc["pairs"]) == 2
         assert [step["accepted"] for step in doc["report"]] == [True, True, False]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 import tracemalloc
@@ -129,6 +130,38 @@ class TestProjectorProbabilities:
         with pytest.raises(ValueError, match="not Hermitian"):
             ms.density_probabilities(mat, ["z"])
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[[np.nan, 0], [0, 1]], [[1, np.inf], [np.inf, 0]], [[0.5, 0], [0, np.nan]]],
+        ids=["nan-diagonal", "inf-off-diagonal", "nan-last"],
+    )
+    def test_non_finite_rejected(self, entries):
+        with pytest.raises(ValueError, match="finite"):
+            ms.density_probabilities(np.array(entries), ["z", "x"])
+
+    @pytest.mark.parametrize(
+        "mat", [np.eye(2, 4), np.eye(3) / 3, np.eye(1)], ids=["non-square", "dim-3", "dim-1"]
+    )
+    def test_malformed_shape_rejected(self, mat):
+        with pytest.raises(ValueError):
+            ms.density_probabilities(mat, ["z"])
+
+    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
+    def test_density_probabilities_match_eigensystem_mixture(self, kind):
+        # The eigensystem route density_probabilities took before the Pauli
+        # table, on the 6-qubit compressed basis set.
+        rng = np.random.default_rng(64)
+        mat = random_density_matrix(64, rng)
+        if kind == "indefinite":
+            g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+            mat = 0.5 * (g + g.conj().T)
+            assert np.linalg.eigvalsh(mat).min() < 0
+        bases = ms.generate_basis_set(6, "compressed")
+        expected = ms.mixture_probabilities(*np.linalg.eigh(mat), bases)
+        probs = ms.density_probabilities(mat, bases)
+        assert probs.shape == (len(bases), 64)
+        assert np.abs(probs - expected).max() <= 1e-13
+
     def test_pure_case_is_rotate_states(self):
         """The one-state mixture is |U_b psi|^2, checked against dense unitaries."""
         rng = np.random.default_rng(23)
@@ -177,6 +210,35 @@ class TestProjectorProbabilities:
         basis = "".join(rng.choice(list("xyz")) for _ in range(n_qubits))
         probs = ms.density_probabilities(rho, [basis])[0]
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]).astype(complex),
+}
+
+
+class TestPauliExpectations:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_kronecker_products(self, n):
+        # Entry k of the table is the string at position k of
+        # itertools.product("IXYZ", repeat=n): qubit 0 is the leading digit.
+        rng = np.random.default_rng(70 + n)
+        dim = 2**n
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for mat in (random_density_matrix(dim, rng), 0.5 * (g + g.conj().T)):
+            expected = []
+            for labels in itertools.product("IXYZ", repeat=n):
+                string = np.ones((1, 1))
+                for label in labels:
+                    string = np.kron(string, PAULIS[label])
+                expected.append(np.trace(mat @ string).real)
+            table = ms.pauli_expectations(mat)
+            assert table.shape == (4**n,) and table.dtype == np.float64
+            assert np.abs(table - expected).max() <= 1e-12
+            assert table[0] == pytest.approx(np.trace(mat).real, abs=1e-12)
 
 
 def in_list_order(rotation, rotated) -> np.ndarray:

@@ -6,7 +6,12 @@ import pytest
 from eigentomo import costs, measurement as ms, reconstruction as rc, training
 from eigentomo import states as st
 
-from conftest import dense_probabilities, random_density_matrix, random_pure
+from conftest import (
+    dense_probabilities,
+    drift_at_step_three,
+    random_density_matrix,
+    random_pure,
+)
 
 
 def basis_vector(dim, index):
@@ -418,12 +423,13 @@ class TestReconstruct:
         assert [step.accepted for step in report.steps] == [True] * 4
         assert approx.rank == 4
 
-    def test_drifted_step_rejected_not_the_run(self):
-        # Step 3's RBM state drifts into the span of steps 1-2, so its
-        # projection keeps only round-off orthogonality: the step is
-        # rejected, and the run keeps rank 2.
+    def test_drifted_step_rejected_not_the_run(self, monkeypatch):
+        # Step 3's state drifts into the span of steps 1-2 (by construction,
+        # see ``drift_at_step_three``), so it is orthogonal to them only to
+        # 1e-6: the step is rejected, and the run keeps rank 2.
         rho = diag_mixture([0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02])
         data = ms.exact_dataset(rho, ms.generate_basis_set(3, "full"))
+        monkeypatch.setattr(rc, "train_next_eigenstate", drift_at_step_three)
         approx, report = rc.reconstruct(
             data, 8, quick_config(seed=3, max_epochs=300), floor=1e-2
         )
