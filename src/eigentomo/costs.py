@@ -107,9 +107,11 @@ class CostEngine:
     gradient; the engine owns the rotation, the cost and the kept states.
     With k > 0 kept states, the rows of the (k, 2^n) matrix V, it fits
     psi = P phi / |P phi|, P = I - V^T conj(V): orthogonal to every kept
-    state by construction.  An l1 or l15 call allocates no (n_bases x 2^n)
-    array (kl1 and kl2 still form their masked temporaries): the engine
-    owns, each sized for one stack chunk, the rotated amplitudes (which the
+    state by construction.  The states psi of a stack go through
+    ``rotation.forward`` directly, ``rotation.chunk`` members a call.  An l1
+    or l15 call allocates no (n_bases x 2^n) array (kl1 and kl2 still form
+    their masked temporaries): the engine owns, each sized for one stack
+    chunk, the rotated amplitudes (which the
     pulled-back product then overwrites), q, and the (3, ...) block into
     which ``cost_terms_and_grads`` writes each record's term, its derivative
     and a scratch table.  The costs and gradients it returns are fresh
@@ -129,19 +131,14 @@ class CostEngine:
         self.spec = spec
         self.n_qubits = n
         self.rotation = measurement.BasisRotation(data.bases, n)
-        # A chunk rotates at most _BLOCK_VECTORS vectors, so that its working
-        # set stays in cache: at n = 8, on the 615-basis set, one 3-member
-        # chunk took 1.3 times as long as three 1-member chunks (2-CPU
-        # machine, one BLAS thread).
-        self._chunk = max(1, measurement._BLOCK_VECTORS // max(1, len(data.bases)))
         probs = self.rotation.arrange(data.probabilities)
-        buffer_shape = (self._chunk, *probs.shape)
+        buffer_shape = (self.rotation.chunk, *probs.shape)
         #: The dataset probabilities, repeated for each member of a chunk.
         self.data_probs = np.broadcast_to(probs, buffer_shape)
         self._rotated = np.empty(buffer_shape, dtype=np.complex128)
         self._q = np.empty(buffer_shape)
         self._work = np.empty((3, *buffer_shape))
-        self.ansatz = rbm.Ansatz(n, self._chunk)
+        self.ansatz = rbm.Ansatz(n, self.rotation.chunk)
 
     def initial_parameters(self, seed: int) -> np.ndarray:
         """The ansatz's seeded initial draw of one restart."""
@@ -176,13 +173,14 @@ class CostEngine:
         """
         theta = np.asarray(theta, dtype=float)
         stack = theta.reshape(-1, theta.shape[-1])
-        if len(stack) <= self._chunk:
+        chunk = self.rotation.chunk
+        if len(stack) <= chunk:
             costs, grads = self._evaluate(stack)
         else:
-            chunks = range(0, len(stack), self._chunk)
+            chunks = range(0, len(stack), chunk)
             costs, grads = map(
                 np.concatenate,
-                zip(*(self._evaluate(stack[i : i + self._chunk]) for i in chunks)),
+                zip(*(self._evaluate(stack[i : i + chunk]) for i in chunks)),
             )
         if theta.ndim == 1:
             return float(costs[0]), grads[0]
@@ -192,7 +190,7 @@ class CostEngine:
         """(m,) costs and (m, P) gradients of an (m, P) stack of one chunk."""
         members = len(theta)
         phi, psi, norm = self._states(theta)
-        rotated = self.rotation.forward(psi[:, :, None], out=self._rotated[:members])
+        rotated = self.rotation.forward(psi, out=self._rotated[:members])
         q = self._q[:members]
         q = np.square(np.abs(rotated, out=q), out=q)
         terms, g = cost_terms_and_grads(

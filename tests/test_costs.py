@@ -252,12 +252,12 @@ class TestStackedEvaluation:
         thetas = np.random.default_rng(6).uniform(-0.5, 0.5, (2, rbm.n_parameters(6)))
         for kept in ((), (ms.w_state(6),)):
             engine = costs.CostEngine(costs.CostSpec("l15"), data, kept)
-            assert engine._chunk == 1
+            assert engine.rotation.chunk == 1
             scored = []
             forward = engine.rotation.forward
 
             def spy(vectors, out):
-                scored.append(vectors[:, :, 0].copy())
+                scored.append(vectors.copy())
                 return forward(vectors, out=out)
 
             monkeypatch.setattr(engine.rotation, "forward", spy)
@@ -309,7 +309,7 @@ class TestEngineBuffers:
         for kind in costs.COST_KINDS:
             for kept in ((), orth):
                 engine = costs.CostEngine(costs.CostSpec(kind), data, kept)
-                assert engine._chunk == 2
+                assert engine.rotation.chunk == 2
                 _, grad = engine.value_and_grad(thetas[0])
                 values, grads = engine.value_and_grad(thetas)
                 saved = [grad.copy(), values.copy(), grads.copy()]

@@ -110,8 +110,8 @@ class TestProjectorProbabilities:
 
     @pytest.mark.parametrize("rank", [1, 3])
     def test_mixture_spanning_several_blocks(self, rank):
-        # At n = 6 each of the 27 prefix groups has 27 bases, and one
-        # BasisRotation.forward call holds whole groups of at most 256 // rank bases.
+        # At n = 6 the 729 bases exceed the 256 rotated vectors of a chunk, so
+        # each column is a one-member BasisRotation.forward call of its own.
         rng = np.random.default_rng(60 + rank)
         bases = ms.generate_basis_set(6, "full")
         vectors = np.linalg.qr(
@@ -123,6 +123,36 @@ class TestProjectorProbabilities:
         probs = ms.mixture_probabilities(weights, vectors, bases)
         assert probs.shape == (729, 64)
         assert np.allclose(probs, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, chunk", [(2, 28), (6, 1)], ids=["bell", "full-6"])
+    def test_mixture_independent_of_chunk_size(self, n, chunk, monkeypatch):
+        # Rank 3 on the Bell set (split 0, all three columns in one chunk) and
+        # on the 729 n = 6 bases (one column a chunk).  The terms
+        # w_k |U_b v_k|^2 are added in column order: the table is the
+        # column-ordered weighted sum of the rank-1 tables, bit for bit, with
+        # one column a chunk (_BLOCK_VECTORS = 1) or all in one (10^6).
+        rng = np.random.default_rng(90 + n)
+        bases = ms.generate_basis_set(n, "full")
+        dim = 2**n
+        vectors = np.linalg.qr(rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)))[0]
+        weights = rng.dirichlet(np.ones(3))
+        assert ms.BasisRotation(bases, n).chunk == chunk
+        default = ms.mixture_probabilities(weights, vectors, bases)
+        expected = np.zeros_like(default)
+        for weight, column in zip(weights, vectors.T):
+            expected += weight * ms.basis_probabilities(column, bases)
+        assert np.array_equal(default, expected)
+        for block in (1, 10**6):
+            monkeypatch.setattr(ms, "_BLOCK_VECTORS", block)
+            probs = ms.mixture_probabilities(weights, vectors, bases)
+            assert np.array_equal(probs, default), block
+
+    def test_empty_basis_list(self):
+        psi = random_pure(4, np.random.default_rng(5))
+        assert ms.basis_probabilities(psi, []).shape == (0, 4)
+        rotation = ms.BasisRotation([], 2)
+        assert rotation.forward(psi[None]).shape == (1, 1, 0, 4)
+        assert np.array_equal(rotation.adjoint(np.empty((1, 1, 0, 4))), np.zeros((1, 4)))
 
     def test_non_hermitian_rejected(self):
         mat = np.diag([1.0, 0.0]).astype(complex)
@@ -242,11 +272,24 @@ class TestPauliExpectations:
 
 
 def in_list_order(rotation, rotated) -> np.ndarray:
-    """``BasisRotation.forward`` output as (n_bases, r, 2^n), bases in list order."""
-    d_left, rank, n_bases, d_right = rotated.shape
-    out = np.empty((n_bases, rank, d_left * d_right), dtype=complex)
-    out[rotation.order] = rotated.transpose(2, 1, 0, 3).reshape(n_bases, rank, -1)
+    """``BasisRotation.forward`` output as (m, n_bases, 2^n), bases in list order."""
+    members, d_left, n_bases, d_right = rotated.shape
+    out = np.empty((members, n_bases, d_left * d_right), dtype=complex)
+    out[:, rotation.order] = rotated.transpose(0, 2, 1, 3).reshape(members, n_bases, -1)
     return out
+
+
+def per_qubit_rotations(bases, v) -> np.ndarray:
+    """(n_bases, 2^n) rows U_b v, each local 2 x 2 rotation applied to its own
+    axis of v as a (2,)^n tensor: the ``dense_rotation`` products without
+    forming a 2^n x 2^n matrix."""
+    n = len(bases[0])
+    out = np.broadcast_to(v.reshape((2,) * n), (len(bases),) + (2,) * n)
+    for k in range(n):
+        local = np.array([ms.local_rotation(basis[k]) for basis in bases])
+        moved = np.einsum("bij,b...j->b...i", local, np.moveaxis(out, k + 1, -1))
+        out = np.moveaxis(moved, -1, k + 1)
+    return out.reshape(len(bases), -1)
 
 
 def split_points(monkeypatch, n):
@@ -272,65 +315,67 @@ class TestRotateStates:
         bases = ms.generate_basis_set(n, mode, seed=n)
         dense = np.array([dense_rotation(basis) for basis in bases])
         psi = random_pure(2**n, rng)
-        pair = np.column_stack([psi, random_pure(2**n, rng)])
+        pair = np.stack([psi, random_pure(2**n, rng)])
         pulled = np.array([random_pure(2**n, rng) for _ in bases])
+        pulled_pair = np.stack([pulled, [random_pure(2**n, rng) for _ in bases]])
         for k in split_points(monkeypatch, n):
             rotation = ms.BasisRotation(bases, n)
             assert rotation.shape == (2**k, 2 ** (n - k))
-            for vectors in (psi[:, None], pair):
+            for vectors in (psi[None], pair):
                 got = in_list_order(rotation, rotation.forward(vectors))
-                want = np.einsum("bij,jk->bki", dense, vectors)
+                want = np.einsum("bij,mj->mbi", dense, vectors)
                 assert np.allclose(got, want, rtol=0, atol=1e-13)
-            got = rotation.adjoint(rotation.arrange(pulled))
-            want = np.einsum("bji,bj->i", dense, pulled)
-            assert np.allclose(got, want, rtol=0, atol=1e-13)
+            for stack in (pulled[None], pulled_pair):
+                got = rotation.adjoint(np.stack([rotation.arrange(x) for x in stack]))
+                want = np.einsum("bji,mbj->mi", dense, stack)
+                assert np.allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("mode", ["full", "compressed"])
     def test_unsorted_bases_and_adjoint_identity(self, n, mode, monkeypatch):
         # sum_b <y_b, U_b v> = <sum_b U_b^T y_b, v> (bilinear, no conjugation),
         # on a shuffled basis list, at every split point for n <= 6 (k = 0 is
-        # an empty left half) and at the modelled one for n = 7, 8.
+        # an empty left half) and at the modelled one for n = 7, 8.  The
+        # reference rotates qubit by qubit, as dense_rotation's products would.
         rng = np.random.default_rng(200 + n)
         bases = ms.generate_basis_set(n, mode, seed=n)
         bases = [bases[i] for i in rng.permutation(len(bases))]
         v = random_pure(2**n, rng)
-        want = np.array([dense_rotation(basis) @ v for basis in bases])
+        want = per_qubit_rotations(bases, v)
         y = rng.normal(size=want.shape) + 1j * rng.normal(size=want.shape)
         lhs = np.sum(y * want)
         for _ in split_points(monkeypatch, n) if n <= 6 else [None]:
             rotation = ms.BasisRotation(bases, n)
-            rotated = rotation.forward(v[:, None])
-            got = in_list_order(rotation, rotated)[:, 0]
+            got = in_list_order(rotation, rotation.forward(v[None]))[0]
             assert np.allclose(got, want, rtol=0, atol=1e-13)
-            rhs = rotation.adjoint(rotation.arrange(y)) @ v
+            rhs = rotation.adjoint(rotation.arrange(y)[None])[0] @ v
             assert abs(lhs - rhs) <= 1e-12 * np.sqrt(len(bases))
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_stack_members_bitwise_equal(self, n, monkeypatch):
-        # Each member of an (m, 2^n, r) stack, and of an (m, ...) adjoint
-        # stack, has the bits of its own unstacked call, at every split point.
+        # Each member of an (m, 2^n) stack, and of an (m, ...) adjoint stack,
+        # has the bits of its own one-member call, at every split point.
         rng = np.random.default_rng(150 + n)
         bases = ms.generate_basis_set(n, "full")
-        vectors = rng.normal(size=(3, 2**n, 2)) + 1j * rng.normal(size=(3, 2**n, 2))
+        vectors = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
         pulled = rng.normal(size=(3, len(bases), 2**n)) * (1 + 1j)
         for _ in split_points(monkeypatch, n):
             rotation = ms.BasisRotation(bases, n)
-            for rank in (1, 2):
-                stacked = rotation.forward(vectors[:, :, :rank])
-                for member in range(3):
-                    single = rotation.forward(vectors[member, :, :rank])
-                    assert np.array_equal(stacked[member], single)
             layouts = np.stack([rotation.arrange(x) for x in pulled])
-            summed = rotation.adjoint(layouts)
-            assert summed.shape == (3, 2**n)
-            for member in range(3):
-                assert np.array_equal(summed[member], rotation.adjoint(layouts[member]))
+            for size in (2, 3):
+                stacked = rotation.forward(vectors[:size])
+                summed = rotation.adjoint(layouts[:size])
+                assert summed.shape == (size, 2**n)
+                for member in range(size):
+                    single = rotation.forward(vectors[member : member + 1])
+                    assert np.array_equal(stacked[member], single[0])
+                    single = rotation.adjoint(layouts[member : member + 1])
+                    assert np.array_equal(summed[member], single[0])
 
     def test_forward_into_given_buffer(self):
         rng = np.random.default_rng(8)
         rotation = ms.BasisRotation(ms.generate_basis_set(4, "compressed", 7), 4)
-        vectors = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+        vectors = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
         want = rotation.forward(vectors)
         buffer = np.empty_like(want)
         assert rotation.forward(vectors, out=buffer) is buffer
@@ -339,8 +384,9 @@ class TestRotateStates:
     def test_inputs_untouched(self):
         rng = np.random.default_rng(7)
         rotation = ms.BasisRotation(ms.generate_basis_set(3), 3)
-        vectors = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
-        pulled = rng.normal(size=(2, 1, 27, 4)) + 1j * rng.normal(size=(2, 1, 27, 4))
+        layout = (2, rotation.shape[0], 27, rotation.shape[1])
+        vectors = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        pulled = rng.normal(size=layout) + 1j * rng.normal(size=layout)
         before = vectors.copy(), pulled.copy()
         rotation.forward(vectors)
         rotation.adjoint(pulled)
