@@ -104,7 +104,9 @@ class CostEngine:
     the trainer descends on; ``value_and_grad`` gives the total cost and its
     exact gradient in that layout, for one vector or for each row of an
     (R, P) stack.  ``ansatz`` evaluates the RBM states phi and finishes the
-    gradient; the engine owns the rotation, the cost and the kept states.
+    gradient; the engine holds the rotation (the read-only instance that
+    ``measurement.basis_rotation`` shares for the dataset's basis list), and
+    owns the cost and the kept states.
     With k > 0 kept states, the rows of the (k, 2^n) matrix V, it fits
     psi = P phi / |P phi|, P = I - V^T conj(V): orthogonal to every kept
     state by construction.  The states psi of a stack go through
@@ -130,7 +132,7 @@ class CostEngine:
         require_orthonormal(self.kept.T, "kept states")
         self.spec = spec
         self.n_qubits = n
-        self.rotation = measurement.BasisRotation(data.bases, n)
+        self.rotation = measurement.basis_rotation(data.bases, n)
         probs = self.rotation.arrange(data.probabilities)
         buffer_shape = (self.rotation.chunk, *probs.shape)
         #: The dataset probabilities, repeated for each member of a chunk.

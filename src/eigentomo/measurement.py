@@ -13,10 +13,13 @@ each U_b into a dense left factor on the first k qubits and a dense right
 factor on the others, and applies each distinct left factor once per pass.
 A fixed cost model picks k for each basis list (small registers take k = 0,
 one dense unitary per basis and no per-prefix loop).  Both passes take a
-stack of state vectors, one batch axis: single states (the eigenvalue
-estimate, the discard count, the deflation, the figure grids), the
-eigenstates of a ``SpectralApprox`` (the likelihood) and the states of a
-``CostEngine`` parameter stack.
+stack of state vectors, one batch axis: single states (a reconstruct step's
+outcome table, the figure grids), the eigenstates of a ``SpectralApprox``
+(the likelihood) and the states of a ``CostEngine`` parameter stack.
+``basis_rotation`` builds the kernel once per basis list and shares it:
+every ``CostEngine`` of a reconstruct and every ``mixture_probabilities``
+call on its bases use one instance, whose factor and index arrays are
+read-only.
 
 The input's representation picks how outcome probabilities are computed.
 A weighted set of states (a pure state, a ``SpectralApprox``) goes through
@@ -164,6 +167,8 @@ class BasisRotation:
     the layout of one member.  Each member goes through the matmuls of a
     one-member call, so it has the same bits.  ``chunk`` is the stack size
     that rotates at most ``_BLOCK_VECTORS`` vectors (at least one member).
+    The factor and index arrays are read-only, since ``basis_rotation``
+    shares one instance among all its callers.
     """
 
     def __init__(self, bases, n_qubits: int):
@@ -192,10 +197,12 @@ class BasisRotation:
         # Per prefix group, [R_b1; ...; R_bk] with rows (b, j) = row j of R_b;
         # its transpose is [R_b1^T ... R_bk^T].
         right = _kron_rotations(suffixes)[suffix[self.order]].reshape(-1, d_right)
-        self._columns = [
+        self._columns = tuple(
             slice(a * d_right, b * d_right) for a, b in zip(bounds, bounds[1:])
-        ]
-        self._right = [right[cols] for cols in self._columns]
+        )
+        self._right = tuple(right[cols] for cols in self._columns)
+        for array in (self.order, self._left, self._left_t, right, *self._right):
+            array.setflags(write=False)
 
     def arrange(self, table: np.ndarray) -> np.ndarray:
         """A (n_bases, 2^n) table with rows in list order, in the layout of
@@ -243,20 +250,33 @@ class BasisRotation:
         return (self._left_t @ sums.reshape(members, -1, d_right)).reshape(members, -1)
 
 
+@lru_cache(maxsize=1)
+def basis_rotation(bases: tuple[str, ...], n_qubits: int) -> BasisRotation:
+    """The ``BasisRotation`` of a basis list, built once and shared.
+
+    A one-entry memo keyed by ``(bases, n_qubits)``: a reconstruct rotates one
+    basis list throughout, so every step's ``costs.CostEngine`` and every
+    ``mixture_probabilities`` call get the same read-only instance.  Another
+    list replaces it.  ``bases`` must be a tuple (hashable).
+    """
+    return BasisRotation(bases, n_qubits)
+
+
 def mixture_probabilities(weights, vectors, bases) -> np.ndarray:
     """(n_bases, 2^n) table of sum_k w_k |U_b v_k|^2 over the columns v_k of
     ``vectors``.
 
-    The columns go through ``BasisRotation.forward`` as stack members, in
-    chunks of ``BasisRotation.chunk``, and the terms w_k |U_b v_k|^2 are added
-    in column order, so the table does not depend on the chunk size.
+    The columns go through the ``forward`` pass of the shared
+    ``basis_rotation`` of ``bases`` as stack members, in chunks of
+    ``BasisRotation.chunk``, and the terms w_k |U_b v_k|^2 are added in
+    column order, so the table does not depend on the chunk size.
     """
     w = np.asarray(weights, dtype=float)
     dim, rank = np.shape(vectors)
     if w.shape != (rank,):
         raise ValueError(f"weights of shape {w.shape} do not match {rank} vectors")
     v = np.ascontiguousarray(np.transpose(vectors), dtype=np.complex128)
-    rotation = BasisRotation(bases, qubit_count(dim))
+    rotation = basis_rotation(tuple(bases), qubit_count(dim))
     d_left, d_right = rotation.shape
     table = np.zeros((d_left, len(rotation.order), d_right))
     for start in range(0, rank, rotation.chunk):

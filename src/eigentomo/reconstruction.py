@@ -5,10 +5,18 @@ orthogonal complement of the states already kept (``costs.CostEngine``
 projects the ansatz state there), estimates its eigenvalue as the
 nonnegativity-safe minimum ratio of measured to predicted projector
 probability (leaving out the records that earlier steps deflated to zero),
-subtracts the pair from the statistics, and renormalizes.  From the second step on, a step is kept only
-if it strictly improves the data likelihood of the assembled approximation,
-a ``SpectralApprox``: the kept weights as one array and the kept states as
-the orthonormal columns of one matrix, the array form of ``states.Spectrum``.
+subtracts the pair from the statistics, and renormalizes.  From the second
+step on, a step is kept only if it strictly improves the data likelihood of
+the assembled approximation, a ``SpectralApprox``: the kept weights as one
+array and the kept states as the orthonormal columns of one matrix, the
+array form of ``states.Spectrum``.
+
+``reconstruct`` computes each step's outcome table (the fitted state's
+outcome probabilities on the dataset's bases) once and hands it to the
+eigenvalue estimate, the discard count and the deflation through their
+``predicted`` argument.  Every table and likelihood, like every step's
+``costs.CostEngine``, rotates through the one read-only
+``measurement.basis_rotation`` of the dataset's basis list.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import numpy as np
 
 from . import measurement
 from .measurement import MeasurementDataset
+# ``fidelity`` is bound here by name: the benchmark's layer tracer
+# (benchmark/layers.py) wraps it at this lookup site.
 from .states import DensityMatrix, Spectrum, StateVector, eigendecompose, fidelity
 from .states import GRAM_ATOL, gram_deviation, qubit_count, require_orthonormal
 from .training import TrainConfig, train_next_eigenstate
@@ -135,6 +145,7 @@ def estimate_dominant_eigenvalue(
     psi: StateVector,
     floor: float = DEFAULT_FLOOR,
     excluded: Sequence[int] | None = None,
+    predicted: np.ndarray | None = None,
 ) -> tuple[float, int]:
     """Nonnegativity-safe eigenvalue estimate for a trained eigenstate.
 
@@ -142,10 +153,13 @@ def estimate_dominant_eigenvalue(
     and not among the flat record indices ``excluded``) of the ratio
     measured/predicted, clamped into [0, 1].  Returns the value and the flat
     index of the minimizing record; ties go to the smallest index.
+    ``predicted`` is psi's outcome table on the dataset's bases, computed
+    here when not given.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
-    predicted = _predicted_probabilities(data, psi)
+    if predicted is None:
+        predicted = _predicted_probabilities(data, psi)
     mask = _guarded(predicted, floor, excluded)
     if not mask.any():
         detail = f" outside the excluded records {sorted(excluded)}" if excluded else ""
@@ -165,6 +179,7 @@ def deflate(
     p_hat: float,
     floor: float | None = None,
     excluded: Sequence[int] | None = None,
+    predicted: np.ndarray | None = None,
 ) -> MeasurementDataset:
     """Subtract a weighted eigenstate contribution from the statistics.
 
@@ -174,11 +189,13 @@ def deflate(
     and ``excluded``: records below the floor or excluded from the estimate
     carried no nonnegativity guarantee, so they are clamped at zero without
     triggering the overestimation error.  Per-basis rows are renormalized to
-    sum to one afterwards.
+    sum to one afterwards.  ``predicted`` is psi's outcome table, as in
+    ``estimate_dominant_eigenvalue``.
     """
     if not 0 <= p_hat < 1:
         raise ValueError(f"p_hat must lie in [0, 1), got {p_hat}")
-    predicted = _predicted_probabilities(data, psi)
+    if predicted is None:
+        predicted = _predicted_probabilities(data, psi)
     deflated = (data.probabilities - p_hat * predicted) / (1.0 - p_hat)
     guarded = deflated[_guarded(predicted, floor, excluded)]
     low = float(guarded.min()) if guarded.size else 0.0
@@ -276,10 +293,13 @@ def reconstruct(
         )
         psi, log = train_next_eigenstate(current, kept, config)
         notes.extend(f"step {step}: {note}" for note in log.diagnostics)
+        # psi's outcome table, once per step: for the estimate, the discard
+        # count and the deflation.
+        predicted = _predicted_probabilities(current, psi)
         weight_raw, argmin_record = estimate_dominant_eigenvalue(
-            current, psi, floor, excluded
+            current, psi, floor, excluded, predicted
         )
-        discarded = int((_predicted_probabilities(current, psi) < floor).sum())
+        discarded = int((predicted < floor).sum())
         weight = weight_raw * remaining
         if step == 1 and weight_raw <= 0.0:
             raise ValueError(
@@ -354,7 +374,9 @@ def reconstruct(
         if 1.0 - weight_raw < 1e-9:
             notes.append(f"step {step} exhausted the statistics; stopping early")
             break
-        deflated = deflate(current, psi, weight_raw, floor=floor, excluded=excluded)
+        deflated = deflate(current, psi, weight_raw, floor, excluded, predicted)
+        # Freed before the next step's fit.
+        del predicted
         zeroed = (deflated.probabilities == 0) & (current.probabilities > 0)
         excluded = tuple(
             sorted({*excluded, argmin_record, *np.flatnonzero(zeroed).tolist()})
@@ -362,4 +384,7 @@ def reconstruct(
         current = deflated
         remaining *= 1.0 - weight_raw
 
+    # The shared rotation served every step.  Dropped here, it does not stay
+    # alive into the caller's next work, such as loading another dataset.
+    measurement.basis_rotation.cache_clear()
     return approx, IterationReport(steps, notes)

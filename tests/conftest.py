@@ -99,6 +99,14 @@ def w4_rho() -> st.DensityMatrix:
     return ms.make_w_mixture(4, [0.860, 0.063, 0.037], seed=7)
 
 
+@pytest.fixture(autouse=True)
+def fresh_rotation_memo():
+    """Each test starts without a shared ``measurement.basis_rotation``, so no
+    test rotates with one that another test built, under a patched chunk
+    size or split point, say."""
+    ms.basis_rotation.cache_clear()
+
+
 @pytest.fixture
 def inflated_fidelities(monkeypatch):
     """Make the proposition checks see every fidelity 0.02 too high: the

@@ -221,6 +221,45 @@ class TestReconstructCommand:
         record = dict(zip(*read_csv(tmp_path / "rec" / "report.csv")))
         assert float(record["p1"]) == pytest.approx(0.9, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "synth_flags",
+        [
+            ["--preset", "bell-mixture"],
+            ["--preset", "bell-mixture", "--shots", "10000", "--seed", "11"],
+            ["--w", "4", "--spectrum", "0.860,0.063,0.037", "--bases", "compressed",
+             "--seed", "7"],
+        ],
+        ids=["bell", "bell-shots", "w4-compressed"],
+    )
+    def test_report_fidelity_matches_generic_path(self, tmp_path, synth_flags):
+        # The report takes F from the approximation's rank-r frame; it equals
+        # the fidelity of the assembled density matrix up to round-off, and
+        # the relative fidelity is that F over kappa.
+        synth_dir, rec_dir = tmp_path / "synth", tmp_path / "rec"
+        assert cli.main(["synth", *synth_flags, "--out-dir", str(synth_dir)]) == 0
+        code = cli.main(
+            ["reconstruct", "--dataset", str(synth_dir / "dataset.jsonl"),
+             "--truth", str(synth_dir / "state.json"), "--max-rank", "2",
+             "--floor", "1e-2", "--epochs", "300", "--restarts", "1",
+             "--seed", "3", "--out-dir", str(rec_dir)]
+        )
+        assert code == 0
+        pairs = json.loads((rec_dir / "result.json").read_text())["pairs"]
+        columns = [
+            np.array(pair["state"]["re"]) + 1j * np.array(pair["state"]["im"])
+            for pair in pairs
+        ]
+        approx = reconstruction.SpectralApprox(
+            [pair["p"] for pair in pairs], np.column_stack(columns)
+        )
+        assert approx.rank == 2
+        truth = st.load_density_matrix(synth_dir / "state.json")
+        generic = st.fidelity(truth, approx.density_matrix())
+        kappa = st.eigendecompose(truth).leading_weight(2)
+        record = dict(zip(*read_csv(rec_dir / "report.csv")))
+        assert abs(float(record["fidelity"]) - generic) <= 1e-12
+        assert abs(float(record["relative_fidelity"]) - generic / kappa) <= 1e-12
+
     def test_missing_dataset_flag_usage_error(self, tmp_path):
         proc = run_cli("reconstruct", "--out-dir", tmp_path, check=False)
         assert proc.returncode == 2

@@ -260,8 +260,11 @@ class TestStackedEvaluation:
                 scored.append(vectors.copy())
                 return forward(vectors, out=out)
 
-            monkeypatch.setattr(engine.rotation, "forward", spy)
-            engine.value_and_grad(thetas)
+            # Both engines share one rotation: each spy is undone before the
+            # next engine's.
+            with monkeypatch.context() as patch:
+                patch.setattr(engine.rotation, "forward", spy)
+                engine.value_and_grad(thetas)
             assert len(scored) == 2
             for theta, psi in zip(thetas, scored):
                 assert np.array_equal(engine.wavefunction(theta), psi[0])

@@ -144,6 +144,9 @@ class TestProjectorProbabilities:
         assert np.array_equal(default, expected)
         for block in (1, 10**6):
             monkeypatch.setattr(ms, "_BLOCK_VECTORS", block)
+            # The shared rotation fixed its chunk when it was built.
+            ms.basis_rotation.cache_clear()
+            assert ms.basis_rotation(tuple(bases), n).chunk == max(1, block // len(bases))
             probs = ms.mixture_probabilities(weights, vectors, bases)
             assert np.array_equal(probs, default), block
 
@@ -392,6 +395,36 @@ class TestRotateStates:
         rotation.adjoint(pulled)
         assert np.array_equal(vectors, before[0])
         assert np.array_equal(pulled, before[1])
+
+
+class TestSharedRotation:
+    """``basis_rotation`` builds one read-only ``BasisRotation`` per basis list
+    and hands it to every caller."""
+
+    @pytest.mark.parametrize(
+        "n, bases",
+        [(2, ms.generate_basis_set(2)), (8, ms.generate_basis_set(8, "compressed", 7))],
+        ids=["bell-split-0", "w8-split-4"],
+    )
+    def test_factor_and_index_arrays_read_only(self, n, bases):
+        rotation = ms.basis_rotation(tuple(bases), n)
+        arrays = [rotation.order, rotation._left, rotation._left_t, *rotation._right]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+    def test_memo_returns_one_object_per_basis_list(self):
+        bell, other = ms.generate_basis_set(2), ["xx", "zz"]
+        shared = ms.basis_rotation(tuple(bell), 2)
+        assert ms.basis_rotation(tuple(bell), 2) is shared
+        assert ms.basis_rotation(tuple(list(bell)), 2) is shared
+        replaced = ms.basis_rotation(tuple(other), 2)
+        assert replaced is not shared
+        assert len(replaced.order) == 2
+        # One entry: the first list is built anew after another one.
+        rebuilt = ms.basis_rotation(tuple(bell), 2)
+        assert rebuilt is not shared and rebuilt is not replaced
 
 
 class TestSplitPoint:

@@ -306,6 +306,33 @@ class TestRelativeFidelity:
 
 
 class TestReconstruct:
+    def test_one_rotation_and_one_table_per_step(self, bell_dataset, monkeypatch):
+        # A rank-2 Bell run builds one BasisRotation, for both steps' cost
+        # engines and every table.  Each step computes its state's outcome
+        # table once (for the estimate, the discard count and the deflation)
+        # and one likelihood: four kernel calls, of ranks 1, 1, 1 and 2.
+        builds, ranks = [], []
+        init, mixture = ms.BasisRotation.__init__, ms.mixture_probabilities
+
+        def counting_init(rotation, *args):
+            builds.append(args)
+            init(rotation, *args)
+
+        def counting_mixture(weights, vectors, bases):
+            ranks.append(np.shape(vectors)[1])
+            return mixture(weights, vectors, bases)
+
+        monkeypatch.setattr(ms.BasisRotation, "__init__", counting_init)
+        monkeypatch.setattr(ms, "mixture_probabilities", counting_mixture)
+        config = quick_config(seed=3, max_epochs=300)
+        approx, report = rc.reconstruct(bell_dataset, 2, config, floor=1e-2)
+        assert [step.accepted for step in report.steps] == [True, True]
+        assert approx.rank == 2
+        assert len(builds) == 1
+        assert ranks == [1, 1, 1, 2]
+        # The shared rotation does not outlive the run.
+        assert ms.basis_rotation.cache_info().currsize == 0
+
     def test_pure_state_data_adds_no_second_pair(self):
         target = ms.bell_states()[0]
         data = ms.exact_dataset(
