@@ -8,8 +8,10 @@ verify       run the randomized optimality-bound checks over a state corpus
 figdata      emit cost-comparison and entropy grids as CSV
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 verification
-failure.  Every command writes a ``manifest.json`` with the resolved flags;
-re-running the recorded argv reproduces all outputs byte-identically in
+failure.  Each ``cmd_*`` returns its exit code with the files it read and
+wrote; ``main`` times the command and, unless it raised, writes the one
+``manifest.json`` with the resolved flags, those files and the duration.
+Re-running the recorded argv reproduces all outputs byte-identically in
 exact mode.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -87,7 +90,7 @@ def _recorded_argv(args) -> list[str]:
     return argv
 
 
-def _write_manifest(args, inputs, outputs, started) -> None:
+def _write_manifest(args, inputs, outputs, duration_s: float) -> None:
     flags = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -100,7 +103,7 @@ def _write_manifest(args, inputs, outputs, started) -> None:
         "flags": flags,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "duration_s": time.monotonic() - started,
+        "duration_s": duration_s,
     }
     jsonio.dump(manifest, os.path.join(args.out_dir, "manifest.json"))
 
@@ -110,8 +113,7 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
+def cmd_synth(args) -> tuple[int, list, list]:
     if args.preset == "bell-mixture":
         rho = measurement.bell_mixture(BELL_SPECTRUM)
         target = measurement.bell_states()[0]
@@ -136,12 +138,11 @@ def cmd_synth(args) -> int:
     save_density_matrix(state_path, rho)
     save_state_vector(target_path, target)
     dataset.save_jsonl(dataset_path)
-    _write_manifest(args, [], [state_path, target_path, dataset_path], started)
     print(
         f"synth: {rho.n_qubits} qubits, {len(bases)} bases, "
         f"{dataset.n_records} records -> {args.out_dir}"
     )
-    return 0
+    return 0, [], [state_path, target_path, dataset_path]
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -185,8 +186,7 @@ def _table_row(approx, report, truth, spectrum, target) -> dict:
     return row
 
 
-def cmd_reconstruct(args) -> int:
-    started = time.monotonic()
+def cmd_reconstruct(args) -> tuple[int, list, list]:
     dataset = measurement.MeasurementDataset.load_jsonl(args.dataset)
     truth = load_density_matrix(args.truth) if args.truth else None
     target = load_state_vector(args.target) if args.target else None
@@ -213,7 +213,6 @@ def cmd_reconstruct(args) -> int:
     )
 
     result_path = _out_path(args, "result.json")
-    report_doc = report.as_dict()
     jsonio.dump(
         {
             "pairs": [
@@ -223,8 +222,8 @@ def cmd_reconstruct(args) -> int:
                 }
                 for p, column in zip(approx.weights.tolist(), approx.vectors.T)
             ],
-            "report": report_doc["steps"],
-            "notes": report_doc["notes"],
+            "report": [dataclasses.asdict(s) for s in report.steps],
+            "notes": report.notes,
         },
         result_path,
     )
@@ -233,17 +232,15 @@ def cmd_reconstruct(args) -> int:
     report_path = _out_path(args, "report.csv")
     _write_csv(report_path, REPORT_COLUMNS, [[_fmt(row[k]) for k in REPORT_COLUMNS]])
 
-    inputs = [args.dataset] + [p for p in (args.truth, args.target) if p]
-    _write_manifest(args, inputs, [result_path, report_path], started)
     summary = ", ".join(
         f"p{s.step}={s.weight:.4f}" for s in report.steps if s.accepted
     )
     print(f"reconstruct: rank {approx.rank} ({summary}) -> {args.out_dir}")
-    return 0
+    inputs = [args.dataset] + [p for p in (args.truth, args.target) if p]
+    return 0, inputs, [result_path, report_path]
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args) -> tuple[int, list, list]:
     dims = tuple(int(d) for d in args.dims.split(","))
     corpus = propositions.default_corpus(
         seed=args.seed, states_per_dim=args.states_per_dim, dims=dims
@@ -266,20 +263,17 @@ def cmd_verify(args) -> int:
         }
     jsonio.dump(doc, report_path)
 
-    _write_manifest(args, [], [report_path], started)
     status = "pass" if result.passed else "FAIL"
     print(
         f"verify: {len(corpus)} states, max violation "
         f"{result.max_violation():.3e} -> {status}"
     )
-    return 0 if result.passed else 3
+    return (0 if result.passed else 3), [], [report_path]
 
 
-def cmd_figdata(args) -> int:
-    started = time.monotonic()
+def cmd_figdata(args) -> tuple[int, list, list]:
     rho = load_density_matrix(args.state)
     bases = measurement.generate_basis_set(rho.n_qubits, args.bases, args.seed)
-    outputs = []
     if args.mode == "fig3":
         rows, correlations = figures.cost_comparison_grid(
             rho,
@@ -290,24 +284,17 @@ def cmd_figdata(args) -> int:
             strength_max=args.strength_max,
             floor=args.floor,
         )
+        # The scalar fields of a row in declaration order, then one cost each.
+        scalars = [
+            f.name for f in dataclasses.fields(figures.CostGridRow) if f.name != "costs"
+        ]
         grid_path = _out_path(args, "fig3.csv")
         _write_csv(
             grid_path,
-            ["index", "strength", "fidelity", "eps_fidelity", "p1_estimate", "eps_p1"]
-            + [f"cost_{kind}" for kind in figures.GRID_COSTS],
+            scalars + [f"cost_{kind}" for kind in figures.GRID_COSTS],
             (
-                [
-                    _fmt(value)
-                    for value in (
-                        row.index,
-                        row.strength,
-                        row.fidelity,
-                        row.eps_fidelity,
-                        row.p1_estimate,
-                        row.eps_p1,
-                        *(row.costs[kind] for kind in figures.GRID_COSTS),
-                    )
-                ]
+                [_fmt(getattr(row, name)) for name in scalars]
+                + [_fmt(row.costs[kind]) for kind in figures.GRID_COSTS]
                 for row in rows
             ),
         )
@@ -343,9 +330,7 @@ def cmd_figdata(args) -> int:
         print(
             f"figdata fig4: entropy reduced in {reduced}/{len(entropy_rows)} bases"
         )
-
-    _write_manifest(args, [args.state], outputs, started)
-    return 0
+    return 0, [args.state], outputs
 
 
 def _bounded(convert, strict: bool, limit=math.inf, limit_name: str = ""):
@@ -510,8 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        code, inputs, outputs = args.func(args)
+        _write_manifest(args, inputs, outputs, time.monotonic() - started)
+        return code
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -176,14 +176,10 @@ class CostEngine:
         theta = np.asarray(theta, dtype=float)
         stack = theta.reshape(-1, theta.shape[-1])
         chunk = self.rotation.chunk
-        if len(stack) <= chunk:
-            costs, grads = self._evaluate(stack)
-        else:
-            chunks = range(0, len(stack), chunk)
-            costs, grads = map(
-                np.concatenate,
-                zip(*(self._evaluate(stack[i : i + chunk]) for i in chunks)),
-            )
+        costs, grads = np.empty(len(stack)), np.empty(stack.shape)
+        for start in range(0, len(stack), chunk):
+            part = slice(start, start + chunk)
+            costs[part], grads[part] = self._evaluate(stack[part])
         if theta.ndim == 1:
             return float(costs[0]), grads[0]
         return costs, grads

@@ -78,8 +78,10 @@ def cost_comparison_grid(
             rotation = measurement._random_rotation(dominant.size, float(strength), rng)
             psi = StateVector.normalized(rotation @ dominant)
         fid = float(abs(dominant_state.overlap(psi)) ** 2)
-        estimate, _ = reconstruction.estimate_dominant_eigenvalue(data, psi, floor)
         q = measurement.basis_probabilities(psi.amplitudes, data.bases)
+        estimate, _ = reconstruction.estimate_dominant_eigenvalue(
+            data, psi, floor, predicted=q
+        )
         costs = {
             kind: _grid_cost(kind, data.probabilities, q)
             for kind in GRID_COSTS

@@ -449,29 +449,38 @@ class MeasurementDataset:
                 f"probabilities shape {probs.shape} does not match "
                 f"({len(bases)}, {dim})"
             )
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("record probabilities must be finite")
-        if probs.size and probs.min() < PROBABILITY_FLOOR:
-            raise ValueError("a record probability is below the negativity floor")
+
+        def reject(bad_rows: np.ndarray, message: str) -> None:
+            """Raise ``message`` for the first basis whose row is flagged."""
+            if bad_rows.any():
+                raise ValueError(f"basis {bases[np.argmax(bad_rows)]!r}: {message}")
+
+        reject(~np.isfinite(probs).all(axis=1), "record probabilities must be finite")
+        reject(
+            probs.min(axis=1) < PROBABILITY_FLOOR,
+            "a record probability is below the negativity floor",
+        )
         probs = np.clip(probs, 0.0, None)
-        if probs.size:
-            sums = probs.sum(axis=1)
-            if np.abs(sums - 1.0).max() > BASIS_SUM_ATOL:
-                raise ValueError("per-basis probabilities do not sum to 1")
+        reject(
+            np.abs(probs.sum(axis=1) - 1.0) > BASIS_SUM_ATOL,
+            "per-basis probabilities do not sum to 1",
+        )
         counts = self.counts
         if counts is not None:
             counts = np.array(counts, dtype=np.int64)
-            if counts.shape != probs.shape or counts.min() < 0:
-                raise ValueError("invalid shot-count array")
+            if counts.shape != probs.shape:
+                raise ValueError(
+                    f"invalid shot-count array of shape {counts.shape}, "
+                    f"expected {probs.shape}"
+                )
+            reject(counts.min(axis=1) < 0, "invalid shot-count array: a count is negative")
             totals = counts.sum(axis=1)
             if np.any(totals == 0):
                 raise ValueError(f"sampled basis {bases[np.argmin(totals)]!r} has no shots")
-            off = np.abs(probs - counts / totals[:, None]).max(axis=1) > COUNT_RATIO_ATOL
-            if np.any(off):
-                raise ValueError(
-                    f"basis {bases[np.argmax(off)]!r}: record probabilities "
-                    "disagree with the shot counts"
-                )
+            reject(
+                np.abs(probs - counts / totals[:, None]).max(axis=1) > COUNT_RATIO_ATOL,
+                "record probabilities disagree with the shot counts",
+            )
             counts.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "bases", bases)
@@ -525,13 +534,20 @@ class MeasurementDataset:
         ``n_qubits`` must be an integer up to the exact-mode cap, its ``mode``
         "exact" or "sampled" and its ``seed`` an integer or null.  Each
         non-blank line must hold one JSON value, and each record an object
-        with a valid ``basis``, a number ``p`` within float64 and a ``shots``
-        that is null in every record or an integer within int64 in every
+        with a valid ``basis``, a finite number ``p`` and a ``shots`` that is
+        null in every record or a nonnegative integer within int64 in every
         record (booleans are neither).  Any other file, one out of order or
-        ending inside a block included, raises ValueError naming the record.
+        ending inside a block included, raises ValueError naming the header
+        or the record; a non-finite ``p`` or a negative ``shots`` is found
+        once the file is read, and a basis whose records break a rule of
+        ``MeasurementDataset`` is named by its label.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            header = next((json.loads(line) for line in fh if line.strip()), None)
+            try:
+                header = next((json.loads(line) for line in fh if line.strip()), None)
+            except json.JSONDecodeError as exc:
+                message = exc.msg.removesuffix(" at")
+                raise ValueError(f"header: {message} at column {exc.pos + 1}") from None
             if not isinstance(header, dict):
                 raise ValueError(f"dataset file {path} has no header object")
             n_qubits = header.get("n_qubits")
@@ -617,14 +633,24 @@ class MeasurementDataset:
                 f"basis {bases[-1]!r} lists {r % dim} outcomes, expected {dim}: "
                 f"the file ends after record {r}"
             )
-        return cls(
-            n_qubits,
-            tuple(bases),
-            np.array([probs for probs, _ in rows]).reshape(-1, dim),
-            np.array([counts for _, counts in rows]) if have_counts else None,
-            mode,
-            seed,
-        )
+        probs = np.array([probs for probs, _ in rows]).reshape(-1, dim)
+        counts = np.array([counts for _, counts in rows]) if have_counts else None
+        # Python's json reads NaN and Infinity, which are no JSON numbers, and
+        # a number beyond float64's range as infinity.  Record k is flat entry
+        # k - 1 of the tables.
+        bad = np.flatnonzero(~np.isfinite(probs))
+        if bad.size:
+            raise ValueError(
+                f"record {bad[0] + 1}: p must be finite, got {float(probs.flat[bad[0]])!r}"
+            )
+        if have_counts:
+            bad = np.flatnonzero(counts < 0)
+            if bad.size:
+                raise ValueError(
+                    f"record {bad[0] + 1}: shots must be nonnegative, "
+                    f"got {int(counts.flat[bad[0]])}"
+                )
+        return cls(n_qubits, tuple(bases), probs, counts, mode, seed)
 
 
 def _record_values(lines):

@@ -22,7 +22,7 @@ eigenvalue estimate, the discard count and the deflation through their
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,14 +112,14 @@ class StepRecord:
 
 @dataclass
 class IterationReport:
+    """Every step's record, in step order, and the run's notes.
+
+    ``cli``'s ``result.json`` writes ``dataclasses.asdict`` of each step
+    under ``"report"`` and the notes under ``"notes"``.
+    """
+
     steps: list[StepRecord]
     notes: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "steps": [asdict(s) for s in self.steps],
-            "notes": list(self.notes),
-        }
 
 
 def _predicted_probabilities(data: MeasurementDataset, psi: StateVector) -> np.ndarray:
@@ -287,104 +287,107 @@ def reconstruct(
     # Log-likelihood of the kept steps: the ``after`` of the last one.
     kept_likelihood = None
 
-    for step in range(1, max_rank + 1):
-        config = replace(
-            train_config, seed=train_config.seed + (step - 1) * STEP_SEED_STRIDE
-        )
-        psi, log = train_next_eigenstate(current, kept, config)
-        notes.extend(f"step {step}: {note}" for note in log.diagnostics)
-        # psi's outcome table, once per step: for the estimate, the discard
-        # count and the deflation.
-        predicted = _predicted_probabilities(current, psi)
-        weight_raw, argmin_record = estimate_dominant_eigenvalue(
-            current, psi, floor, excluded, predicted
-        )
-        discarded = int((predicted < floor).sum())
-        weight = weight_raw * remaining
-        if step == 1 and weight_raw <= 0.0:
-            raise ValueError(
-                "dominant eigenvalue estimate is zero: a zero-probability "
-                "record retains predicted weight above the floor; raise the "
-                "floor above the training-error scale"
+    try:
+        for step in range(1, max_rank + 1):
+            config = replace(
+                train_config, seed=train_config.seed + (step - 1) * STEP_SEED_STRIDE
             )
-        columns = np.column_stack([s.amplitudes for s in (*kept, psi)])
-        deviation = gram_deviation(columns)
-        before = kept_likelihood
-        after, accepted = None, False
-        if kept and weight == 0.0:
-            # A zero-weight column still changes the likelihood's round-off,
-            # so the likelihood cannot be trusted to turn the step down.
-            notes.append(f"step {step} rejected: its eigenvalue estimate is 0")
-        elif kept and not deviation <= GRAM_ATOL:
-            # The fit drifted into the span of the kept states, where the
-            # projection keeps only round-off orthogonality over |P phi|.
-            notes.append(
-                f"step {step} rejected: its state is not orthogonal to the kept "
-                f"states (Gram deviation {deviation:.3g} > {GRAM_ATOL:g})"
+            psi, log = train_next_eigenstate(current, kept, config)
+            notes.extend(f"step {step}: {note}" for note in log.diagnostics)
+            # psi's outcome table, once per step: for the estimate, the discard
+            # count and the deflation.
+            predicted = _predicted_probabilities(current, psi)
+            weight_raw, argmin_record = estimate_dominant_eigenvalue(
+                current, psi, floor, excluded, predicted
             )
-        else:
-            candidate = SpectralApprox([*weights, weight], columns)
-            after = log_likelihood(candidate, data)
-            accepted = before is None or after > before
+            discarded = int((predicted < floor).sum())
+            weight = weight_raw * remaining
+            if step == 1 and weight_raw <= 0.0:
+                raise ValueError(
+                    "dominant eigenvalue estimate is zero: a zero-probability "
+                    "record retains predicted weight above the floor; raise the "
+                    "floor above the training-error scale"
+                )
+            columns = np.column_stack([s.amplitudes for s in (*kept, psi)])
+            deviation = gram_deviation(columns)
+            before = kept_likelihood
+            after, accepted = None, False
+            if kept and weight == 0.0:
+                # A zero-weight column still changes the likelihood's round-off,
+                # so the likelihood cannot be trusted to turn the step down.
+                notes.append(f"step {step} rejected: its eigenvalue estimate is 0")
+            elif kept and not deviation <= GRAM_ATOL:
+                # The fit drifted into the span of the kept states, where the
+                # projection keeps only round-off orthogonality over |P phi|.
+                notes.append(
+                    f"step {step} rejected: its state is not orthogonal to the kept "
+                    f"states (Gram deviation {deviation:.3g} > {GRAM_ATOL:g})"
+                )
+            else:
+                candidate = SpectralApprox([*weights, weight], columns)
+                after = log_likelihood(candidate, data)
+                accepted = before is None or after > before
 
-        eig_fid = None
-        gap = None
-        if truth is not None and step <= truth.dim:
-            reference = truth.eigenvector(step - 1)
-            phase = reference.overlap(psi)
-            eig_fid = float(abs(phase) ** 2)
-            aligned = psi.amplitudes * (
-                np.conj(phase) / abs(phase) if abs(phase) > 0 else 1.0
-            )
-            gap = float(
-                np.linalg.norm(
-                    weight * aligned
-                    - truth.eigenvalues[step - 1] * reference.amplitudes
+            eig_fid = None
+            gap = None
+            if truth is not None and step <= truth.dim:
+                reference = truth.eigenvector(step - 1)
+                phase = reference.overlap(psi)
+                eig_fid = float(abs(phase) ** 2)
+                aligned = psi.amplitudes * (
+                    np.conj(phase) / abs(phase) if abs(phase) > 0 else 1.0
+                )
+                gap = float(
+                    np.linalg.norm(
+                        weight * aligned
+                        - truth.eigenvalues[step - 1] * reference.amplitudes
+                    )
+                )
+
+            steps.append(
+                StepRecord(
+                    step,
+                    weight_raw,
+                    weight,
+                    argmin_record,
+                    discarded,
+                    before,
+                    after,
+                    accepted,
+                    eig_fid,
+                    gap,
+                    excluded,
                 )
             )
-
-        steps.append(
-            StepRecord(
-                step,
-                weight_raw,
-                weight,
-                argmin_record,
-                discarded,
-                before,
-                after,
-                accepted,
-                eig_fid,
-                gap,
-                excluded,
+            if not accepted:
+                break
+            if weights and weight > weights[-1]:
+                notes.append(
+                    f"step {step} estimate ({weight:.4g}) exceeds the previous "
+                    f"one ({weights[-1]:.4g}); extraction order inverted"
+                )
+            approx = candidate
+            kept.append(psi)
+            weights.append(weight)
+            kept_likelihood = after
+            if step == max_rank:
+                break
+            if 1.0 - weight_raw < 1e-9:
+                notes.append(f"step {step} exhausted the statistics; stopping early")
+                break
+            deflated = deflate(current, psi, weight_raw, floor, excluded, predicted)
+            # Freed before the next step's fit.
+            del predicted
+            zeroed = (deflated.probabilities == 0) & (current.probabilities > 0)
+            excluded = tuple(
+                sorted({*excluded, argmin_record, *np.flatnonzero(zeroed).tolist()})
             )
-        )
-        if not accepted:
-            break
-        if weights and weight > weights[-1]:
-            notes.append(
-                f"step {step} estimate ({weight:.4g}) exceeds the previous "
-                f"one ({weights[-1]:.4g}); extraction order inverted"
-            )
-        approx = candidate
-        kept.append(psi)
-        weights.append(weight)
-        kept_likelihood = after
-        if step == max_rank:
-            break
-        if 1.0 - weight_raw < 1e-9:
-            notes.append(f"step {step} exhausted the statistics; stopping early")
-            break
-        deflated = deflate(current, psi, weight_raw, floor, excluded, predicted)
-        # Freed before the next step's fit.
-        del predicted
-        zeroed = (deflated.probabilities == 0) & (current.probabilities > 0)
-        excluded = tuple(
-            sorted({*excluded, argmin_record, *np.flatnonzero(zeroed).tolist()})
-        )
-        current = deflated
-        remaining *= 1.0 - weight_raw
+            current = deflated
+            remaining *= 1.0 - weight_raw
 
-    # The shared rotation served every step.  Dropped here, it does not stay
-    # alive into the caller's next work, such as loading another dataset.
-    measurement.basis_rotation.cache_clear()
+    finally:
+        # The shared rotation served every step.  Dropped on every exit, a
+        # raised one included, it does not stay alive into the caller's next
+        # work, such as loading another dataset.
+        measurement.basis_rotation.cache_clear()
     return approx, IterationReport(steps, notes)

@@ -335,6 +335,47 @@ MALFORMED_DATASETS = {
         + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": 0}\n',
         "record value out of range",
     ),
+    # Python's json reads NaN and Infinity, but they are no JSON numbers.
+    "p_nan": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": NaN, "shots": null}\n',
+        "record 2: p must be finite, got nan",
+    ),
+    "p_infinity": (
+        _HEADER
+        + '{"basis": "z", "outcome": "+", "p": Infinity, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n',
+        "record 1: p must be finite, got inf",
+    ),
+    "shots_negative": (
+        _SAMPLED_HEADER
+        + '{"basis": "z", "outcome": "+", "p": 1.5, "shots": 3}\n'
+        + '{"basis": "z", "outcome": "-", "p": -0.5, "shots": -1}\n',
+        "record 2: shots must be nonnegative, got -1",
+    ),
+    "basis_sum_not_one": (
+        _HEADER
+        + '{"basis": "x", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.4, "shots": null}\n',
+        "basis 'z': per-basis probabilities do not sum to 1",
+    ),
+    "below_negativity_floor": (
+        _HEADER
+        + '{"basis": "x", "outcome": "+", "p": 0.5, "shots": null}\n'
+        + '{"basis": "x", "outcome": "-", "p": 0.5, "shots": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 1.1, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": -0.1, "shots": null}\n',
+        "basis 'z': a record probability is below the negativity floor",
+    ),
+    "header_not_json": (
+        '{"n_qubits": 1, "mode": "exact" "seed": null}\n'
+        + '{"basis": "z", "outcome": "+", "p": 1.0, "shots": null}\n'
+        + '{"basis": "z", "outcome": "-", "p": 0.0, "shots": null}\n',
+        "header: Expecting ',' delimiter at column 33",
+    ),
     "p_beyond_float64": (
         _HEADER
         + '{"basis": "z", "outcome": "+", "p": 1' + "0" * 400 + ', "shots": null}\n'

@@ -594,6 +594,88 @@ class TestManifests:
         assert manifest["duration_s"] >= 0
 
 
+def assert_manifest_lists(out_dir, inputs):
+    """The manifest's ``outputs`` are the files in ``out_dir`` beside it, and
+    its ``inputs`` are ``inputs``, in order."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    written = [p for p in out_dir.iterdir() if p.name != "manifest.json"]
+    assert sorted(manifest["outputs"]) == sorted(str(p) for p in written)
+    assert manifest["inputs"] == [str(p) for p in inputs]
+    assert manifest["duration_s"] >= 0
+
+
+#: Command -> (argv without --out-dir, files read) for a synth directory.
+RUNNER_COMMANDS = {
+    "synth": lambda s: (["synth", "--preset", "bell-mixture"], []),
+    "reconstruct": lambda s: (
+        ["reconstruct", "--dataset", s / "dataset.jsonl", "--truth", s / "state.json",
+         "--target", s / "target.json", "--floor", "1e-2", "--epochs", "50",
+         "--restarts", "1"],
+        [s / "dataset.jsonl", s / "state.json", s / "target.json"],
+    ),
+    "verify": lambda s: (
+        ["verify", "--dims", "2", "--trials", "10", "--states-per-dim", "2"], []
+    ),
+    "figdata-fig3": lambda s: (
+        ["figdata", "--mode", "fig3", "--state", s / "state.json",
+         "--perturbations", "3"],
+        [s / "state.json"],
+    ),
+    "figdata-fig4": lambda s: (
+        ["figdata", "--mode", "fig4", "--state", s / "state.json"], [s / "state.json"]
+    ),
+}
+
+
+class TestRunner:
+    """``main`` runs each command and writes its one manifest."""
+
+    @pytest.fixture(scope="class")
+    def synth_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("runner") / "synth"
+        assert cli.main(["synth", "--preset", "bell-mixture", "--out-dir", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("command", sorted(RUNNER_COMMANDS))
+    def test_manifest_lists_what_the_command_read_and_wrote(
+        self, tmp_path, synth_dir, command
+    ):
+        argv, inputs = RUNNER_COMMANDS[command](synth_dir)
+        out = tmp_path / "out"
+        assert cli.main([str(a) for a in argv] + ["--out-dir", str(out)]) == 0
+        assert_manifest_lists(out, inputs)
+
+    def test_failed_verification_still_writes_its_manifest(
+        self, tmp_path, inflated_fidelities
+    ):
+        argv, inputs = RUNNER_COMMANDS["verify"](None)
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 3
+        assert_manifest_lists(tmp_path, inputs)
+
+    def test_malformed_dataset_writes_no_manifest(self, tmp_path):
+        text, _ = MALFORMED_DATASETS["p_nan"]
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main(["reconstruct", "--dataset", str(path), "--out-dir", str(out)])
+        assert code == 1
+        assert list(out.iterdir()) == []
+
+    def test_command_raising_after_an_output_writes_no_manifest(
+        self, tmp_path, synth_dir, monkeypatch
+    ):
+        # result.json is written before the report row fails.
+        def failing(*args):
+            raise RuntimeError("report row failed")
+
+        monkeypatch.setattr(cli, "_table_row", failing)
+        argv, _ = RUNNER_COMMANDS["reconstruct"](synth_dir)
+        code = cli.main([str(a) for a in argv] + ["--out-dir", str(tmp_path)])
+        assert code == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         # scipy is imported inside the two functions that use it

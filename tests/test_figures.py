@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigentomo import figures, measurement as ms
+from eigentomo import figures, measurement as ms, reconstruction as rc
 from eigentomo import states as st
 
 
@@ -28,6 +28,30 @@ class TestCostComparisonGrid:
         strengths = [row.strength for row in rows]
         assert strengths == sorted(strengths)
         assert set(correlations) == set(figures.GRID_COSTS)
+
+    def test_one_outcome_table_per_row(self, w4_rho, monkeypatch):
+        # Each perturbed state's outcome table serves its eigenvalue estimate
+        # and its costs: one kernel call a row, and the rows and correlations
+        # of an estimate that computes its own table.
+        bases = ms.generate_basis_set(4, "compressed", 7)
+        calls = []
+        mixture = ms.mixture_probabilities
+
+        def counting(*args):
+            calls.append(args)
+            return mixture(*args)
+
+        monkeypatch.setattr(ms, "mixture_probabilities", counting)
+        grid = figures.cost_comparison_grid(w4_rho, bases, 10, seed=2)
+        assert len(calls) == 10
+        estimate = rc.estimate_dominant_eigenvalue
+        monkeypatch.setattr(
+            rc,
+            "estimate_dominant_eigenvalue",
+            lambda data, psi, floor, predicted: estimate(data, psi, floor),
+        )
+        assert figures.cost_comparison_grid(w4_rho, bases, 10, seed=2) == grid
+        assert len(calls) == 30
 
     def test_display_scalings(self, bell_rho):
         bases = ms.generate_basis_set(2, "full")

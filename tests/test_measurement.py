@@ -565,9 +565,9 @@ class TestDatasetContainer:
 
     def test_rejects_non_finite_probability(self):
         for bad in (np.nan, np.inf):
-            probs = np.array([[0.5, bad]])
-            with pytest.raises(ValueError, match="finite"):
-                ms.MeasurementDataset(1, ("z",), probs, None, "exact")
+            probs = np.array([[0.5, 0.5], [0.5, bad]])
+            with pytest.raises(ValueError, match="basis 'z': .* must be finite"):
+                ms.MeasurementDataset(1, ("x", "z"), probs, None, "exact")
 
     def test_clamps_tiny_negative(self):
         probs = np.array([[1.0, -1e-13]])
@@ -590,6 +590,7 @@ class TestDatasetContainer:
         cases = (
             ([[3, 3], [999, 1]], "basis 'z': record probabilities disagree with the shot"),
             ([[3, 3], [0, 0]], "sampled basis 'z' has no shots"),
+            ([[3, 3], [2, -1]], "basis 'z': invalid shot-count array: a count is negative"),
         )
         for counts, match in cases:
             with pytest.raises(ValueError, match=match):

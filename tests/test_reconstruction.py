@@ -1,4 +1,6 @@
+import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -333,6 +335,19 @@ class TestReconstruct:
         # The shared rotation does not outlive the run.
         assert ms.basis_rotation.cache_info().currsize == 0
 
+    def test_step_one_abort_drops_the_shared_rotation(self):
+        # One cost evaluation leaves the fit far from |00>, so a record of
+        # zero probability keeps predicted weight above the floor and step 1
+        # estimates 0: the run raises, and the memo is cleared all the same.
+        data = ms.exact_dataset(
+            st.DensityMatrix.from_pure(basis_vector(4, 0)),
+            ms.generate_basis_set(2, "full"),
+        )
+        config = quick_config(max_epochs=1, restarts=1)
+        with pytest.raises(ValueError, match="dominant eigenvalue estimate is zero"):
+            rc.reconstruct(data, 2, config, floor=1e-6)
+        assert ms.basis_rotation.cache_info().currsize == 0
+
     def test_pure_state_data_adds_no_second_pair(self):
         target = ms.bell_states()[0]
         data = ms.exact_dataset(
@@ -518,7 +533,12 @@ class TestReconstruct:
         approx, report = rc.reconstruct(
             data, 1, quick_config(seed=22, max_epochs=800, restarts=1), floor=1e-2
         )
-        doc = report.as_dict()
-        assert doc["steps"][0]["step"] == 1
-        assert doc["steps"][0]["accepted"] is True
+        # The form result.json writes: each step as a dict, and the notes.
+        doc = json.loads(
+            json.dumps(
+                {"report": [asdict(s) for s in report.steps], "notes": report.notes}
+            )
+        )
+        assert doc["report"][0]["step"] == 1
+        assert doc["report"][0]["accepted"] is True
         assert approx.rank == 1
