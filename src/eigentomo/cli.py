@@ -115,6 +115,8 @@ def _out_path(args, name: str) -> str:
 
 def cmd_synth(args) -> tuple[int, list, list]:
     if args.preset == "bell-mixture":
+        if args.spectrum is not None:
+            args.parser.error("--spectrum applies only with --w")
         rho = measurement.bell_mixture(BELL_SPECTRUM)
         target = measurement.bell_states()[0]
     else:

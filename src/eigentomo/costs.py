@@ -140,7 +140,7 @@ class CostEngine:
         self._rotated = np.empty(buffer_shape, dtype=np.complex128)
         self._q = np.empty(buffer_shape)
         self._work = np.empty((3, *buffer_shape))
-        self.ansatz = rbm.Ansatz(n, self.rotation.chunk)
+        self.ansatz = rbm.Ansatz(n)
 
     def initial_parameters(self, seed: int) -> np.ndarray:
         """The ansatz's seeded initial draw of one restart."""

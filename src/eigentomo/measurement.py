@@ -44,6 +44,9 @@ import numpy as np
 from .states import HERM_ATOL, DensityMatrix, StateVector, matrix_of, qubit_count
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+#: Local rotation of each axis: its rows are the bras of the axis eigenstates,
+#: ordered (+1, -1), so measuring the rotated state in the computational basis
+#: measures the original along the axis.
 _ROTATIONS = {
     "z": np.eye(2, dtype=np.complex128),
     "x": _SQ2 * np.array([[1, 1], [1, -1]], dtype=np.complex128),
@@ -63,24 +66,15 @@ BASIS_SUM_ATOL = 1e-9
 COUNT_RATIO_ATOL = 1e-12
 #: Largest register for exhaustive 2^n tables (RBM exact mode, dataset loading).
 EXACT_MODE_MAX_QUBITS = 12
-#: Rotated vectors per stack chunk (``BasisRotation.chunk``), so that a chunk's
-#: working set stays in cache: at n = 8, on the 615-basis set, one 3-member chunk
-#: took 1.3 times as long as three 1-member chunks (2-CPU machine, one BLAS thread).
+#: Rotated vectors per stack chunk (``BasisRotation.chunk``).  It bounds the
+#: working set of one ``CostEngine`` call at 48 B per record per member (the
+#: rotated amplitudes, q and the three-table cost block): one member a call is
+#: 7.6 MB on the 615 bases of n = 8 and 0.92 GB on the 4671 compressed bases of
+#: the n = 12 cap.
 _BLOCK_VECTORS = 256
 #: Modelled cost of one prefix group's Python-level loop iteration, in complex
 #: multiply-adds, for the split-point choice of ``BasisRotation``.
 _GROUP_OVERHEAD_MACS = 5000
-
-
-def local_rotation(axis: str) -> np.ndarray:
-    """Unitary whose rows are the bras of the axis eigenstates, ordered (+1, -1).
-
-    Measuring the rotated state in the computational basis is equivalent to
-    measuring the original state along the given Pauli axis.
-    """
-    if axis not in _ROTATIONS:
-        raise ValueError(f"invalid measurement axis {axis!r}; expected one of x, y, z")
-    return _ROTATIONS[axis].copy()
 
 
 def validate_basis(basis: str, n_qubits: int) -> None:
@@ -417,26 +411,18 @@ class MeasurementDataset:
 
     ``probabilities[b, i]`` is the probability of outcome index ``i`` in
     ``bases[b]``.  ``counts`` carries per-outcome shot counts in sampled mode
-    and is None in exact mode; the mode must agree with it.
+    and is None in exact mode.
     """
 
     n_qubits: int
     bases: tuple[str, ...]
     probabilities: np.ndarray
     counts: np.ndarray | None
-    mode: str
     seed: int | None = None
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be at least 1")
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown dataset mode {self.mode!r}")
-        if (self.counts is not None) != (self.mode == "sampled"):
-            raise ValueError(
-                f"mode {self.mode!r} contradicts the shots: a dataset is "
-                "'sampled' exactly when it has shot counts"
-            )
         dim = 2**self.n_qubits
         bases = tuple(self.bases)
         for basis in bases:
@@ -488,6 +474,11 @@ class MeasurementDataset:
         object.__setattr__(self, "counts", counts)
 
     @property
+    def mode(self) -> str:
+        """"sampled" exactly when the dataset has shot counts, else "exact"."""
+        return "exact" if self.counts is None else "sampled"
+
+    @property
     def dim(self) -> int:
         return 2**self.n_qubits
 
@@ -532,7 +523,8 @@ class MeasurementDataset:
         records; a block's first record opens a basis that sorts after the
         previous block's, and the rest name that basis.  The header's
         ``n_qubits`` must be an integer up to the exact-mode cap, its ``mode``
-        "exact" or "sampled" and its ``seed`` an integer or null.  Each
+        "sampled" if the records carry shots and "exact" if not, and its
+        ``seed`` an integer or null.  Each
         non-blank line must hold one JSON value, and each record an object
         with a valid ``basis``, a finite number ``p`` and a ``shots`` that is
         null in every record or a nonnegative integer within int64 in every
@@ -650,7 +642,12 @@ class MeasurementDataset:
                     f"record {bad[0] + 1}: shots must be nonnegative, "
                     f"got {int(counts.flat[bad[0]])}"
                 )
-        return cls(n_qubits, tuple(bases), probs, counts, mode, seed)
+        if have_counts != (mode == "sampled"):
+            raise ValueError(
+                f"mode {mode!r} contradicts the shots: a dataset is "
+                "'sampled' exactly when it has shot counts"
+            )
+        return cls(n_qubits, tuple(bases), probs, counts, seed)
 
 
 def _record_values(lines):
@@ -707,7 +704,7 @@ def exact_dataset(rho, bases) -> MeasurementDataset:
     n = qubit_count(mat.shape[0])
     basis_list = _sorted_unique_bases(bases, n)
     probs = density_probabilities(mat, basis_list)
-    return MeasurementDataset(n, tuple(basis_list), probs, None, "exact", None)
+    return MeasurementDataset(n, tuple(basis_list), probs, None)
 
 
 def sample_dataset(rho, bases, shots_per_basis: int, seed: int) -> MeasurementDataset:
@@ -721,7 +718,7 @@ def sample_dataset(rho, bases, shots_per_basis: int, seed: int) -> MeasurementDa
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots_per_basis, p / p.sum(axis=1, keepdims=True))
     probs = counts / float(shots_per_basis)
-    return MeasurementDataset(n, tuple(basis_list), probs, counts, "sampled", int(seed))
+    return MeasurementDataset(n, tuple(basis_list), probs, counts, int(seed))
 
 
 def w_state(n_qubits: int) -> StateVector:

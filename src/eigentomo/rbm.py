@@ -4,19 +4,20 @@ Two real-valued RBMs over +1/-1 spins define one pure state: the amplitude
 network gives the modulus through its normalized marginal, and the phase
 network gives the argument through half its log-marginal.  For small
 registers every normalization is computed exactly by exhaustive summation
-inside ``wavefunction``, the one evaluator of the ansatz, which evaluates
-both networks as one stacked (2, ...) pass, and the 2R networks of R
-parameter vectors as one (R, 2, ...) pass; block Gibbs sampling is
+inside ``Ansatz.wavefunction``, the one evaluator of the ansatz, which
+evaluates both networks as one stacked (2, ...) pass, and the 2R networks
+of R parameter vectors as one (R, 2, ...) pass; block Gibbs sampling is
 available for the amplitude marginal beyond that.  The flat layout
 [a, b, W] of each network holds [b; W] as one (n + 1) x n block, so the
 hidden layer W^T s + b of every configuration is one matmul with the
 table [1 | s].
 
-This module alone knows that layout: ``pack_parameters`` writes it,
-``initial_parameters`` draws it, and ``Ansatz`` evaluates stacks of it and
-turns a cost's derivative in the amplitudes into the gradient in it.  The
-projection of a later step off the kept states is no part of the ansatz:
-``costs.CostEngine`` applies it to the states ``Ansatz`` evaluates.
+This module alone knows that layout: ``pack_parameters`` writes it, and
+``Ansatz(n)``, the one entry point of the fitting pipeline, draws it,
+evaluates stacks of it of any size and turns a cost's derivative in the
+amplitudes into the gradient in it.  The projection of a later step off
+the kept states is no part of the ansatz: ``costs.CostEngine`` applies it
+to the states ``Ansatz`` evaluates.
 """
 
 from __future__ import annotations
@@ -96,22 +97,6 @@ def _spins(sigma, n: int) -> np.ndarray:
     return s
 
 
-def exact_spin_table(n_qubits: int) -> np.ndarray:
-    """Float (2^n, n + 1) table [1 | s] of every spin configuration s, within
-    the exact-mode cap.
-
-    The leading column of ones carries the hidden bias through the hidden
-    layer's matmul and gives the bias sums of the gradient contraction.
-    """
-    if n_qubits > EXACT_MODE_MAX_QUBITS:
-        raise ValueError(
-            f"exact mode is capped at {EXACT_MODE_MAX_QUBITS} qubits "
-            f"(got {n_qubits}); use gibbs_sample for larger registers"
-        )
-    spins = measurement.spin_table(n_qubits)
-    return np.column_stack([np.ones(len(spins)), spins])
-
-
 def _log_marginal(spins: np.ndarray, a, bw) -> tuple[np.ndarray, np.ndarray]:
     """(a.s + sum_j log 2cosh(W^T s + b)_j, W^T s + b) for every row [1 | s]
     of ``spins``.
@@ -168,7 +153,7 @@ class NqsState:
         A wider phase initialization breaks the zero-phase symmetry of the
         ansatz, without which gradient descent cannot develop sign structure.
         One generator draws one uniform block per network, amplitude network
-        first, as ``initial_parameters`` does, and splits it as [W | a | b].
+        first, as ``Ansatz.initial_parameters`` does, and splits it as [W | a | b].
         """
         n = n_qubits
         scales = (scale, scale if phase_scale is None else phase_scale)
@@ -177,41 +162,10 @@ class NqsState:
         return cls(*(RbmParams(w.reshape(n, n), a, b) for w, a, b in parts))
 
 
-def wavefunction(theta: np.ndarray, spins: np.ndarray, out=None):
-    """Amplitudes and hidden-unit tanh tables of flat parameters ``theta``.
-
-    ``spins`` is the (2^n, n + 1) table [1 | s] of ``exact_spin_table``.
-    Returns the normalized amplitude vector in computational-index order
-    together with the (2, 2^n, n) stack of tanh(W^T s + b), amplitude network
-    first, for every configuration s; the tanh tables are the log-derivative
-    factors of the analytic cost gradients.  An (R, P) stack of parameter
-    vectors gives (R, 2^n) amplitudes and (R, 2, 2^n, n) tables, member r with
-    the bits of ``theta[r]`` alone.  All 2R networks go through one stacked
-    ``_log_marginal``.  psi is exp(log p / 2 - peak + i phase / 2) over its
-    norm, with the peak the row maximum of log p / 2, so no exponent exceeds
-    zero.  ``out``, if given, is a (..., 2, 2^n, n + 1) float array whose
-    columns 1..n receive the tanh tables (the returned view), so that column 0
-    can hold the ones of [1 | tanh].  Works on raw arrays, because the trainer
-    calls it on every cost evaluation.
-    """
-    nets = _network_blocks(theta, spins.shape[1] - 1)
-    log_m, hidden = _log_marginal(spins, nets[..., 0, :], nets[..., 1:, :])
-    log_p = log_m[..., 0, :]
-    log_p -= log_p.max(axis=-1, keepdims=True)
-    # (log p, phase) / 2 interleaved: read as complex, the exponent of psi.
-    exponent = np.multiply(log_m.swapaxes(-1, -2), 0.5, order="C")
-    psi = np.exp(exponent.view(np.complex128)[..., 0])
-    floats = psi.view(np.float64)
-    floats /= np.sqrt(np.vecdot(floats, floats))[..., None]
-    if out is None:
-        return psi, np.tanh(hidden)
-    return psi, np.tanh(hidden, out=out[..., 1:])
-
-
 def to_state_vector(state: NqsState) -> StateVector:
     """Full amplitude vector in computational-index order (exact mode)."""
-    spins = exact_spin_table(state.n_qubits)
-    return StateVector.normalized(wavefunction(pack_parameters(state), spins)[0])
+    theta = pack_parameters(state)
+    return StateVector.normalized(Ansatz(state.n_qubits).wavefunction(theta))
 
 
 def gibbs_sample(
@@ -288,27 +242,26 @@ def _uniform_blocks(n_qubits: int, seed: int, scales) -> list[np.ndarray]:
     return [rng.uniform(-scale, scale, size) for scale in scales]
 
 
-def initial_parameters(
-    n_qubits: int, seed: int, phase_scale: float = PHASE_INIT_SCALE
-) -> np.ndarray:
-    """The seeded initial draw of one fit restart: per network one uniform
-    block of n (n + 2) values, the same values as draws of a, b and W in turn,
-    within +-``INIT_SCALE`` (amplitude) and then +-``phase_scale``."""
-    return np.concatenate(_uniform_blocks(n_qubits, seed, (INIT_SCALE, phase_scale)))
-
-
 class Ansatz:
-    """Exact-mode evaluation of stacks of up to ``members`` flat parameter
-    vectors, and the last step of their gradient.  The table [1 | s], the
-    buffers and the gradient's block order are built once; ``wavefunction``
-    keeps the tanh tables of its stack for the following ``gradient``.
+    """The RBM pure state in exact mode: the seeded initial draw of a fit,
+    the amplitudes of a stack of flat parameter vectors, and the last step of
+    their gradient.  The table [1 | s] and the gradient's block order are
+    built once; ``wavefunction`` keeps the tanh tables of its stack for the
+    following ``gradient``.
     """
 
-    def __init__(self, n_qubits: int, members: int):
-        self.spins = exact_spin_table(n_qubits)
-        # [1 | tanh] of each member's two networks; column 0 stays one.
-        self._tanh = np.ones((members, 2, *self.spins.shape))
-        self._weighted = np.empty(self._tanh.shape)
+    def __init__(self, n_qubits: int):
+        if n_qubits > EXACT_MODE_MAX_QUBITS:
+            raise ValueError(
+                f"exact mode is capped at {EXACT_MODE_MAX_QUBITS} qubits "
+                f"(got {n_qubits}); use gibbs_sample for larger registers"
+            )
+        # The float table [1 | s] of every spin configuration s: the column of
+        # ones carries the hidden bias through the hidden layer's matmul and
+        # gives the bias sums of the gradient contraction.
+        spins = measurement.spin_table(n_qubits)
+        self.spins = np.column_stack([np.ones(len(spins)), spins])
+        self._tanh = None
         # Flat index of the gradient [a, b, W] of both networks in their
         # (n + 1) x (n + 1) blocks [[sum c, db], [da, dW]].
         blocks = np.arange(2 * (n_qubits + 1) ** 2).reshape(2, n_qubits + 1, -1)
@@ -317,19 +270,43 @@ class Ansatz:
         )
 
     def initial_parameters(self, seed: int, projected: bool) -> np.ndarray:
-        """The seeded initial draw of one restart; a fit that will be
-        projected off kept states draws its phases within
-        +-``PROJECTED_PHASE_INIT_SCALE``."""
+        """The seeded initial draw of one restart: per network one uniform
+        block of n (n + 2) values, the same values as draws of a, b and W in
+        turn, within +-``INIT_SCALE`` (amplitude) and then
+        +-``PHASE_INIT_SCALE``, or +-``PROJECTED_PHASE_INIT_SCALE`` for a fit
+        that will be projected off kept states."""
         phase = PROJECTED_PHASE_INIT_SCALE if projected else PHASE_INIT_SCALE
-        return initial_parameters(self.spins.shape[1] - 1, seed, phase)
+        n = self.spins.shape[1] - 1
+        return np.concatenate(_uniform_blocks(n, seed, (INIT_SCALE, phase)))
 
     def wavefunction(self, theta: np.ndarray) -> np.ndarray:
-        """(m, 2^n) normalized amplitudes of an (m, P) stack, m <= members."""
-        return wavefunction(theta, self.spins, out=self._tanh[: len(theta)])[0]
+        """Normalized amplitudes, in computational-index order, of flat
+        parameters ``theta``: (2^n,) for one vector, (m, 2^n) for an (m, P)
+        stack, member r with the bits of ``theta[r]`` alone.
+
+        All 2m networks go through one stacked ``_log_marginal``.  psi is
+        exp(log p / 2 - peak + i phase / 2) over its norm, with the peak the
+        row maximum of log p / 2, so no exponent exceeds zero.  The (..., 2,
+        2^n, n) tables tanh(W^T s + b), amplitude network first, are the
+        log-derivative factors of the gradient; they are kept for the
+        following ``gradient``.
+        """
+        nets = _network_blocks(theta, self.spins.shape[1] - 1)
+        log_m, hidden = _log_marginal(self.spins, nets[..., 0, :], nets[..., 1:, :])
+        log_p = log_m[..., 0, :]
+        log_p -= log_p.max(axis=-1, keepdims=True)
+        # (log p, phase) / 2 interleaved: read as complex, the exponent of psi.
+        exponent = np.multiply(log_m.swapaxes(-1, -2), 0.5, order="C")
+        psi = np.exp(exponent.view(np.complex128)[..., 0])
+        floats = psi.view(np.float64)
+        floats /= np.sqrt(np.vecdot(floats, floats))[..., None]
+        self._tanh = np.tanh(hidden)
+        return psi
 
     def gradient(self, psi: np.ndarray, pulled, beta: np.ndarray) -> np.ndarray:
         """(m, P) gradient in the [a, b, W] layout of a cost C(psi) of the
-        stack last passed to ``wavefunction``, whose amplitudes are ``psi``.
+        (m, P) stack last passed to ``wavefunction``, whose amplitudes are
+        ``psi``.
 
         ``pulled`` is the conjugate of dC/dpsi* and ``beta`` the real
         psi . pulled, which the normalization of psi subtracts.
@@ -343,8 +320,7 @@ class Ansatz:
         beta_psi = (psi.view(np.float64) * beta[:, None]).view(np.complex128)
         c = ((np.conj(pulled) - beta_psi) * np.conj(psi)).view(np.float64)
         c = c.reshape(members, -1, 2).transpose(0, 2, 1)
-        weighted = np.multiply(
-            c[..., None], self._tanh[:members], out=self._weighted[:members]
-        )
+        ones = np.ones((*self._tanh.shape[:-1], 1))
+        weighted = c[..., None] * np.concatenate([ones, self._tanh], axis=-1)
         blocks = self.spins.T @ weighted
         return blocks.reshape(members, -1).take(self._order, axis=1)

@@ -208,9 +208,7 @@ def deflate(
     if np.any(sums <= 0):
         raise ValueError("deflation removed all probability mass from a basis")
     deflated = deflated / sums[:, None]
-    return MeasurementDataset(
-        data.n_qubits, data.bases, deflated, None, "exact", None
-    )
+    return MeasurementDataset(data.n_qubits, data.bases, deflated, None)
 
 
 def log_likelihood(approx: SpectralApprox, data: MeasurementDataset) -> float:

@@ -201,7 +201,7 @@ def vector_of(obj) -> np.ndarray:
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape[-2:]:
+    if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
@@ -212,15 +212,15 @@ def _clean_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root, of each member of a stack, via Hermitian eigendecomposition.
+    """Matrix square root via Hermitian eigendecomposition.
 
     Eigenvalues at round-off scale are clamped at zero; anything below the
-    numerical PSD floor, in any member, is a genuine error in the input."""
+    numerical PSD floor is a genuine error in the input."""
     vals, vecs = np.linalg.eigh(mat)
     if float(vals.min()) < FIDELITY_PSD_FLOOR:
         raise ValueError("matrix is not positive semi-definite")
-    roots = np.sqrt(_clean_psd_eigenvalues(vals))[..., None, :]
-    return (vecs * roots) @ vecs.conj().swapaxes(-1, -2)
+    roots = np.sqrt(_clean_psd_eigenvalues(vals))
+    return (vecs * roots) @ vecs.conj().T
 
 
 def _require_psd(rho_eigenvalues: np.ndarray) -> None:
@@ -234,17 +234,14 @@ def _fidelity_of_core(lam: np.ndarray) -> np.ndarray:
     return np.clip(np.sqrt(_clean_psd_eigenvalues(lam)).sum(axis=-1) ** 2, 0.0, 1.0)
 
 
-def fidelity(rho, sigma):
-    """Fidelity [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2 between two states.
-
-    A (k, d, d) stack ``sigma`` gives an array of k fidelities, one per member."""
+def fidelity(rho, sigma) -> float:
+    """Fidelity [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2 between two states."""
     a = matrix_of(rho)
-    b = np.asarray(sigma, dtype=np.complex128) if np.ndim(sigma) == 3 else matrix_of(sigma)
+    b = matrix_of(sigma)
     _check_same_dim(a, b)
     _require_psd(np.linalg.eigvalsh(a))
     root = _psd_sqrt(b)
-    values = _fidelity_of_core(np.linalg.eigvalsh(root @ a @ root))
-    return float(values) if values.ndim == 0 else values
+    return float(_fidelity_of_core(np.linalg.eigvalsh(root @ a @ root)))
 
 
 def pure_fidelity(rho, psi):
@@ -268,7 +265,7 @@ def frame_fidelity(rho, frames, weights) -> np.ndarray:
     stack of orthonormal columns Q_k and ``weights`` a (k, r) array w_k.
     Then sqrt(sigma) rho sqrt(sigma) = Q C Q^dag with the r x r core
     C = diag(sqrt w) Q^dag rho Q diag(sqrt w), so each fidelity is
-    (sum sqrt(eig C))^2, the value ``fidelity`` gives on the assembled stack.
+    (sum sqrt(eig C))^2, the value ``fidelity`` gives on each assembled member.
     """
     a = matrix_of(rho)
     q = np.asarray(frames, dtype=np.complex128)

@@ -29,11 +29,21 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+#: The README convention's local rotation of each axis: its rows are the bras
+#: of the axis eigenstates, ordered (+1, -1), so that measuring the rotated
+#: state in the computational basis measures the original along the axis.
+LOCAL_ROTATIONS = {
+    "z": np.eye(2, dtype=complex),
+    "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "y": np.array([[1, -1j], [1, 1j]]) / np.sqrt(2),
+}
+
+
 def dense_rotation(basis: str) -> np.ndarray:
     """The full 2^n x 2^n unitary of ``basis``: a Kronecker product of local rotations."""
     dense = np.ones((1, 1))
     for axis in basis:
-        dense = np.kron(dense, ms.local_rotation(axis))
+        dense = np.kron(dense, LOCAL_ROTATIONS[axis])
     return dense
 
 

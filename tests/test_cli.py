@@ -107,6 +107,15 @@ class TestSynth:
         assert "--spectrum" in proc.stderr.splitlines()[-1]
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    def test_spectrum_without_w_usage_error(self, tmp_path):
+        proc = run_cli(
+            "synth", "--preset", "bell-mixture", "--spectrum", "0.5,0.5",
+            "--out-dir", tmp_path / "out", check=False,
+        )
+        assert proc.returncode == 2
+        assert "--spectrum applies only with --w" in proc.stderr.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
     def test_w_above_exact_mode_cap_usage_error(self, capsys):
         # Parsing only: no 13-qubit state is built.
         cap = ms.EXACT_MODE_MAX_QUBITS

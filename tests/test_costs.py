@@ -199,7 +199,7 @@ class TestCostValue:
         )
 
     def test_empty_dataset_rejected(self):
-        data = ms.MeasurementDataset(2, (), np.zeros((0, 4)), None, "exact")
+        data = ms.MeasurementDataset(2, (), np.zeros((0, 4)), None)
         with pytest.raises(ValueError, match="dataset is empty"):
             costs.CostEngine(costs.CostSpec("l15"), data)
 
@@ -376,7 +376,7 @@ class TestCostGradient:
         state = random_state(2, seed=8)
         kept = st.StateVector.normalized([1.0, 1.0j, 0.0, 1.0])
         theta = rbm.pack_parameters(state)
-        probe = ms.MeasurementDataset(2, ("zz",), np.full((1, 4), 0.25), None, "exact")
+        probe = ms.MeasurementDataset(2, ("zz",), np.full((1, 4), 0.25), None)
         engine = costs.CostEngine(costs.CostSpec("kl1"), probe, (kept,))
         psi = st.StateVector.normalized(engine.wavefunction(theta))
         data = ms.exact_dataset(

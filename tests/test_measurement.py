@@ -13,6 +13,7 @@ from eigentomo import measurement as ms
 from eigentomo import states as st
 
 from conftest import (
+    LOCAL_ROTATIONS,
     MALFORMED_DATASETS,
     dense_probabilities,
     dense_rotation,
@@ -21,33 +22,49 @@ from conftest import (
 )
 
 
+#: The +1 and -1 eigenstates of each Pauli axis.
+AXIS_EIGENSTATES = {
+    "z": ([1, 0], [0, 1]),
+    "x": (np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)),
+    "y": (np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)),
+}
+
+
 class TestLocalRotation:
+    """Single-qubit measurements along each axis, as ``probabilities_vector``
+    rotates them."""
+
     def test_z_is_identity(self):
-        assert np.array_equal(ms.local_rotation("z"), np.eye(2))
+        v = random_pure(2, np.random.default_rng(20))
+        assert np.array_equal(ms.probabilities_vector(v, "z"), np.abs(v) ** 2)
 
     def test_x_is_hadamard(self):
-        expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.allclose(ms.local_rotation("x"), expected)
+        v = random_pure(2, np.random.default_rng(21))
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        assert np.allclose(ms.probabilities_vector(v, "x"), np.abs(hadamard @ v) ** 2)
 
     def test_y_diagonalizes_pauli_y(self):
+        # p(+) - p(-) along y is the expectation of Pauli Y.
         pauli_y = np.array([[0, -1j], [1j, 0]])
-        u = ms.local_rotation("y")
-        assert np.allclose(u @ pauli_y @ u.conj().T, np.diag([1, -1]), atol=1e-12)
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            v = random_pure(2, rng)
+            plus, minus = ms.probabilities_vector(v, "y")
+            expectation = np.vdot(v, pauli_y @ v).real
+            assert plus - minus == pytest.approx(expectation, abs=1e-12)
 
     def test_rows_are_axis_eigenstate_bras(self):
-        paulis = {
-            "x": np.array([[0, 1], [1, 0]], dtype=complex),
-            "y": np.array([[0, -1j], [1j, 0]]),
-            "z": np.diag([1, -1]).astype(complex),
-        }
-        for axis, pauli in paulis.items():
-            u = ms.local_rotation(axis)
-            for row, eigval in zip(u, (1, -1)):
-                assert np.allclose(pauli @ row.conj(), eigval * row.conj())
+        # Each axis's +1 eigenstate, measured along that axis, gives outcome +
+        # with probability 1, and its -1 eigenstate gives -.
+        plus, minus = (ms.outcome_strings(1).index(o) for o in "+-")
+        for axis, (up, down) in AXIS_EIGENSTATES.items():
+            for state, outcome in ((up, plus), (down, minus)):
+                probs = ms.probabilities_vector(state, axis)
+                assert probs[outcome] == pytest.approx(1.0, abs=1e-15)
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
-            ms.local_rotation("q")
+            ms.probabilities_vector([1, 0], "q")
 
 
 class TestOutcomeConventions:
@@ -289,7 +306,7 @@ def per_qubit_rotations(bases, v) -> np.ndarray:
     n = len(bases[0])
     out = np.broadcast_to(v.reshape((2,) * n), (len(bases),) + (2,) * n)
     for k in range(n):
-        local = np.array([ms.local_rotation(basis[k]) for basis in bases])
+        local = np.array([LOCAL_ROTATIONS[basis[k]] for basis in bases])
         moved = np.einsum("bij,b...j->b...i", local, np.moveaxis(out, k + 1, -1))
         out = np.moveaxis(moved, -1, k + 1)
     return out.reshape(len(bases), -1)
@@ -556,22 +573,22 @@ class TestDatasetContainer:
     def test_rejects_unnormalized_basis(self):
         probs = np.array([[0.5, 0.4]])
         with pytest.raises(ValueError):
-            ms.MeasurementDataset(1, ("z",), probs, None, "exact")
+            ms.MeasurementDataset(1, ("z",), probs, None)
 
     def test_rejects_negative_probability(self):
         probs = np.array([[1.0 + 1e-6, -1e-6]])
         with pytest.raises(ValueError):
-            ms.MeasurementDataset(1, ("z",), probs, None, "exact")
+            ms.MeasurementDataset(1, ("z",), probs, None)
 
     def test_rejects_non_finite_probability(self):
         for bad in (np.nan, np.inf):
             probs = np.array([[0.5, 0.5], [0.5, bad]])
             with pytest.raises(ValueError, match="basis 'z': .* must be finite"):
-                ms.MeasurementDataset(1, ("x", "z"), probs, None, "exact")
+                ms.MeasurementDataset(1, ("x", "z"), probs, None)
 
     def test_clamps_tiny_negative(self):
         probs = np.array([[1.0, -1e-13]])
-        data = ms.MeasurementDataset(1, ("z",), probs, None, "exact")
+        data = ms.MeasurementDataset(1, ("z",), probs, None)
         assert data.probabilities[0, 1] == 0.0
 
     def test_records_sorted_by_basis_then_outcome(self, bell_dataset):
@@ -594,15 +611,13 @@ class TestDatasetContainer:
         )
         for counts, match in cases:
             with pytest.raises(ValueError, match=match):
-                ms.MeasurementDataset(1, ("x", "z"), probs, counts, "sampled", 1)
-        ms.MeasurementDataset(1, ("x", "z"), probs, [[3, 3], [2, 2]], "sampled", 1)
+                ms.MeasurementDataset(1, ("x", "z"), probs, counts, 1)
+        ms.MeasurementDataset(1, ("x", "z"), probs, [[3, 3], [2, 2]], 1)
 
-    def test_rejects_mode_contradicting_the_shots(self):
+    def test_mode_follows_the_shots(self):
         probs = [[0.5, 0.5]]
-        with pytest.raises(ValueError, match="mode 'exact' contradicts the shots"):
-            ms.MeasurementDataset(1, ("z",), probs, [[5, 5]], "exact")
-        with pytest.raises(ValueError, match="mode 'sampled' contradicts the shots"):
-            ms.MeasurementDataset(1, ("z",), probs, None, "sampled", 1)
+        assert ms.MeasurementDataset(1, ("z",), probs, [[5, 5]], 1).mode == "sampled"
+        assert ms.MeasurementDataset(1, ("z",), probs, None).mode == "exact"
 
     def test_jsonl_round_trip(self, tmp_path, bell_rho):
         data = ms.sample_dataset(bell_rho, ["xx", "zy"], 200, seed=8)

@@ -130,8 +130,8 @@ class TestLogPartition:
         assert exact_log_normalizer(params) == pytest.approx(expected, rel=1e-12)
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="gibbs_sample"):
-            rbm.exact_spin_table(13)
+        with pytest.raises(ValueError, match="exact mode is capped at 12 qubits"):
+            rbm.Ansatz(13)
         with pytest.raises(ValueError, match="gibbs_sample"):
             rbm.to_state_vector(rbm.NqsState.uniform_init(13, seed=0))
 
@@ -147,9 +147,7 @@ class TestAmplitudes:
         # The raw evaluator, since to_state_vector renormalizes its output.
         for seed, n in ((0, 2), (1, 4), (2, 4), (3, 7), (4, 10)):
             state = rbm.NqsState.uniform_init(n, seed=seed, scale=0.4, phase_scale=0.8)
-            amps, _ = rbm.wavefunction(
-                rbm.pack_parameters(state), rbm.exact_spin_table(n)
-            )
+            amps = rbm.Ansatz(n).wavefunction(rbm.pack_parameters(state))
             assert (np.abs(amps) ** 2).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_independently_assembled_values(self):
@@ -191,8 +189,8 @@ class TestAmplitudes:
 
 
 class TestFusedEvaluator:
-    """``wavefunction`` evaluates both networks as one stack; each slice must
-    equal the per-network tables."""
+    """``Ansatz.wavefunction`` evaluates both networks as one stack; each
+    slice must equal the per-network tables."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_per_network_tables(self, n):
@@ -203,10 +201,9 @@ class TestFusedEvaluator:
             # A layout that read W transposed would then give other tables.
             assert not np.allclose(amp_net.weights, amp_net.weights.T)
             assert not np.allclose(phase_net.weights, phase_net.weights.T)
-        psi, tanh = rbm.wavefunction(
-            rbm.pack_parameters(rbm.NqsState(amp_net, phase_net)),
-            rbm.exact_spin_table(n),
-        )
+        ansatz = rbm.Ansatz(n)
+        psi = ansatz.wavefunction(rbm.pack_parameters(rbm.NqsState(amp_net, phase_net)))
+        tanh = ansatz._tanh
         spins = ms.spin_table(n).astype(float)
         assert psi.shape == (2**n,) and tanh.shape == (2, 2**n, n)
         log_p = rbm.log_marginal_table(amp_net, spins)
@@ -225,7 +222,7 @@ class TestFusedEvaluator:
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 16 parameters"):
-            rbm.wavefunction(np.zeros(15), rbm.exact_spin_table(2))
+            rbm.Ansatz(2).wavefunction(np.zeros(15))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_log_sum_exp_reference(self, n):
@@ -242,16 +239,39 @@ class TestFusedEvaluator:
         amp_net = rbm.RbmParams(w, a, b)
         log_p = rbm.log_marginal_table(amp_net, spins)
         assert 0.5 * (log_p.max() - log_p.min()) > 1400
-        table = rbm.exact_spin_table(n)
-        out = np.ones((len(thetas), 2, 2**n, n + 1))
-        stacked, tanh = rbm.wavefunction(thetas, table, out=out)
-        assert np.all(out[..., 0] == 1.0)
+        ansatz = rbm.Ansatz(n)
+        stacked = ansatz.wavefunction(thetas)
+        tanh = ansatz._tanh
         for k, theta in enumerate(thetas):
             want, want_tanh = reference_wavefunction(theta, n)
-            single = rbm.wavefunction(theta, table)
+            single = (ansatz.wavefunction(theta), ansatz._tanh)
             for got, got_tanh in (single, (stacked[k], tanh[k])):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
                 assert np.abs(got_tanh - want_tanh).max() <= 1e-12
+
+
+class TestAnsatz:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stacks_of_any_size(self, n):
+        # One ansatz takes stacks of 1, 5 and 2 members in turn, each member
+        # with the bits of its own single call, and the gradient of the last
+        # stack is that of a fresh ansatz shown only that stack.
+        rng = np.random.default_rng(900 + n)
+        ansatz = rbm.Ansatz(n)
+        for members in (1, 5, 2):
+            thetas = rng.uniform(-1.0, 1.0, (members, rbm.n_parameters(n)))
+            stacked = ansatz.wavefunction(thetas)
+            assert stacked.shape == (members, 2**n)
+            for theta, got in zip(thetas, stacked):
+                assert np.array_equal(rbm.Ansatz(n).wavefunction(theta), got)
+        pulled = rng.normal(size=(2, 2**n)) + 1j * rng.normal(size=(2, 2**n))
+        beta = rng.normal(size=2)
+        fresh = rbm.Ansatz(n)
+        assert np.array_equal(fresh.wavefunction(thetas), stacked)
+        assert np.array_equal(
+            ansatz.gradient(stacked, pulled, beta),
+            fresh.gradient(stacked, pulled, beta),
+        )
 
 
 class TestRotatedProbability:
@@ -359,7 +379,7 @@ class TestParameterPacking:
                     )
                 ]
             )
-            got = rbm.initial_parameters(n, seed)
+            got = rbm.Ansatz(n).initial_parameters(seed, projected=False)
             assert got.shape == (rbm.n_parameters(n),)
             assert np.array_equal(got, want)
 

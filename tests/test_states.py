@@ -91,25 +91,16 @@ class TestFidelity:
     def test_against_naive_sqrtm_including_dim_three(self):
         rng = np.random.default_rng(10)
         for dim in (2, 3, 4, 8):
-            pairs = [
-                (random_density_matrix(dim, rng), random_density_matrix(dim, rng))
-                for _ in range(5)
-            ]
-            stack = np.array([b for _, b in pairs])
-            for a, b in pairs:
+            for _ in range(5):
+                a = random_density_matrix(dim, rng)
+                b = random_density_matrix(dim, rng)
                 value = st.fidelity(a, b)
                 assert isinstance(value, float)
                 assert value == pytest.approx(naive_fidelity(a, b), abs=1e-9)
-                stacked = st.fidelity(a, stack)
-                assert stacked.shape == (5,)
-                single = [st.fidelity(a, member) for member in stack]
-                np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)
 
     def test_dimension_mismatch(self, bell_rho):
         with pytest.raises(ValueError):
             st.fidelity(bell_rho, st.DensityMatrix(np.eye(2) / 2, 1))
-        with pytest.raises(ValueError):
-            st.fidelity(bell_rho, np.array([np.eye(2) / 2] * 3))
 
     def test_non_psd_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
@@ -118,8 +109,6 @@ class TestFidelity:
             st.fidelity(bad, ok)
         with pytest.raises(ValueError):
             st.fidelity(ok, bad)
-        with pytest.raises(ValueError, match="positive semi-definite"):
-            st.fidelity(ok, np.array([ok, bad, ok]))
 
     @settings(max_examples=30, deadline=None)
     @given(hst.integers(0, 2**32 - 1), hst.sampled_from([2, 3, 4, 8, 16]))
@@ -161,9 +150,8 @@ class TestPureFidelity:
                 assert stacked.shape == (25,)
                 single = [st.pure_fidelity(rho, member) for member in vs]
                 np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)
-                np.testing.assert_allclose(
-                    st.fidelity(rho, projectors), stacked, rtol=0, atol=1e-9
-                )
+                general = [st.fidelity(rho, projector) for projector in projectors]
+                np.testing.assert_allclose(general, stacked, rtol=0, atol=1e-9)
 
     def test_dimension_mismatch(self, bell_rho):
         with pytest.raises(ValueError):
@@ -221,7 +209,10 @@ def explicit_trace_distances(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def assembled_fidelities(rho: np.ndarray, frames: np.ndarray, weights: np.ndarray):
-    return st.fidelity(rho, (frames * weights[:, None, :]) @ frames.conj().swapaxes(1, 2))
+    return np.array([
+        st.fidelity(rho, (frame * weight) @ frame.conj().T)
+        for frame, weight in zip(frames, weights)
+    ])
 
 
 def random_frames(dim: int, r: int, count: int, rng: np.random.Generator):

@@ -50,7 +50,7 @@ class TestTrainPureState:
     def test_empty_dataset_rejected(self):
         # Kept states add no term to the cost, so an empty dataset leaves
         # nothing to fit whether or not there are any.
-        data = ms.MeasurementDataset(1, (), np.zeros((0, 2)), None, "exact")
+        data = ms.MeasurementDataset(1, (), np.zeros((0, 2)), None)
         kept = [st.StateVector.normalized([1, 0])]
         for previous in ([], kept):
             with pytest.raises(ValueError, match="dataset is empty"):
@@ -172,7 +172,7 @@ class TestLbfgs:
     def test_bell_fit_reaches_scipy_lbfgsb_cost(self, bell_dataset, seed):
         optimize = pytest.importorskip("scipy.optimize")
         engine = costs.CostEngine(costs.CostSpec("l15"), bell_dataset)
-        start = rbm.initial_parameters(2, seed)
+        start = rbm.Ansatz(2).initial_parameters(seed, projected=False)
         reference = optimize.minimize(
             engine.value_and_grad, start, jac=True, method="L-BFGS-B",
             options={"maxfun": 30000, "maxiter": 30000},
@@ -201,7 +201,9 @@ class TestLbfgs:
         )
         fits = training._fit_restarts(engine, config)
         for fit in fits:
-            initial = engine.value(rbm.initial_parameters(2, 15 + fit.restart))
+            initial = engine.value(
+                rbm.Ansatz(2).initial_parameters(15 + fit.restart, projected=False)
+            )
             assert fit.error is None
             assert fit.cost <= initial
             assert fit.costs == sorted(fit.costs, reverse=True)
@@ -241,7 +243,8 @@ class TestTrainNextEigenstate:
         half = rbm.n_parameters(2) // 2
         for seed in range(5):
             a, b = (e.initial_parameters(seed) for e in (plain, projected))
-            assert np.array_equal(a, rbm.initial_parameters(2, seed))
+            ansatz = rbm.Ansatz(2)
+            assert np.array_equal(a, ansatz.initial_parameters(seed, projected=False))
             assert np.array_equal(a[:half], b[:half])
             assert np.allclose(
                 b[half:],
