@@ -274,6 +274,8 @@ def cmd_verify(args) -> tuple[int, list, list]:
 
 
 def cmd_figdata(args) -> tuple[int, list, list]:
+    if 0 < args.strength_max < args.strength_min:
+        args.parser.error("--strength-min must not exceed a positive --strength-max")
     rho = load_density_matrix(args.state)
     bases = measurement.generate_basis_set(rho.n_qubits, args.bases, args.seed)
     if args.mode == "fig3":

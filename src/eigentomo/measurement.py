@@ -14,8 +14,9 @@ factor on the others, and applies each distinct left factor once per pass.
 A fixed cost model picks k for each basis list (small registers take k = 0,
 one dense unitary per basis and no per-prefix loop).  Both passes take a
 stack of state vectors, one batch axis: single states (a reconstruct step's
-outcome table, the figure grids), the eigenstates of a ``SpectralApprox``
-(the likelihood) and the states of a ``CostEngine`` parameter stack.
+outcome table, the figure grids, each eigenstate of a ``SpectralApprox`` in
+the likelihood) and, in one call, the states of a ``CostEngine`` parameter
+stack.
 ``basis_rotation`` builds the kernel once per basis list and shares it:
 every ``CostEngine`` of a reconstruct and every ``mixture_probabilities``
 call on its bases use one instance, whose factor and index arrays are
@@ -66,12 +67,6 @@ BASIS_SUM_ATOL = 1e-9
 COUNT_RATIO_ATOL = 1e-12
 #: Largest register for exhaustive 2^n tables (RBM exact mode, dataset loading).
 EXACT_MODE_MAX_QUBITS = 12
-#: Rotated vectors per stack chunk (``BasisRotation.chunk``).  It bounds the
-#: working set of one ``CostEngine`` call at 48 B per record per member (the
-#: rotated amplitudes, q and the three-table cost block): one member a call is
-#: 7.6 MB on the 615 bases of n = 8 and 0.92 GB on the 4671 compressed bases of
-#: the n = 12 cap.
-_BLOCK_VECTORS = 256
 #: Modelled cost of one prefix group's Python-level loop iteration, in complex
 #: multiply-adds, for the split-point choice of ``BasisRotation``.
 _GROUP_OVERHEAD_MACS = 5000
@@ -159,8 +154,7 @@ class BasisRotation:
     by prefix, otherwise in list order): in that layout the bases of one
     prefix form one strided matrix.  ``arrange`` puts a per-basis table into
     the layout of one member.  Each member goes through the matmuls of a
-    one-member call, so it has the same bits.  ``chunk`` is the stack size
-    that rotates at most ``_BLOCK_VECTORS`` vectors (at least one member).
+    one-member call, so it has the same bits.
     The factor and index arrays are read-only, since ``basis_rotation``
     shares one instance among all its callers.
     """
@@ -171,7 +165,6 @@ class BasisRotation:
             validate_basis(basis, n_qubits)
         n_left = _split_point(n_qubits, bases)
         self.shape = (1 << n_left, 1 << (n_qubits - n_left))
-        self.chunk = max(1, _BLOCK_VECTORS // max(1, len(bases)))
         d_left, d_right = self.shape
         # An empty list keeps one empty prefix group, so each pass has one.
         prefixes = sorted({basis[:n_left] for basis in bases}) or [""]
@@ -260,10 +253,9 @@ def mixture_probabilities(weights, vectors, bases) -> np.ndarray:
     """(n_bases, 2^n) table of sum_k w_k |U_b v_k|^2 over the columns v_k of
     ``vectors``.
 
-    The columns go through the ``forward`` pass of the shared
-    ``basis_rotation`` of ``bases`` as stack members, in chunks of
-    ``BasisRotation.chunk``, and the terms w_k |U_b v_k|^2 are added in
-    column order, so the table does not depend on the chunk size.
+    Each column goes through its own one-member ``forward`` pass of the
+    shared ``basis_rotation`` of ``bases``, so the rank does not set the
+    size of a pass, and the terms w_k |U_b v_k|^2 are added in column order.
     """
     w = np.asarray(weights, dtype=float)
     dim, rank = np.shape(vectors)
@@ -273,10 +265,9 @@ def mixture_probabilities(weights, vectors, bases) -> np.ndarray:
     rotation = basis_rotation(tuple(bases), qubit_count(dim))
     d_left, d_right = rotation.shape
     table = np.zeros((d_left, len(rotation.order), d_right))
-    for start in range(0, rank, rotation.chunk):
-        members = slice(start, start + rotation.chunk)
-        for weight, rotated in zip(w[members], rotation.forward(v[members])):
-            table += weight * np.abs(rotated) ** 2
+    for weight, column in zip(w, v):
+        rotated = rotation.forward(column[None])[0]
+        table += weight * np.abs(rotated) ** 2
     probs = np.empty((len(rotation.order), dim))
     probs[rotation.order] = table.transpose(1, 0, 2).reshape(-1, dim)
     return probs

@@ -112,8 +112,8 @@ def w4_rho() -> st.DensityMatrix:
 @pytest.fixture(autouse=True)
 def fresh_rotation_memo():
     """Each test starts without a shared ``measurement.basis_rotation``, so no
-    test rotates with one that another test built, under a patched chunk
-    size or split point, say."""
+    test rotates with one that another test built, under a patched split
+    point, say."""
     ms.basis_rotation.cache_clear()
 
 

@@ -468,6 +468,16 @@ class TestFigdataCommand:
         assert float(first["eps_fidelity"]) == pytest.approx(0.0, abs=1e-9)
         assert float(first["fidelity"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_strength_max_below_min_usage_error(self, tmp_path, w4_state_file):
+        proc = run_cli(
+            "figdata", "--mode", "fig3", "--state", w4_state_file,
+            "--strength-min", 0.3, "--strength-max", 0.1, "--out-dir", tmp_path,
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "--strength-min" in proc.stderr.splitlines()[-1]
+        assert not (tmp_path / "fig3.csv").exists()
+
     def test_non_positive_floor_usage_error(self, tmp_path, w4_state_file):
         proc = run_cli(
             "figdata", "--mode", "fig3", "--state", w4_state_file,

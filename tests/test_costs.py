@@ -218,8 +218,8 @@ class TestCostValue:
 
 class TestStackedEvaluation:
     """A stack of parameter vectors scores each member with the bits of its
-    own single-vector call, across chunk boundaries (n = 4 takes 4 members a
-    chunk, n = 5 takes 2), with and without kept states."""
+    own single-vector call, in one rotation call, with and without kept
+    states."""
 
     @pytest.mark.parametrize("n, mode", [(1, "full"), (2, "full"), (3, "full"),
                                          (4, "compressed"), (5, "compressed")])
@@ -243,33 +243,53 @@ class TestStackedEvaluation:
                     assert got == value
                     assert np.array_equal(got_grad, grad)
 
-    def test_wavefunction_is_the_scored_state_on_one_member_chunks(self, monkeypatch):
-        # W6 on its 205 compressed bases: one member a chunk.  psi of one
-        # vector has the bits of the psi that value_and_grad rotates, for each
-        # member of a stack that spans two chunks.
+    @staticmethod
+    def w6_data():
         rho = ms.make_w_mixture(6, [0.80, 0.07, 0.04], seed=7)
-        data = ms.exact_dataset(rho, ms.generate_basis_set(6, "compressed", 7))
+        return ms.exact_dataset(rho, ms.generate_basis_set(6, "compressed", 7))
+
+    @staticmethod
+    def spy_forward(engine, patch):
+        """Record the vectors of each ``engine.rotation.forward`` call."""
+        calls = []
+        forward = engine.rotation.forward
+
+        def spy(vectors, out):
+            calls.append(vectors.copy())
+            return forward(vectors, out=out)
+
+        patch.setattr(engine.rotation, "forward", spy)
+        return calls
+
+    def test_wavefunction_is_the_scored_state_of_each_member(self, monkeypatch):
+        # W6 on its 205 compressed bases.  psi of one vector has the bits of
+        # the psi that value_and_grad rotates, for each member of a 2-stack.
+        data = self.w6_data()
         thetas = np.random.default_rng(6).uniform(-0.5, 0.5, (2, rbm.n_parameters(6)))
         for kept in ((), (ms.w_state(6),)):
             engine = costs.CostEngine(costs.CostSpec("l15"), data, kept)
-            assert engine.rotation.chunk == 1
-            scored = []
-            forward = engine.rotation.forward
-
-            def spy(vectors, out):
-                scored.append(vectors.copy())
-                return forward(vectors, out=out)
-
             # Both engines share one rotation: each spy is undone before the
             # next engine's.
             with monkeypatch.context() as patch:
-                patch.setattr(engine.rotation, "forward", spy)
+                calls = self.spy_forward(engine, patch)
                 engine.value_and_grad(thetas)
-            assert len(scored) == 2
+            (scored,) = calls
             for theta, psi in zip(thetas, scored):
-                assert np.array_equal(engine.wavefunction(theta), psi[0])
+                assert np.array_equal(engine.wavefunction(theta), psi)
             with pytest.raises(ValueError, match="expected 96 parameters"):
                 engine.wavefunction(thetas)
+
+    def test_one_rotation_call_per_stack(self, monkeypatch):
+        # W6's 205 compressed bases: a 3-member stack is one forward call of
+        # three members.
+        data = self.w6_data()
+        thetas = np.random.default_rng(16).uniform(-0.5, 0.5, (3, rbm.n_parameters(6)))
+        for kept in ((), (ms.w_state(6),)):
+            engine = costs.CostEngine(costs.CostSpec("l15"), data, kept)
+            with monkeypatch.context() as patch:
+                calls = self.spy_forward(engine, patch)
+                engine.value_and_grad(thetas)
+            assert [len(vectors) for vectors in calls] == [3], len(kept)
 
 
 class TestEngineBuffers:
@@ -277,10 +297,11 @@ class TestEngineBuffers:
     returns is its own."""
 
     def test_call_allocates_less_than_one_table(self):
-        # W8 on its 615 compressed bases.  After a warm-up call, one call
-        # peaks below a single (bases x 2^n) float table: the rotated
-        # amplitudes, q, the terms and their derivatives all live in the
-        # engine's buffers.
+        # W8 on its 615 compressed bases.  After a warm-up call of as many
+        # members, one call of one or two members peaks below a single
+        # (bases x 2^n) float table: the rotated amplitudes, q, the terms and
+        # their derivatives all live in the engine's buffers, which a smaller
+        # stack reuses.
         data = ms.exact_dataset(
             st.DensityMatrix.from_pure(ms.w_state(8)),
             ms.generate_basis_set(8, "compressed", 7),
@@ -290,18 +311,21 @@ class TestEngineBuffers:
         thetas = np.random.default_rng(8).uniform(-0.5, 0.5, (2, rbm.n_parameters(8)))
         for kept in ((), (ms.w_state(8),)):
             engine = costs.CostEngine(costs.CostSpec("l15"), data, kept)
-            engine.value_and_grad(thetas[0])
-            tracemalloc.start()
-            try:
-                engine.value_and_grad(thetas[1])
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < table, (len(kept), peak)
+            for warm_up, call in [(thetas[0], thetas[1]), (thetas, thetas),
+                                  (thetas, thetas[1])]:
+                engine.value_and_grad(warm_up)
+                tracemalloc.start()
+                try:
+                    engine.value_and_grad(call)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < table, (len(kept), call.shape, peak)
 
     def test_results_do_not_alias_the_buffers(self):
-        # W5 takes two members a chunk, so the stack of three spans a chunk
-        # boundary.  Results kept from the first calls survive later ones.
+        # Stacks of 1, 3, 1 and 3 members: the buffers grow on the second
+        # call, and the later calls reuse them.  Results kept from the first
+        # calls survive later ones.
         n = 5
         target = rbm.to_state_vector(random_state(n, seed=905))
         data = ms.exact_dataset(
@@ -312,7 +336,6 @@ class TestEngineBuffers:
         for kind in costs.COST_KINDS:
             for kept in ((), orth):
                 engine = costs.CostEngine(costs.CostSpec(kind), data, kept)
-                assert engine.rotation.chunk == 2
                 _, grad = engine.value_and_grad(thetas[0])
                 values, grads = engine.value_and_grad(thetas)
                 saved = [grad.copy(), values.copy(), grads.copy()]

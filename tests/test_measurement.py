@@ -127,8 +127,8 @@ class TestProjectorProbabilities:
 
     @pytest.mark.parametrize("rank", [1, 3])
     def test_mixture_spanning_several_blocks(self, rank):
-        # At n = 6 the 729 bases exceed the 256 rotated vectors of a chunk, so
-        # each column is a one-member BasisRotation.forward call of its own.
+        # Rank 1 and 3 on the 729 bases of n = 6, each column a one-member
+        # BasisRotation.forward call of its own, against dense unitaries.
         rng = np.random.default_rng(60 + rank)
         bases = ms.generate_basis_set(6, "full")
         vectors = np.linalg.qr(
@@ -141,31 +141,28 @@ class TestProjectorProbabilities:
         assert probs.shape == (729, 64)
         assert np.allclose(probs, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n, chunk", [(2, 28), (6, 1)], ids=["bell", "full-6"])
-    def test_mixture_independent_of_chunk_size(self, n, chunk, monkeypatch):
-        # Rank 3 on the Bell set (split 0, all three columns in one chunk) and
-        # on the 729 n = 6 bases (one column a chunk).  The terms
-        # w_k |U_b v_k|^2 are added in column order: the table is the
-        # column-ordered weighted sum of the rank-1 tables, bit for bit, with
-        # one column a chunk (_BLOCK_VECTORS = 1) or all in one (10^6).
+    @pytest.mark.parametrize("n", [2, 6], ids=["bell", "full-6"])
+    def test_mixture_is_the_column_ordered_sum(self, n):
+        # Rank 3 on the Bell set (split 0) and on the 729 n = 6 bases.  The
+        # terms w_k |U_b v_k|^2 are added in column order: the table is the
+        # column-ordered weighted sum of the rank-1 tables, bit for bit, and
+        # the three columns rotated as one stack have the bits of their
+        # one-member calls, so no batching of the columns changes the table.
         rng = np.random.default_rng(90 + n)
         bases = ms.generate_basis_set(n, "full")
         dim = 2**n
         vectors = np.linalg.qr(rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)))[0]
         weights = rng.dirichlet(np.ones(3))
-        assert ms.BasisRotation(bases, n).chunk == chunk
-        default = ms.mixture_probabilities(weights, vectors, bases)
-        expected = np.zeros_like(default)
+        probs = ms.mixture_probabilities(weights, vectors, bases)
+        expected = np.zeros_like(probs)
         for weight, column in zip(weights, vectors.T):
             expected += weight * ms.basis_probabilities(column, bases)
-        assert np.array_equal(default, expected)
-        for block in (1, 10**6):
-            monkeypatch.setattr(ms, "_BLOCK_VECTORS", block)
-            # The shared rotation fixed its chunk when it was built.
-            ms.basis_rotation.cache_clear()
-            assert ms.basis_rotation(tuple(bases), n).chunk == max(1, block // len(bases))
-            probs = ms.mixture_probabilities(weights, vectors, bases)
-            assert np.array_equal(probs, default), block
+        assert np.array_equal(probs, expected)
+        rotation = ms.basis_rotation(tuple(bases), n)
+        columns = np.ascontiguousarray(vectors.T)
+        stacked = rotation.forward(columns)
+        for column, rotated in zip(columns, stacked):
+            assert np.array_equal(rotation.forward(column[None])[0], rotated)
 
     def test_empty_basis_list(self):
         psi = random_pure(4, np.random.default_rng(5))
