@@ -18,7 +18,6 @@ from .states import (
     fidelity,
     optimal_rank_r,
     pure_fidelity,
-    trace_distance,
 )
 from .measurement import (
     MeasurementDataset,

@@ -44,8 +44,6 @@ from .states import (
 )
 from .training import TrainConfig
 
-BELL_SPECTRUM = (0.9, 0.09, 0.009, 0.001)
-
 REPORT_COLUMNS = (
     "n_qubits",
     "p1",
@@ -117,7 +115,7 @@ def cmd_synth(args) -> tuple[int, list, list]:
     if args.preset == "bell-mixture":
         if args.spectrum is not None:
             args.parser.error("--spectrum applies only with --w")
-        rho = measurement.bell_mixture(BELL_SPECTRUM)
+        rho = measurement.bell_mixture()
         target = measurement.bell_states()[0]
     else:
         if args.spectrum is None:
@@ -316,12 +314,12 @@ def cmd_figdata(args) -> tuple[int, list, list]:
             + ", ".join(f"{k}={v:.3f}" for k, v in correlations.items())
         )
     else:
-        entropy_rows, probability_rows = figures.entropy_tables(rho, bases)
+        entropies, probability_rows = figures.entropy_tables(rho, bases)
         entropy_path = _out_path(args, "fig4_entropy.csv")
         _write_csv(
             entropy_path,
             ["basis", "entropy_mixed", "entropy_pure"],
-            ([basis, _fmt(hm), _fmt(hp)] for basis, hm, hp in entropy_rows),
+            ([basis, _fmt(hm), _fmt(hp)] for basis, hm, hp in entropies),
         )
         prob_path = _out_path(args, "fig4_probabilities.csv")
         _write_csv(
@@ -330,9 +328,9 @@ def cmd_figdata(args) -> tuple[int, list, list]:
             ([b, o, _fmt(pm), _fmt(pp)] for b, o, pm, pp in probability_rows),
         )
         outputs = [entropy_path, prob_path]
-        reduced = sum(1 for _, hm, hp in entropy_rows if hp <= hm)
+        reduced = sum(1 for _, hm, hp in entropies if hp <= hm)
         print(
-            f"figdata fig4: entropy reduced in {reduced}/{len(entropy_rows)} bases"
+            f"figdata fig4: entropy reduced in {reduced}/{len(entropies)} bases"
         )
     return 0, [args.state], outputs
 

@@ -133,7 +133,6 @@ class CostEngine:
             raise ValueError("kept states must be fewer than 2^n")
         require_orthonormal(self.kept.T, "kept states")
         self.spec = spec
-        self.n_qubits = n
         self.rotation = measurement.basis_rotation(data.bases, n)
         self._reserve(self.rotation.arrange(data.probabilities), 1)
         self.ansatz = rbm.Ansatz(n)

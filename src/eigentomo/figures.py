@@ -112,17 +112,6 @@ def cost_comparison_grid(
     return rows, correlations
 
 
-def entropy_rows(bases, mixed: np.ndarray, pure: np.ndarray) -> list[tuple]:
-    """Rows (basis, entropy_mixed, entropy_pure) of per-basis probability tables."""
-
-    def entropy(p: np.ndarray) -> float:
-        p = np.clip(p, 0.0, None)
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
-
-    return [(basis, entropy(m), entropy(p)) for basis, m, p in zip(bases, mixed, pure)]
-
-
 def entropy_tables(rho: DensityMatrix, bases) -> tuple[list[tuple], list[tuple]]:
     """Per-basis entropy rows and per-projector probability rows.
 
@@ -130,6 +119,12 @@ def entropy_tables(rho: DensityMatrix, bases) -> tuple[list[tuple], list[tuple]]
     entropy_mixed, entropy_pure); probability rows are (basis, outcome
     string, p_mixed, p_pure).
     """
+
+    def entropy(p: np.ndarray) -> float:
+        p = np.clip(p, 0.0, None)
+        nz = p[p > 0]
+        return float(-(nz * np.log(nz)).sum())
+
     psi = eigendecompose(rho).vectors[:, 0]
     mixed = measurement.density_probabilities(rho, bases)
     pure = measurement.basis_probabilities(psi, bases)
@@ -139,4 +134,5 @@ def entropy_tables(rho: DensityMatrix, bases) -> tuple[list[tuple], list[tuple]]
         for basis, mixed_row, pure_row in zip(bases, mixed.tolist(), pure.tolist())
         for outcome, m, p in zip(outcomes, mixed_row, pure_row)
     ]
-    return entropy_rows(bases, mixed, pure), probability_rows
+    entropies = [(basis, entropy(m), entropy(p)) for basis, m, p in zip(bases, mixed, pure)]
+    return entropies, probability_rows

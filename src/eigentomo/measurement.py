@@ -90,14 +90,12 @@ def spin_table(n_qubits: int) -> np.ndarray:
     return table
 
 
-def outcome_string(outcome) -> str:
-    return "".join("+" if s == 1 else "-" for s in outcome)
-
-
 @lru_cache(maxsize=None)
 def outcome_strings(n_qubits: int) -> tuple[str, ...]:
-    """Outcome strings of every basis index, in index order."""
-    return tuple(outcome_string(row) for row in spin_table(n_qubits))
+    """Outcome strings ('+' or '-' per spin) of every basis index, in index order."""
+    return tuple(
+        "".join("+" if s == 1 else "-" for s in row) for row in spin_table(n_qubits)
+    )
 
 
 def _kron_rotations(labels: list[str]) -> np.ndarray:
@@ -731,13 +729,11 @@ def bell_states() -> tuple[StateVector, StateVector, StateVector, StateVector]:
     return phi_p, phi_m, psi_p, psi_m
 
 
-def bell_mixture(eigenvalues=(0.9, 0.09, 0.009, 0.001)) -> DensityMatrix:
-    """Mixture of the four Bell states with the given weights."""
-    p = np.asarray(eigenvalues, dtype=float)
-    if p.shape != (4,) or p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("eigenvalues must be four nonnegative numbers summing to 1")
+def bell_mixture() -> DensityMatrix:
+    """The mixture of the four Bell states (phi+, phi-, psi+, psi-) with
+    weights 0.9, 0.09, 0.009 and 0.001: the ``bell-mixture`` preset."""
     basis = np.column_stack([s.amplitudes for s in bell_states()])
-    return DensityMatrix.from_eigensystem(p, basis)
+    return DensityMatrix.from_eigensystem([0.9, 0.09, 0.009, 0.001], basis)
 
 
 def _random_rotation(dim: int, angle: float, rng: np.random.Generator) -> np.ndarray:

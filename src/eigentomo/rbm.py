@@ -2,15 +2,15 @@
 
 Two real-valued RBMs over +1/-1 spins define one pure state: the amplitude
 network gives the modulus through its normalized marginal, and the phase
-network gives the argument through half its log-marginal.  For small
-registers every normalization is computed exactly by exhaustive summation
-inside ``Ansatz.wavefunction``, the one evaluator of the ansatz, which
-evaluates both networks as one stacked (2, ...) pass, and the 2R networks
-of R parameter vectors as one (R, 2, ...) pass; block Gibbs sampling is
-available for the amplitude marginal beyond that.  The flat layout
-[a, b, W] of each network holds [b; W] as one (n + 1) x n block, so the
-hidden layer W^T s + b of every configuration is one matmul with the
-table [1 | s].
+network gives the argument through half its log-marginal.  Every
+normalization is an exact sum over all 2^n spin configurations inside
+``Ansatz.wavefunction``, the one evaluator of the ansatz, which evaluates
+both networks as one stacked (2, ...) pass, and the 2R networks of R
+parameter vectors as one (R, 2, ...) pass, so a fit is capped at
+``EXACT_MODE_MAX_QUBITS`` qubits; ``gibbs_sample``, which draws one
+network's visible marginal, serves no fit.  The flat layout [a, b, W] of
+each network holds [b; W] as one (n + 1) x n block, so the hidden layer
+W^T s + b of every configuration is one matmul with the table [1 | s].
 
 This module alone knows that layout: ``pack_parameters`` writes it, and
 ``Ansatz(n)``, the one entry point of the fitting pipeline, draws it,
@@ -253,8 +253,8 @@ class Ansatz:
     def __init__(self, n_qubits: int):
         if n_qubits > EXACT_MODE_MAX_QUBITS:
             raise ValueError(
-                f"exact mode is capped at {EXACT_MODE_MAX_QUBITS} qubits "
-                f"(got {n_qubits}); use gibbs_sample for larger registers"
+                f"exact mode is capped at {EXACT_MODE_MAX_QUBITS} qubits (got {n_qubits}): "
+                f"the fit sums over all 2**{n_qubits} spin configurations"
             )
         # The float table [1 | s] of every spin configuration s: the column of
         # ones carries the hidden bias through the hidden layer's matmul and

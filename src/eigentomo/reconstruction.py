@@ -325,6 +325,11 @@ def reconstruct(
                 candidate = SpectralApprox([*weights, weight], columns)
                 after = log_likelihood(candidate, data)
                 accepted = before is None or after > before
+                if not accepted:
+                    notes.append(
+                        f"step {step} rejected: the likelihood did not rise "
+                        f"({after!r} <= {before!r})"
+                    )
 
             eig_fid = None
             gap = None

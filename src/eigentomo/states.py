@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small multi-qubit systems.
 
-State vectors, density matrices, spectral decompositions, and the two
-standard closeness measures (fidelity and trace distance).  Everything is
+State vectors, density matrices, spectral decompositions, fidelity, and the
+half trace norm that gives each trace distance.  Everything is
 plain numpy on dimensions up to a few thousand; no sparsity and no tensor
 networks.  Qubit 0 is always the most significant bit of the basis index.
 """
@@ -80,16 +80,9 @@ class StateVector:
             raise ValueError("cannot normalize a zero or non-finite vector")
         return cls(amps / norm, qubit_count(amps.size))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, psi: StateVector) -> "DensityMatrix":
-        return cls(psi.projector(), psi.n_qubits)
+        return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.n_qubits)
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, vectors: np.ndarray) -> "DensityMatrix":
@@ -131,10 +124,6 @@ class DensityMatrix:
         mat = (v * p) @ v.conj().T
         mat = 0.5 * (mat + mat.conj().T)
         return cls(mat, qubit_count(mat.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -190,21 +179,6 @@ def matrix_of(obj) -> np.ndarray:
     return arr
 
 
-def vector_of(obj) -> np.ndarray:
-    """Amplitudes of a StateVector, or a complex ndarray passed through."""
-    if isinstance(obj, StateVector):
-        return obj.amplitudes
-    arr = np.asarray(obj, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional vector")
-    return arr
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def _clean_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Zero out round-off-scale eigenvalues of each last-axis spectrum before a sqrt."""
     cutoff = np.maximum(vals.max(axis=-1, keepdims=True), 0.0) * vals.shape[-1] * 1e-14
@@ -238,7 +212,8 @@ def fidelity(rho, sigma) -> float:
     """Fidelity [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2 between two states."""
     a = matrix_of(rho)
     b = matrix_of(sigma)
-    _check_same_dim(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     _require_psd(np.linalg.eigvalsh(a))
     root = _psd_sqrt(b)
     return float(_fidelity_of_core(np.linalg.eigvalsh(root @ a @ root)))
@@ -247,9 +222,14 @@ def fidelity(rho, sigma) -> float:
 def pure_fidelity(rho, psi):
     """Fidelity <psi|rho|psi> of a state against a pure state.
 
-    A (k, d) stack ``psi`` gives an array of k fidelities, one per row."""
+    ``psi`` is a StateVector, one amplitude vector, or a (k, d) stack, which
+    gives an array of k fidelities, one per row."""
     a = matrix_of(rho)
-    v = np.asarray(psi, dtype=np.complex128) if np.ndim(psi) == 2 else vector_of(psi)
+    if isinstance(psi, StateVector):
+        psi = psi.amplitudes
+    v = np.asarray(psi, dtype=np.complex128)
+    if v.ndim not in (1, 2):
+        raise ValueError("expected one vector or a (k, d) stack of vectors")
     if a.shape[0] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.shape[-1]}")
     bra = v.conj()
@@ -337,21 +317,6 @@ def half_trace_norm(diff: np.ndarray) -> np.ndarray:
     stack's leading shape.
     """
     return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
-
-
-def trace_distance(rho, sigma) -> float:
-    """Half the absolute-eigenvalue sum of (rho - sigma).
-
-    ``sigma`` may be any Hermitian unit-trace matrix; it does not have to be
-    positive semi-definite, so deflated intermediate states are accepted.
-    """
-    a = matrix_of(rho)
-    b = matrix_of(sigma)
-    _check_same_dim(a, b)
-    diff = a - b
-    if np.abs(diff - diff.conj().T).max() > 1e-9:
-        raise ValueError("difference matrix is not Hermitian within tolerance")
-    return float(half_trace_norm(diff))
 
 
 def eigendecompose(rho: DensityMatrix) -> Spectrum:

@@ -79,7 +79,6 @@ class TrainingLog:
     """
 
     rows: np.ndarray
-    winner_restart: int
     best_cost: float
     diagnostics: list[str] = field(default_factory=list)
 
@@ -294,11 +293,6 @@ def train_next_eigenstate(
             np.repeat([r.restart for r in results], lengths),
         ]
     )
-    log = TrainingLog(
-        rows=rows,
-        winner_restart=winner.restart,
-        best_cost=winner.cost,
-        diagnostics=diagnostics,
-    )
+    log = TrainingLog(rows=rows, best_cost=winner.cost, diagnostics=diagnostics)
     psi = StateVector.normalized(engine.wavefunction(winner.theta))
     return psi, log

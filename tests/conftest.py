@@ -59,7 +59,7 @@ def drift_at_step_three(data, previous, config):
     amplitudes[step] = 1.0
     if step == 2:
         amplitudes[0] = 1e-6
-    log = training.TrainingLog(rows=np.zeros((0, 3)), winner_restart=0, best_cost=0.0)
+    log = training.TrainingLog(rows=np.zeros((0, 3)), best_cost=0.0)
     return st.StateVector.normalized(amplitudes), log
 
 

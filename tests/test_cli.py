@@ -594,7 +594,7 @@ class TestManifests:
         assert len(tokens) > 36 + 32
         assert [t for t in tokens if t != repr(float(t))] == []
 
-        rho = ms.bell_mixture(cli.BELL_SPECTRUM)
+        rho = ms.bell_mixture()
         want = ms.sample_dataset(rho, ms.generate_basis_set(2, "full", 11), 1000, 11)
         got = ms.MeasurementDataset.load_jsonl(synth / "dataset.jsonl")
         assert np.array_equal(

@@ -132,7 +132,7 @@ class TestLogPartition:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="exact mode is capped at 12 qubits"):
             rbm.Ansatz(13)
-        with pytest.raises(ValueError, match="gibbs_sample"):
+        with pytest.raises(ValueError, match=r"sums over all 2\*\*13 spin configurations"):
             rbm.to_state_vector(rbm.NqsState.uniform_init(13, seed=0))
 
 

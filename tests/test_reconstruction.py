@@ -514,6 +514,16 @@ class TestReconstruct:
         assert rejected.likelihood_after is None
         assert report.notes == ["step 2 rejected: its eigenvalue estimate is 0"]
 
+    def test_falling_likelihood_step_rejected_with_a_note(self, monkeypatch, bell_dataset):
+        falling = iter([-1.0, -2.0])
+        monkeypatch.setattr(rc, "log_likelihood", lambda approx, data: next(falling))
+        approx, report = rc.reconstruct(
+            bell_dataset, 3, quick_config(seed=3, max_epochs=300), floor=1e-2
+        )
+        assert approx.rank == 1
+        assert [step.accepted for step in report.steps] == [True, False]
+        assert report.notes == ["step 2 rejected: the likelihood did not rise (-2.0 <= -1.0)"]
+
     def test_bell_rank_three_runs_three_steps(self, bell_rho, bell_dataset):
         # Step 3 fits within the complement of the two fitted states.
         config = quick_config(seed=3, max_epochs=30000, restarts=3)

@@ -160,32 +160,6 @@ class TestPureFidelity:
             st.pure_fidelity(bell_rho, np.ones((3, 2)) / np.sqrt(2))
 
 
-class TestTraceDistance:
-    def test_identity_case(self, bell_rho):
-        assert st.trace_distance(bell_rho, bell_rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bell_mixture_dominant_projector(self, bell_rho):
-        projector = st.DensityMatrix.from_pure(ms.bell_states()[0])
-        assert st.trace_distance(bell_rho, projector) == pytest.approx(0.1, abs=1e-12)
-
-    def test_classical_flip(self):
-        a = np.diag([0.7, 0.3]).astype(complex)
-        b = np.diag([0.3, 0.7]).astype(complex)
-        assert st.trace_distance(a, b) == pytest.approx(0.4, abs=1e-12)
-
-    def test_accepts_non_physical_hermitian_argument(self, bell_rho):
-        sigma = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-        value = st.trace_distance(bell_rho, sigma)
-        assert np.isfinite(value)
-
-    def test_range_on_valid_states(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            a = random_density_matrix(4, rng)
-            b = random_density_matrix(4, rng)
-            assert 0.0 <= st.trace_distance(a, b) <= 1.0
-
-
 def reference_states(dim: int, rng: np.random.Generator) -> dict:
     """Density matrices of every spectrum shape the small-space scorers must
     handle: pure, rank 2 (dim >= 2), maximally mixed (fully degenerate),
