@@ -9,34 +9,3 @@ additional pair no longer improves the data likelihood.
 """
 
 __version__ = "0.1.0"
-
-from .states import (
-    DensityMatrix,
-    Spectrum,
-    StateVector,
-    eigendecompose,
-    fidelity,
-    optimal_rank_r,
-    pure_fidelity,
-)
-from .measurement import (
-    MeasurementDataset,
-    bell_mixture,
-    exact_dataset,
-    generate_basis_set,
-    make_w_mixture,
-    sample_dataset,
-    w_state,
-)
-from .rbm import NqsState, RbmParams
-from .costs import CostSpec
-from .training import TrainConfig, TrainingLog, train_next_eigenstate
-from .reconstruction import (
-    IterationReport,
-    SpectralApprox,
-    deflate,
-    estimate_dominant_eigenvalue,
-    log_likelihood,
-    reconstruct,
-    relative_fidelity,
-)

@@ -73,17 +73,15 @@ def _recorded_argv(args) -> list[str]:
     """The subcommand's declared options with their resolved values.
 
     Replaying this argv reproduces the run: every option that holds a value
-    is listed, in declaration order, and a flag appears when it is set.
+    is listed, in declaration order.  The subcommands declare no flag option,
+    so every recorded option takes a value.
     """
     argv = [args.command]
     for action in args.parser._actions:
         if not action.option_strings or action.dest not in vars(args):
             continue
         value = getattr(args, action.dest)
-        if action.nargs == 0:
-            if value:
-                argv.append(action.option_strings[0])
-        elif value is not None:
+        if value is not None:
             argv += [action.option_strings[0], str(value)]
     return argv
 

@@ -333,7 +333,7 @@ def reconstruct(
 
             eig_fid = None
             gap = None
-            if truth is not None and step <= truth.dim:
+            if truth is not None:
                 reference = truth.eigenvector(step - 1)
                 phase = reference.overlap(psi)
                 eig_fid = float(abs(phase) ** 2)

@@ -349,7 +349,7 @@ def optimal_rank_r(rho: DensityMatrix, r: int) -> DensityMatrix:
 
 def state_doc(entries: np.ndarray, n_qubits: int) -> dict:
     """The JSON object of a state vector's amplitudes or a density matrix's
-    entries, as ``_load_state_doc`` reads it back."""
+    entries, as ``_load_state`` reads it back."""
     return {
         "n_qubits": n_qubits,
         "re": entries.real.tolist(),
@@ -361,18 +361,19 @@ def save_state_vector(path, psi: StateVector) -> None:
     jsonio.dump(state_doc(psi.amplitudes, psi.n_qubits), path)
 
 
-def _load_state_doc(path) -> tuple[np.ndarray, int]:
-    """Entries re + i im and ``n_qubits`` of a file written by
-    ``save_state_vector`` or ``save_density_matrix``; ValueError unless the
-    file holds an object with an integer ``n_qubits`` (booleans are not)
-    that matches the leading dimension of the entries, and ``re`` and ``im``
-    arrays of finite numbers of one shape."""
+def _load_state(path, cls):
+    """The ``cls`` (``StateVector`` or ``DensityMatrix``) of entries re + i im
+    and ``n_qubits`` in a file written by ``save_state_vector`` or
+    ``save_density_matrix``; ValueError, naming the file, unless the file
+    holds an object with an integer ``n_qubits`` (booleans are not) that
+    matches the leading dimension of the entries, ``re`` and ``im`` arrays of
+    finite numbers of one shape, and entries that ``cls`` accepts."""
     doc = jsonio.load(path)
     if not isinstance(doc, dict):
         raise ValueError(f"state file {path} does not hold a JSON object")
     n_qubits = doc.get("n_qubits")
     if type(n_qubits) is not int:
-        raise ValueError(f"state file n_qubits must be an integer, got {n_qubits!r}")
+        raise ValueError(f"state file {path} n_qubits must be an integer, got {n_qubits!r}")
     fields = []
     for name in ("re", "im"):
         try:
@@ -392,12 +393,15 @@ def _load_state_doc(path) -> tuple[np.ndarray, int]:
     # huge n_qubits.
     dim = entries.shape[0] if entries.ndim else 0
     if n_qubits != dim.bit_length() - 1:
-        raise ValueError(f"state file n_qubits {n_qubits} does not match dimension {dim}")
-    return entries, n_qubits
+        raise ValueError(f"state file {path} n_qubits {n_qubits} does not match dimension {dim}")
+    try:
+        return cls(entries, n_qubits)
+    except ValueError as exc:
+        raise ValueError(f"state file {path}: {exc}") from None
 
 
 def load_state_vector(path) -> StateVector:
-    return StateVector(*_load_state_doc(path))
+    return _load_state(path, StateVector)
 
 
 def save_density_matrix(path, rho: DensityMatrix) -> None:
@@ -405,4 +409,4 @@ def save_density_matrix(path, rho: DensityMatrix) -> None:
 
 
 def load_density_matrix(path) -> DensityMatrix:
-    return DensityMatrix(*_load_state_doc(path))
+    return _load_state(path, DensityMatrix)

@@ -1,9 +1,11 @@
 import csv
 import json
 import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +369,25 @@ class TestReconstructCommand:
         assert line.startswith("error: ") and "3 qubits, the dataset 2" in line
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--truth", "--target"])
+    def test_state_file_of_the_wrong_kind_names_the_file(
+        self, tmp_path, bell_rho, bell_dataset, flag
+    ):
+        bell_dataset.save_jsonl(tmp_path / "dataset.jsonl")
+        state = tmp_path / "state.json"
+        if flag == "--truth":  # a state vector where a density matrix belongs
+            st.save_state_vector(state, ms.bell_states()[0])
+        else:
+            st.save_density_matrix(state, bell_rho)
+        proc = run_cli(
+            "reconstruct", "--dataset", tmp_path / "dataset.jsonl", flag, state,
+            "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: state file {state}: ")
+        assert not (tmp_path / "result.json").exists()
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_DATASETS))
     def test_malformed_dataset_runtime_error(self, tmp_path, name):
         text, match = MALFORMED_DATASETS[name]
@@ -514,6 +535,17 @@ class TestFigdataCommand:
         )
         assert proc.returncode == 1
         assert re.fullmatch(f"error: .*{match}.*\n", proc.stderr)
+
+    def test_state_vector_file_names_the_file(self, tmp_path):
+        state = tmp_path / "psi.json"
+        st.save_state_vector(state, ms.w_state(4))
+        proc = run_cli(
+            "figdata", "--mode", "fig4", "--state", state, "--out-dir", tmp_path,
+            check=False,
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: state file {state}: ")
 
     def test_fig3_summary_spearman(self, tmp_path, w4_state_file):
         run_cli(
@@ -695,6 +727,23 @@ class TestRunner:
         assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
 
 
+class TestReadme:
+    def test_documented_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        commands = [
+            line
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("eigentomo ")
+        ]
+        parser = cli.build_parser()
+        parsed = [parser.parse_args(shlex.split(command)[1:]) for command in commands]
+        assert {args.command for args in parsed} == {
+            "synth", "reconstruct", "verify", "figdata"
+        }
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         # scipy is imported inside the two functions that use it
@@ -709,3 +758,17 @@ class TestImport:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import sys, eigentomo; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('eigentomo', 'numpy'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "['eigentomo']"
+
+    def test_module_entry_prints_the_version(self):
+        assert run_cli("--version").stdout == "0.1.0\n"

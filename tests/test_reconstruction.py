@@ -524,6 +524,38 @@ class TestReconstruct:
         assert [step.accepted for step in report.steps] == [True, False]
         assert report.notes == ["step 2 rejected: the likelihood did not rise (-2.0 <= -1.0)"]
 
+    def test_rising_estimate_noted_as_inverted_order(self, monkeypatch, bell_dataset):
+        # Step 2's raw 0.6 of the remaining 0.7 is 0.42, above step 1's 0.3.
+        inner = rc.estimate_dominant_eigenvalue
+        raw = iter([0.3, 0.6])
+        monkeypatch.setattr(
+            rc, "estimate_dominant_eigenvalue",
+            lambda *args: (next(raw), inner(*args)[1]),
+        )
+        rising = iter([-2.0, -1.0])
+        monkeypatch.setattr(rc, "log_likelihood", lambda approx, data: next(rising))
+        approx, report = rc.reconstruct(
+            bell_dataset, 2, quick_config(seed=3, max_epochs=300), floor=1e-2
+        )
+        assert approx.rank == 2
+        assert [step.accepted for step in report.steps] == [True, True]
+        assert report.notes == [
+            "step 2 estimate (0.42) exceeds the previous one (0.3); "
+            "extraction order inverted"
+        ]
+
+    def test_unit_estimate_exhausts_the_statistics(self, monkeypatch, bell_dataset):
+        inner = rc.estimate_dominant_eigenvalue
+        monkeypatch.setattr(
+            rc, "estimate_dominant_eigenvalue", lambda *args: (1.0, inner(*args)[1])
+        )
+        approx, report = rc.reconstruct(
+            bell_dataset, 3, quick_config(seed=3, max_epochs=300), floor=1e-2
+        )
+        assert approx.rank == 1
+        assert [step.step for step in report.steps] == [1]
+        assert report.notes == ["step 1 exhausted the statistics; stopping early"]
+
     def test_bell_rank_three_runs_three_steps(self, bell_rho, bell_dataset):
         # Step 3 fits within the complement of the two fitted states.
         config = quick_config(seed=3, max_epochs=30000, restarts=3)

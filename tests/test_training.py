@@ -208,6 +208,33 @@ class TestLbfgs:
             assert fit.cost <= initial
             assert fit.costs == sorted(fit.costs, reverse=True)
 
+    def test_infinite_cost_beyond_a_wall_shortens_the_step(self):
+        # 5 (theta - 1/2)^2 below theta = 1 and +inf from 1 on.  Each first
+        # trial moves theta by 1 and lands past the wall.
+        trials = []
+
+        class WallEngine:
+            def initial_parameters(self, seed):
+                return np.array([0.1 + 0.05 * seed])
+
+            def value_and_grad(self, thetas):
+                theta = thetas[:, 0]
+                trials.extend(theta.tolist())
+                inside = theta < 1.0
+                cost = np.where(inside, 5.0 * (theta - 0.5) ** 2, np.inf)
+                grad = np.where(inside, 10.0 * (theta - 0.5), np.nan)
+                return cost, grad[:, None]
+
+        fits = training._fit_restarts(
+            WallEngine(), quick_config(seed=0, max_epochs=50, restarts=3)
+        )
+        assert any(theta >= 1.0 for theta in trials)
+        for fit in fits:
+            assert fit.error is None
+            assert np.isfinite(fit.theta).all() and np.isfinite(fit.cost)
+            assert fit.costs and np.isfinite(fit.costs).all()
+            assert fit.cost == pytest.approx(0.0, abs=1e-12)
+
 
 class TestTrainNextEigenstate:
     def test_orthogonal_complement_recovery(self):
