@@ -368,7 +368,10 @@ def _load_state(path, cls):
     holds an object with an integer ``n_qubits`` (booleans are not) that
     matches the leading dimension of the entries, ``re`` and ``im`` arrays of
     finite numbers of one shape, and entries that ``cls`` accepts."""
-    doc = jsonio.load(path)
+    try:
+        doc = jsonio.load(path)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"state file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"state file {path} does not hold a JSON object")
     n_qubits = doc.get("n_qubits")

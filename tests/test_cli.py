@@ -388,6 +388,41 @@ class TestReconstructCommand:
         assert line.startswith(f"error: state file {state}: ")
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("damage", ["unclosed", "not_utf8"])
+    @pytest.mark.parametrize("flag", ["--truth", "--target"])
+    def test_state_file_syntax_names_the_file(
+        self, tmp_path, bell_rho, bell_dataset, flag, damage
+    ):
+        # Both state files given, one of them damaged: the message names it.
+        bell_dataset.save_jsonl(tmp_path / "dataset.jsonl")
+        truth, target = tmp_path / "truth.json", tmp_path / "target.json"
+        st.save_density_matrix(truth, bell_rho)
+        st.save_state_vector(target, ms.bell_states()[0])
+        state = truth if flag == "--truth" else target
+        text = state.read_bytes()
+        if damage == "unclosed":
+            state.write_bytes(text.rstrip()[:-1] + b"\n")
+        else:
+            state.write_bytes(text.replace(b'"re"', b'"r\xffe"'))
+        proc = run_cli(
+            "reconstruct", "--dataset", tmp_path / "dataset.jsonl", "--truth", truth,
+            "--target", target, "--out-dir", tmp_path, check=False,
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: state file {state}: ")
+        assert not (tmp_path / "result.json").exists()
+
+    def test_dataset_not_utf8_names_the_record(self, tmp_path, bell_dataset):
+        path = tmp_path / "dataset.jsonl"
+        bell_dataset.save_jsonl(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"p"', b'"\xffp"')
+        path.write_bytes(b"\n".join(lines))
+        proc = run_cli("reconstruct", "--dataset", path, "--out-dir", tmp_path, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: record 3: not UTF-8 text: byte 0xff at column 35\n"
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_DATASETS))
     def test_malformed_dataset_runtime_error(self, tmp_path, name):
         text, match = MALFORMED_DATASETS[name]
@@ -539,6 +574,23 @@ class TestFigdataCommand:
     def test_state_vector_file_names_the_file(self, tmp_path):
         state = tmp_path / "psi.json"
         st.save_state_vector(state, ms.w_state(4))
+        proc = run_cli(
+            "figdata", "--mode", "fig4", "--state", state, "--out-dir", tmp_path,
+            check=False,
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: state file {state}: ")
+
+    @pytest.mark.parametrize("damage", ["unclosed", "not_utf8"])
+    def test_state_file_syntax_names_the_file(self, tmp_path, damage):
+        state = tmp_path / "rho.json"
+        st.save_density_matrix(state, st.DensityMatrix.from_pure(ms.w_state(4)))
+        text = state.read_bytes()
+        if damage == "unclosed":
+            state.write_bytes(text.rstrip()[:-1] + b"\n")
+        else:
+            state.write_bytes(text.replace(b'"im"', b'"i\xffm"'))
         proc = run_cli(
             "figdata", "--mode", "fig4", "--state", state, "--out-dir", tmp_path,
             check=False,

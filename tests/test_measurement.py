@@ -1,8 +1,12 @@
+import contextlib
 import itertools
 import json
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -725,6 +729,226 @@ class TestDatasetContainer:
         path.write_text("")
         with pytest.raises(ValueError):
             ms.MeasurementDataset.load_jsonl(path)
+
+
+def load_outcome(path, by_records=False):
+    """What ``load_jsonl`` makes of ``path``: the dataset's exact bits, or its
+    rejection message.  ``by_records`` takes the per-record path whatever the
+    layout."""
+    with mock.patch.object(ms, "_canonical_columns", lambda *args: None) if by_records \
+            else contextlib.nullcontext():
+        try:
+            data = ms.MeasurementDataset.load_jsonl(path)
+        except ValueError as exc:
+            return str(exc)
+    counts = None if data.counts is None else data.counts.tolist()
+    bits = data.probabilities.view(np.int64).tolist()
+    return data.n_qubits, data.bases, bits, counts, data.mode, data.seed
+
+
+def columnar(path):
+    """``_canonical_columns`` of the records after the header of ``path``, or
+    None where it gives up or raises what ``load_jsonl`` catches."""
+    with open(path, encoding="utf-8") as fh:
+        lines = iter(fh.readline, "")
+        n_qubits = next(json.loads(line) for line in lines if line.strip())["n_qubits"]
+        try:
+            return ms._canonical_columns(path, fh.tell(), n_qubits)
+        except (ValueError, IndexError, OverflowError):
+            return None
+
+
+def relaid(text: str) -> dict[str, str]:
+    """``save_jsonl``'s text in other layouts that every JSON reader reads the
+    same: reordered keys, extra spaces, CRLF, lone CR, blank lines and no
+    final newline."""
+    header, *records = text.splitlines()
+    docs = [json.loads(line) for line in records]
+    return {
+        "reordered_keys": "\n".join(
+            [header] + [json.dumps(dict(reversed(doc.items()))) for doc in docs]
+        ) + "\n",
+        "extra_spaces": "\n".join(
+            [header] + [json.dumps(doc, separators=(" ,  ", " :  ")) for doc in docs]
+        ) + "\n",
+        "crlf": text.replace("\n", "\r\n"),
+        "lone_cr": text.replace("\n", "\r"),
+        "blank_lines": "\n" + text.replace("\n", "\n \n"),
+        "no_final_newline": text[:-1],
+    }
+
+
+class TestColumnarReader:
+    """A file in ``save_jsonl``'s exact bytes is read as columns
+    (``_canonical_columns``); the same records in any other layout go record
+    by record, and both give the same bits or the same message."""
+
+    @pytest.fixture(params=[64, None], ids=["chunk64", "default"])
+    def chunk_bytes(self, request, monkeypatch):
+        # 64-byte reads split every block and record across reads.
+        if request.param:
+            monkeypatch.setattr(ms, "_CHUNK_BYTES", request.param)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hst.integers(1, 3).flatmap(
+            lambda n: hst.tuples(
+                hst.just(n),
+                hst.sets(
+                    hst.sampled_from(ms.generate_basis_set(n, "full")), min_size=1
+                ),
+            )
+        ),
+        hst.integers(0, 2**32 - 1),
+        hst.sampled_from([0, 1, 40]),
+        hst.sampled_from([64, 300, ms._CHUNK_BYTES]),
+    )
+    def test_layouts_give_the_same_bits(self, n_and_bases, seed, shots, chunk):
+        n, bases = n_and_bases
+        rho = random_density_matrix(2**n, np.random.default_rng(seed))
+        if shots:
+            data = ms.sample_dataset(rho, bases, shots, seed=seed)
+        else:
+            data = ms.exact_dataset(rho, bases)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(ms, "_CHUNK_BYTES", chunk):
+            path = Path(tmp) / "data.jsonl"
+            data.save_jsonl(path)
+            assert columnar(path) is not None
+            expected = load_outcome(path)
+            assert isinstance(expected, tuple)
+            assert np.array_equal(expected[2], data.probabilities.view(np.int64))
+            assert load_outcome(path, by_records=True) == expected
+            for name, text in relaid(path.read_text()).items():
+                copy = Path(tmp) / f"{name}.jsonl"
+                copy.write_bytes(text.encode())
+                assert columnar(copy) is None, name
+                assert load_outcome(copy) == expected, name
+
+    # p and shots values in the exact layout: (name, p text, shots text,
+    # read as columns).
+    VALUES = [
+        ("nan", "NaN", "null", False),
+        ("infinity", "Infinity", "null", False),
+        ("beyond_float64", "1e999", "null", True),
+        ("negative_zero", "-0.0", "null", True),
+        ("upper_case_exponent", "1E-05", "null", True),
+        ("integer_p", "1", "null", True),
+        ("leading_zero", "01", "null", False),
+        ("string_p", '"0.5"', "null", False),
+        ("boolean_shots", "0.5", "true", False),
+        ("shots_beyond_int64", "0.5", str(2**63), False),
+        ("negative_shots", "0.5", "-1", False),
+        ("float_shots", "0.5", "1.0", False),
+        ("shots_exponent", "0.5", "1e1", False),
+    ]
+
+    @staticmethod
+    def write(path, header, records):
+        lines = [json.dumps(header)] + [
+            f'{{"basis": "{b}", "outcome": "{o}", "p": {p}, "shots": {k}}}'
+            for b, o, p, k in records
+        ]
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("name, p, shots, as_columns", VALUES, ids=[v[0] for v in VALUES])
+    def test_values_in_the_exact_layout(self, tmp_path, chunk_bytes, name, p, shots, as_columns):
+        # The odd value is the second record of basis z; the first is its
+        # complement where that is a number, so that valid files load.
+        other = {"1e999": "0.0", "1": "0.0", "1E-05": "0.99999", "-0.0": "1.0"}.get(p, "0.5")
+        sampled = shots != "null"
+        other_shots = "1" if sampled else "null"
+        header = {"n_qubits": 1, "mode": "sampled" if sampled else "exact", "seed": 1}
+        path = tmp_path / f"{name}.jsonl"
+        self.write(path, header, [
+            ("x", "+", "0.5", other_shots), ("x", "-", "0.5", other_shots),
+            ("z", "+", other, other_shots), ("z", "-", p, shots),
+        ])
+        assert (columnar(path) is not None) == as_columns
+        assert load_outcome(path) == load_outcome(path, by_records=True)
+
+    # Records that differ from the exact layout in a few bytes: (name, the
+    # two records of basis z, each "<p>, <rest of the line>").
+    DEPARTURES = [
+        ("key_after_p", ['0.5, "shots": 5}', '0.5, "sh0ts": 5}']),
+        ("brace_moved", ['0.5, "shots": 5', '0.5, "shots": }5}']),
+        ("extra_field", ['0.5, "shots": 5, "n": 1}', '0.5, "shots": 5}']),
+        ("space_after_p", ['0.5 , "shots": 5}', '0.5, "shots": 5}']),
+        ("trailing_space", ['0.5, "shots": 5} ', '0.5, "shots": 5}']),
+        ("leading_zero_shots", ['0.5, "shots": 05}', '0.5, "shots": 5}']),
+        ("value_after_comma", ['0.5,          5}', '0.5, "shots": 5}']),
+    ]
+
+    @pytest.mark.parametrize("name, tails", DEPARTURES, ids=[d[0] for d in DEPARTURES])
+    def test_departures_read_record_by_record(self, tmp_path, chunk_bytes, name, tails):
+        path = tmp_path / f"{name}.jsonl"
+        lines = ['{"n_qubits": 1, "mode": "sampled", "seed": 1}'] + [
+            f'{{"basis": "z", "outcome": "{o}", "p": {tail}' for o, tail in zip("+-", tails)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        assert columnar(path) is None
+        assert load_outcome(path) == load_outcome(path, by_records=True)
+
+    def test_basis_outside_the_axes_named(self, tmp_path, chunk_bytes):
+        path = tmp_path / "basis.jsonl"
+        self.write(path, {"n_qubits": 1, "mode": "exact", "seed": None},
+                   [("q", "+", "0.5", "null"), ("q", "-", "0.5", "null")])
+        assert columnar(path) is None
+        assert load_outcome(path) == load_outcome(path, by_records=True)
+        assert load_outcome(path).startswith("record 1: ")
+
+    def test_null_shots_then_integers_in_the_next_block(self, tmp_path, chunk_bytes):
+        path = tmp_path / "mixed.jsonl"
+        self.write(path, {"n_qubits": 1, "mode": "sampled", "seed": 1}, [
+            ("x", "+", "0.5", "null"), ("x", "-", "0.5", "null"),
+            ("z", "+", "0.5", "5"), ("z", "-", "0.5", "5"),
+        ])
+        assert columnar(path) is None
+        message = "record 3: shots 5, expected null as in record 1"
+        assert load_outcome(path) == load_outcome(path, by_records=True) == message
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DATASETS))
+    def test_malformed_message_is_the_per_record_one(self, tmp_path, chunk_bytes, name):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(MALFORMED_DATASETS[name][0])
+        assert load_outcome(path) == load_outcome(path, by_records=True)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_read_record_by_record(self, tmp_path, bell_dataset):
+        path, fifo = tmp_path / "data.jsonl", tmp_path / "fifo"
+        bell_dataset.save_jsonl(path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True
+        )
+        writer.start()
+        assert load_outcome(fifo) == load_outcome(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"n_qubits": 1, "mode": "exact", "seed": null}\n'
+             b'{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n'
+             b'{"basis": "z", "outcome": "\xff", "p": 0.5, "shots": null}\n',
+             "record 2: not UTF-8 text: byte 0xff at column 28"),
+            (b'\n{"n_qubits": 1, "mode": "ex\xc3act", "seed": null}\r\n',
+             "header: not UTF-8 text: byte 0xc3 at column 28"),
+            # Blank lines are not records; \r and \r\n end lines as \n does.
+            (b'{"n_qubits": 1, "mode": "exact", "seed": null}\r\n\r\n'
+             b'{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\r'
+             b'{"basis": "z", "outcome": "-", "p": 0.5, "shots": null, "n": "\x80"}\n',
+             "record 2: not UTF-8 text: byte 0x80 at column 63"),
+        ],
+        ids=["record", "header", "blank_lines_and_carriage_returns"],
+    )
+    def test_not_utf8_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as err:
+            ms.MeasurementDataset.load_jsonl(path)
+        assert str(err.value) == message
 
 
 class TestRecordValues:
