@@ -486,20 +486,18 @@ class MeasurementDataset:
 
         Record lines are formatted directly and match ``json.dumps`` of
         ``{"basis", "outcome", "p", "shots"}`` byte for byte: ``repr`` of a
-        float is the text ``json.dumps`` writes for it.
+        float is the text ``json.dumps`` writes for it.  The tables are
+        converted to Python numbers one basis block at a time.
         """
         outcomes = [f'"outcome": "{s}", "p": ' for s in outcome_strings(self.n_qubits)]
-        if self.counts is not None:
-            counts = self.counts.tolist()
-        else:
-            counts = [["null"] * self.dim] * len(self.bases)
+        no_shots = ["null"] * self.dim
         with open(path, "w", encoding="utf-8") as fh:
             header = {"n_qubits": self.n_qubits, "mode": self.mode, "seed": self.seed}
             fh.write(json.dumps(header))
             fh.write("\n")
-            for basis, probs, shots in zip(
-                self.bases, self.probabilities.tolist(), counts
-            ):
+            for b, basis in enumerate(self.bases):
+                probs = self.probabilities[b].tolist()
+                shots = no_shots if self.counts is None else self.counts[b].tolist()
                 prefix = f'{{"basis": "{basis}", '
                 fh.write(
                     "".join(
@@ -835,11 +833,18 @@ def bell_mixture() -> DensityMatrix:
 def _random_rotation(dim: int, angle: float, rng: np.random.Generator) -> np.ndarray:
     """Seeded random unitary exp(i angle H), H a random Hermitian matrix
     scaled to spectral radius 1, so no eigenphase exceeds ``angle`` radians."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    herm = 0.5 * (g + g.conj().T)
-    herm /= np.abs(np.linalg.eigvalsh(herm)).max()
-    vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+    # In place, through the ufuncs and operand order of
+    # 0.5 * (g + g^dag) and (vecs * phases) @ vecs^dag, so every bit is theirs.
+    g = np.empty((dim, dim), dtype=np.complex128)
+    g.real = rng.normal(size=(dim, dim))
+    g.imag = rng.normal(size=(dim, dim))
+    np.add(g, g.conj().T, out=g)
+    g *= 0.5
+    g /= np.abs(np.linalg.eigvalsh(g)).max()
+    vals, vecs = np.linalg.eigh(g)
+    adjoint = vecs.conj().T
+    vecs *= np.exp(1j * angle * vals)
+    return vecs @ adjoint
 
 
 def make_w_mixture(

@@ -102,7 +102,9 @@ class DensityMatrix:
             )
         if not np.isfinite(mat).all():
             raise ValueError("matrix entries must be finite")
-        if np.abs(mat - mat.conj().T).max() > HERM_ATOL:
+        skew = mat.conj().T
+        np.subtract(mat, skew, out=skew)
+        if np.abs(skew).max() > HERM_ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_ATOL:
@@ -122,7 +124,8 @@ class DensityMatrix:
         p = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(vectors, dtype=np.complex128)
         mat = (v * p) @ v.conj().T
-        mat = 0.5 * (mat + mat.conj().T)
+        np.add(mat, mat.conj().T, out=mat)
+        mat *= 0.5
         return cls(mat, qubit_count(mat.shape[0]))
 
 
@@ -349,12 +352,9 @@ def optimal_rank_r(rho: DensityMatrix, r: int) -> DensityMatrix:
 
 def state_doc(entries: np.ndarray, n_qubits: int) -> dict:
     """The JSON object of a state vector's amplitudes or a density matrix's
-    entries, as ``_load_state`` reads it back."""
-    return {
-        "n_qubits": n_qubits,
-        "re": entries.real.tolist(),
-        "im": entries.imag.tolist(),
-    }
+    entries, as ``_load_state`` reads it back.  ``re`` and ``im`` are views
+    of ``entries``, which ``jsonio.dump`` writes one row at a time."""
+    return {"n_qubits": n_qubits, "re": entries.real, "im": entries.imag}
 
 
 def save_state_vector(path, psi: StateVector) -> None:

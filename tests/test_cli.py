@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -55,6 +56,26 @@ class TestSynth:
         data = ms.MeasurementDataset.load_jsonl(out / "dataset.jsonl")
         assert len(data.bases) == 61
         assert data.n_records == 61 * 16
+
+    def test_w6_files_pinned(self, tmp_path):
+        # Every bit of make_w_mixture (its rotation and from_eigensystem) and
+        # of both writers, below anything the acceptance tolerances notice.
+        # The digests are those of numpy 2.4 with its OpenBLAS; another
+        # LAPACK build may round eigh or qr differently.
+        out = tmp_path / "w6"
+        run_cli(
+            "synth", "--w", 6, "--spectrum", "0.80,0.07,0.04",
+            "--bases", "compressed", "--seed", 7, "--out-dir", out,
+        )
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("state.json", "target.json", "dataset.jsonl")
+        }
+        assert digests == {
+            "state.json": "f0ede08253adccfb35e83982b2c4306af5420189d9df2932fbae253e9a873fe4",
+            "target.json": "b390173ada52d8573b596e728843126389300a056e96910cc037c6cbd2751a60",
+            "dataset.jsonl": "81532c32b75c2c22ca8ed9c803e467ce8d556b605cbd79400ead2530ae5e6784",
+        }
 
     def test_single_qubit_pure_w(self, tmp_path):
         out = tmp_path / "w1"
@@ -190,6 +211,13 @@ class TestReconstructCommand:
         assert doc["report"][0]["step"] == 1
         psi = doc["pairs"][0]["state"]
         assert len(psi["re"]) == 4 and psi["n_qubits"] == 2
+
+    def test_result_file_is_the_list_document(self, bell_run):
+        # The state documents are written from arrays, with the bytes that
+        # json.dumps gives their nested lists.
+        _, rec_dir = bell_run
+        text = (rec_dir / "result.json").read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
 
     def test_max_rank_three_runs_three_steps(self, tmp_path):
         synth_dir = tmp_path / "synth"

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from eigentomo import jsonio
@@ -42,3 +45,32 @@ def test_file_round_trip(tmp_path):
     doc = {"p": 0.45449999999999979, "tag": "xx", "n": None, "ok": False}
     jsonio.dump(doc, path)
     assert jsonio.load(path) == doc
+
+
+def test_arrays_written_as_their_lists(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {
+        "m": np.arange(6.0).reshape(2, 3) / 7,
+        "v": [np.array([-0.0, 5e-324]), np.zeros((0, 2)), np.ones((2, 0))],
+        "t": {"k": np.arange(8).reshape(2, 2, 2), "s": np.array(1.5)},
+        1: "int key",
+        "plain": [1, 2.5, None, True, "x"],
+    }
+    jsonio.dump(doc, path)
+    assert path.read_text() == json.dumps(doc, default=lambda a: a.tolist()) + "\n"
+
+
+@pytest.mark.parametrize("where", ["array", "list"])
+def test_non_finite_rejected_before_the_file_is_opened(tmp_path, where):
+    entries = np.eye(3)
+    entries[2, 1] = np.nan
+    doc = {"re": entries} if where == "array" else {"re": np.eye(3), "x": [float("inf")]}
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    with pytest.raises(ValueError):
+        jsonio.dump(doc, kept)
+    assert kept.read_text() == "kept\n"
+    new = tmp_path / "new.json"
+    with pytest.raises(ValueError):
+        jsonio.dump(doc, new)
+    assert not new.exists()

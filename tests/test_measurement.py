@@ -635,6 +635,21 @@ class TestDatasetContainer:
         bell_dataset.save_jsonl(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_written_within_a_fraction_of_its_size(self, tmp_path):
+        # The whole table as Python floats would take over a third of the
+        # file's size; one basis block at a time takes a few kilobytes.
+        rho = random_density_matrix(64, np.random.default_rng(6))
+        data = ms.exact_dataset(rho, ms.generate_basis_set(6, "full"))
+        path = tmp_path / "data.jsonl"
+        tracemalloc.start()
+        try:
+            data.save_jsonl(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.n_records == 729 * 64
+        assert peak < path.stat().st_size / 4
+
     def test_incomplete_outcome_grid_rejected(self, tmp_path):
         path = tmp_path / "partial.jsonl"
         path.write_text(

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -495,3 +498,40 @@ class TestStateFiles:
         st.save_density_matrix(a, bell_rho)
         st.save_density_matrix(b, bell_rho)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_density_matrix_file_is_the_list_document(self, tmp_path, n):
+        # Written row by row, the file is still json.dumps of the nested-list
+        # document: negative zeros, a subnormal and 17-digit entries included.
+        dim = 2**n
+        p = np.random.default_rng(n).random(dim) + 1.0
+        mat = np.full((dim, dim), complex(-0.0, -0.0))
+        mat[np.diag_indices(dim)] = p / p.sum()
+        mat[0, -1] = complex(5e-324, 1.2345678901234567e-3)
+        mat[-1, 0] = mat[0, -1].conjugate()
+        rho = st.DensityMatrix(mat, n)
+        path = tmp_path / "rho.json"
+        st.save_density_matrix(path, rho)
+        want = json.dumps(
+            {
+                "n_qubits": n,
+                "re": rho.entries.real.tolist(),
+                "im": rho.entries.imag.tolist(),
+            }
+        )
+        assert path.read_text() == want + "\n"
+        for text in ("-0.0", "5e-324", "0.0012345678901234567"):
+            assert text in want
+
+    def test_density_matrix_written_within_a_fraction_of_its_size(self, tmp_path):
+        # A list of all 2 * 64 * 64 floats, or the file's text, would take
+        # several times the file's size.
+        rho = st.DensityMatrix(random_density_matrix(64, np.random.default_rng(5)), 6)
+        path = tmp_path / "rho.json"
+        tracemalloc.start()
+        try:
+            st.save_density_matrix(path, rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
