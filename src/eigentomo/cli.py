@@ -377,7 +377,7 @@ def _comma_separated(item):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
+    common.add_argument("--seed", type=NONNEGATIVE_INT, default=0, help="base random seed")
     common.add_argument(
         "--out-dir", default=".", help="directory for output files and the manifest"
     )
@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_synth.add_argument(
         "--shots",
-        type=NONNEGATIVE_INT,
+        # More would overflow the multinomial draw.
+        type=_bounded(int, False, np.iinfo(np.int64).max, "the int64 limit"),
         default=0,
         help="shots per basis for sampled statistics (0 = exact probabilities)",
     )

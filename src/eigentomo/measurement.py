@@ -8,7 +8,8 @@ carry a full grid of 2^n outcome records per basis (zero-probability
 outcomes included), sorted by basis label and then by outcome index; that
 order is the file format, and the loader reads records by position in it:
 the exact bytes ``save_jsonl`` writes as columns, any other layout of a UTF-8
-file record by record under the same rules and messages.
+file one JSON value per line, record by record, under the same rules and
+messages.
 
 Every basis rotation goes through one kernel, ``BasisRotation``: it splits
 each U_b into a dense left factor on the first k qubits and a dense right
@@ -71,7 +72,7 @@ COUNT_RATIO_ATOL = 1e-12
 #: Largest register for exhaustive 2^n tables (RBM exact mode, dataset loading).
 EXACT_MODE_MAX_QUBITS = 12
 #: Bytes of a dataset file the columnar reader reads at a time.  On one Xeon
-#: core, w8 loads in 0.10 s at 128 KiB, 0.14 s at 16 KiB, 0.24 s record by record.
+#: core, w8 loads in 0.10 s at 128 KiB and 0.14 s at 16 KiB.
 _CHUNK_BYTES = 1 << 17
 #: Modelled cost of one prefix group's Python-level loop iteration, in complex
 #: multiply-adds, for the split-point choice of ``BasisRotation``.
@@ -510,7 +511,7 @@ class MeasurementDataset:
     def load_jsonl(cls, path) -> "MeasurementDataset":
         """Read a UTF-8 file written by ``save_jsonl``: its exact bytes as
         columns (``_canonical_columns``), any other layout record by record in
-        file order, as ``_record_values`` parses a block of lines at a time.
+        file order, one ``json.loads`` per non-blank line.
 
         The record order is the format: record k (from 1, after the header)
         is outcome (k - 1) mod 2^n, in index order, of its block of 2^n
@@ -567,7 +568,8 @@ class MeasurementDataset:
                 r = 0
                 # A p beyond float64 or shots beyond int64 overflow the numpy store.
                 try:
-                    for r, doc in enumerate(_record_values(fh), 1):
+                    for r, line in enumerate((line for line in fh if not line.isspace()), 1):
+                        doc = json.loads(line)
                         if not isinstance(doc, dict):
                             raise ValueError(f"record {r} is not a JSON object: {doc!r}")
                         try:
@@ -622,9 +624,8 @@ class MeasurementDataset:
                         f"record value out of range at record {r}: {exc}"
                     ) from None
                 except json.JSONDecodeError as exc:
-                    # Record r + 1 failed; parsed alone, so pos counts from its line.
                     message = exc.msg.removesuffix(" at")
-                    raise ValueError(f"record {r + 1}: {message} at column {exc.pos + 1}") from None
+                    raise ValueError(f"record {r}: {message} at column {exc.pos + 1}") from None
                 except UnicodeDecodeError:
                     raise ValueError(_undecodable_line(path)) from None
                 if r % dim:
@@ -718,45 +719,6 @@ def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The indices of the ranges [starts[j], stops[j]), concatenated."""
     lengths = stops - starts
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-
-
-def _record_values(lines):
-    """The JSON value of each non-blank line of ``lines``, streaming, with the
-    values and errors of one ``json.loads`` per line.
-
-    Lines come in blocks of up to 1024.  A block in which every line starts
-    with "{", ends with "}" and holds no other brace, as every line
-    ``save_jsonl`` writes does, is parsed as one JSON array with one
-    ``json.loads`` call: such a line's object can only close at the line's
-    last character, because no string runs over a newline, so the array holds
-    exactly the values of the lines.  Any other block, or one whose array
-    does not parse, is parsed line by line.  At 1024 lines a block parses as
-    fast as at 4096, and the peak memory of loading the 157,440 records of
-    ``w8`` rises 1 MiB over line-by-line parsing instead of 4 MiB.
-    """
-    for block in iter(lambda: list(itertools.islice(lines, 1024)), []):
-        block = [line for line in block if not line.isspace()]
-        text = "[" + ",".join(block) + "]"
-        n = len(block)
-        values = None
-        # Each line starts with "{" and ends with "}" (every one of the n - 1
-        # joins is "}\n,{"), and those are the only braces.
-        if (
-            text.count("}\n,{") == n - 1
-            and text.startswith("[{")
-            and text.endswith(("}\n]", "}]"))
-            and text.count("{") == text.count("}") == n
-        ):
-            with contextlib.suppress(ValueError):
-                values = json.loads(text)
-        # Each block's text and values go before the next block is read:
-        # kept alive, they raised the peak memory of a whole w8 reconstruct
-        # by up to 5 MiB, although loading alone peaked no higher.
-        del text
-        if values is None:
-            values = map(json.loads, block)
-        yield from values
-        del values, block
 
 
 def _undecodable_line(path) -> str:

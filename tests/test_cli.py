@@ -114,6 +114,12 @@ class TestSynth:
             ("--spectrum", "1.0", "--w", 0),
             ("--w", 2, "--spectrum", "0.9", "--perturbation", "nan"),
             ("--w", 2, "--spectrum", "0.9", "--perturbation", -0.1),
+            ("--w", 2, "--spectrum", "0.9", "--seed", -1),
+            ("--preset", "bell-mixture", "--bases", "compressed", "--seed", -1),
+            # Full bases, exact: nothing draws from the seed.
+            ("--preset", "bell-mixture", "--seed", -1),
+            ("--preset", "bell-mixture", "--shots", 2**63),
+            ("--preset", "bell-mixture", "--shots", "99999999999999999999"),
         ],
     )
     def test_out_of_range_numbers_usage_error(self, tmp_path, flags):
@@ -316,6 +322,7 @@ class TestReconstructCommand:
             ("--lr", 0),
             ("--lr", "nan"),
             ("--floor", -1e-2),
+            ("--seed", -1),
         ],
     )
     def test_out_of_range_numbers_usage_error(self, tmp_path, flag, value):
@@ -511,6 +518,12 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert f"argument {flag}:" in proc.stderr.splitlines()[-1]
 
+    def test_negative_seed_usage_error(self, tmp_path):
+        proc = run_cli("verify", "--dims", "2", "--seed", -5, "--out-dir", tmp_path, check=False)
+        assert proc.returncode == 2
+        assert "argument --seed:" in proc.stderr.splitlines()[-1]
+        assert not (tmp_path / "verify_report.json").exists()
+
     @pytest.mark.parametrize("dims", ["0", "2,0", "x", "2,-4", ""])
     def test_bad_dims_usage_error(self, tmp_path, dims):
         proc = run_cli("verify", "--dims", dims, "--out-dir", tmp_path, check=False)
@@ -577,6 +590,7 @@ class TestFigdataCommand:
             ("--strength-min", "nan"),
             ("--strength-min", -0.01),
             ("--strength-max", "inf"),
+            ("--seed", -2),
         ],
     )
     def test_out_of_range_numbers_usage_error(self, tmp_path, flag, value):

@@ -941,6 +941,25 @@ class TestColumnarReader:
         writer.join(timeout=10)
         assert not writer.is_alive()
 
+    def test_long_file_record_by_record(self, tmp_path):
+        # 81 bases of 16 outcomes, 1,296 records: a reversed key order goes
+        # record by record, to the canonical file's bits, and a syntax error
+        # far into the file names its own record.
+        rho = random_density_matrix(16, np.random.default_rng(4))
+        data = ms.exact_dataset(rho, ms.generate_basis_set(4, "full"))
+        path, copy = tmp_path / "data.jsonl", tmp_path / "reversed.jsonl"
+        data.save_jsonl(path)
+        lines = relaid(path.read_text())["reordered_keys"].splitlines(keepends=True)
+        assert len(lines) == 1 + 1296
+        copy.write_text("".join(lines))
+        assert columnar(copy) is None
+        assert load_outcome(copy) == load_outcome(path)
+        k = 1100
+        lines[k] = lines[k].replace('"p":', '"p"')
+        copy.write_text("".join(lines))
+        column = lines[k].index('"p"') + 5  # the value after "p" and a space
+        assert load_outcome(copy) == f"record {k}: Expecting ':' delimiter at column {column}"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -964,85 +983,6 @@ class TestColumnarReader:
         with pytest.raises(ValueError) as err:
             ms.MeasurementDataset.load_jsonl(path)
         assert str(err.value) == message
-
-
-class TestRecordValues:
-    """``_record_values`` gives the values, and the first error, of one
-    ``json.loads`` per non-blank line, whether a block goes through the
-    one-array parse or line by line."""
-
-    GOOD = [
-        '{"basis": "z", "outcome": "+", "p": 0.5, "shots": null}\n',
-        '{"a": "}\\n,{"}\n',
-        '{}\n',
-        '  {"basis": "z", "outcome": "-", "p": 0.5}\n',
-        '{"x": [1, 2], "y": {"z": "}"}}\n',
-        "[1, 2]\n",
-        "7\n",
-        "\n",
-        "  \t\n",
-    ]
-    BAD = [
-        '{"a": 1\n',
-        '"b": 2}\n',
-        '{"a": 1}, {"b": 2}\n',
-        '{"a": 1}}\n',
-        '{"a" 1}\n',
-        '{"a": "x\n',
-        '2]}\n',
-        '{"a": [1\n',
-    ]
-
-    @staticmethod
-    def parse(lines):
-        try:
-            return list(ms._record_values(iter(lines)))
-        except ValueError as err:
-            return str(err)
-
-    @staticmethod
-    def line_by_line(lines):
-        try:
-            return [json.loads(line) for line in lines if line.strip()]
-        except ValueError as err:
-            return str(err)
-
-    def test_matches_line_by_line_parse(self):
-        rng = np.random.default_rng(22)
-        for trial in range(400):
-            pool = self.GOOD + (self.BAD if trial % 2 else [])
-            lines = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 9))]
-            if trial % 3 == 0 and lines[-1] != "\n":
-                lines[-1] = lines[-1].rstrip("\n")  # a last line may lack it
-            assert self.parse(lines) == self.line_by_line(lines), lines
-
-    @pytest.mark.parametrize(
-        "lines",
-        [
-            # An object run on over a join, made up for by two on one line.
-            ['{"a": 1\n', '"b": 2}\n', '{"c": 1}, {"d": 2}\n'],
-            ['{"x": [{"a": 1}\n', '{"b": 2}]}\n'],
-            # A second value before the first line's object or after the last.
-            ['5, {"a": 1}\n', '{"b": 2}\n'],
-            ['{"b": 2}\n', '{"a": 1}, 5'],
-            ['{"b": 2}\n', '{"a": 1}, 5\n'],
-        ],
-    )
-    def test_values_run_over_lines_rejected(self, lines):
-        assert isinstance(self.line_by_line(lines), str)
-        assert self.parse(lines) == self.line_by_line(lines)
-
-    def test_blocks_of_save_jsonl_lines(self, tmp_path, bell_rho):
-        # More than one block of 1024 lines, the last one short, with a bad
-        # line in the second block: the error is the line's own.
-        data = ms.exact_dataset(bell_rho, ms.generate_basis_set(2, "full"))
-        path = tmp_path / "data.jsonl"
-        data.save_jsonl(path)
-        records = path.read_text().splitlines(keepends=True)[1:] * 60
-        assert self.parse(records) == self.line_by_line(records)
-        records[1500] = records[1500].replace('"p":', '"p"')
-        assert "Expecting ':' delimiter" in self.parse(records)
-        assert self.parse(records) == self.line_by_line(records)
 
 
 class TestWMixture:
